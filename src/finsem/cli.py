@@ -16,11 +16,9 @@ from . import kripke, morphisms
 from .denote import (
     ModeError,
     PresuppositionFailure,
-    Term,
     TermTypeError,
     UnboundVariable,
-    eval_ext,
-    eval_int,
+    evaluate,
     has_modal,
     parse_term,
     render_term,
@@ -45,9 +43,7 @@ from .semmodel import (
     UnknownEntity,
     UnknownFrame,
     UnknownIndex,
-    Value,
     render_value,
-    the_index,
 )
 
 PRECONDITION_ERRORS = (
@@ -96,16 +92,6 @@ def _parse_assignment(pairs: Optional[Sequence[str]]) -> Assignment:
     return Assignment(tuple(bindings))
 
 
-def _evaluate(m: Model, term: Term, g: Assignment, s: Optional[Index]) -> Value:
-    if s is not None:
-        return eval_int(term, m, g, s)
-    if not m.frames:
-        return eval_ext(term, m, g)
-    if m.is_extensional:
-        return eval_int(term, m, g, the_index(m))
-    raise UnknownIndex("model has a nontrivial frame; pass --index")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -147,7 +133,7 @@ def cmd_eval(mf: ModelFile, args: argparse.Namespace) -> int:
         return 2
     g = _parse_assignment(args.assign)
     s = _parse_index(mf.model, args.index) if args.index is not None else None
-    value = _evaluate(mf.model, term, g, s)
+    value = evaluate(term, mf.model, g, s)
     print(render_value(value, mf.model))
     return 0
 

@@ -9,6 +9,10 @@ supplied index rather than the unique one.
 Lambda abstraction evaluates by extending the environment over the bound
 variable's finite domain; no textual substitution ever happens, so capture
 is a non-issue and every result is a finite first-class value.
+
+evaluate is the one dispatch between the two evaluators; the command line and
+the sentence fragment both use it. The parser refuses terms nested deeper than
+MAX_TERM_DEPTH, which keeps every recursion over a parsed term shallow.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from .semmodel import (
     UnknownIndex,
     Value,
     arg_types,
-    cached_validate,
-    index_space,
     parse_type,
     render_type,
     the_index,
@@ -296,7 +298,7 @@ def eval_int(
     g = g if g is not None else Assignment()
     if s is None:
         raise UnknownIndex("eval_int needs an index")
-    if s not in index_space(m):
+    if s not in m.positions:
         raise UnknownIndex(f"{s.render()} is not in the index space")
     _require_valid(m)
     typecheck(term, m, assignment_types(g))
@@ -311,7 +313,22 @@ def eval_all_indices(
     _require_valid(m)
     typecheck(term, m, assignment_types(g))
     env = _env_of(g, m)
-    return {s: _eval(term, m, env, s, modal=True) for s in index_space(m)}
+    return {s: _eval(term, m, env, s, modal=True) for s in m.positions}
+
+
+def evaluate(
+    term: Term, m: Model, g: Optional[Assignment] = None, s: Optional[Index] = None
+) -> Value:
+    """Evaluate at s when given; otherwise extensionally on a frame-free model,
+    or at the unique index of a fully collapsed one. A model with a nontrivial
+    frame needs an index."""
+    if s is not None:
+        return eval_int(term, m, g, s)
+    if not m.frames:
+        return eval_ext(term, m, g)
+    if m.is_extensional:
+        return eval_int(term, m, g, the_index(m))
+    raise UnknownIndex("model has a nontrivial frame; an index is required")
 
 
 def assignment_types(g: Assignment) -> dict[str, SemType]:
@@ -328,11 +345,10 @@ def _env_of(g: Assignment, m: Model) -> dict[str, Value]:
 
 
 def _require_valid(m: Model) -> None:
-    violations = cached_validate(m)
-    if violations:
-        first = violations[0]
+    if m.violations:
+        first = m.violations[0]
         raise ValueError(
-            f"model fails validation ({len(violations)} violations; first: "
+            f"model fails validation ({len(m.violations)} violations; first: "
             f"{first.kind} {first.constant} {first.detail})"
         )
 
@@ -439,13 +455,24 @@ def render_term(term: Term) -> str:
     raise ValueError(f"unrenderable term {term!r}")
 
 
+# The recursive parser, typechecker, evaluator and renderer take at most two
+# stack frames per level, well within the default recursion limit of 1000.
+MAX_TERM_DEPTH = 256
+
+
 def parse_term(text: str, constant_names: frozenset[str] = frozenset()) -> Term:
     """Parse the s-expression term syntax.
 
     A bare name is a Var when bound by an enclosing lam/iota or when it is
-    not a declared constant; declared constant names parse as Const.
+    not a declared constant; declared constant names parse as Const. Nesting
+    deeper than MAX_TERM_DEPTH forms raises ValueError.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    depth = 0
+    for tok in tokens:
+        depth += 1 if tok == "(" else -1 if tok == ")" else 0
+        if depth > MAX_TERM_DEPTH:
+            raise ValueError(f"term nested deeper than {MAX_TERM_DEPTH} levels")
     term, rest = _term_at(tokens, 0, constant_names, frozenset())
     if rest != len(tokens):
         raise ValueError(f"trailing input after term in {text!r}")

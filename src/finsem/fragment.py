@@ -20,19 +20,10 @@ from .denote import (
     PresuppositionFailure,
     Term,
     Var,
-    eval_ext,
-    eval_int,
+    evaluate,
     render_term,
 )
-from .semmodel import (
-    Assignment,
-    Index,
-    Model,
-    UnknownIndex,
-    Value,
-    render_value,
-    the_index,
-)
+from .semmodel import Assignment, Index, Model, Value, render_value
 
 
 class UnknownWord(Exception):
@@ -249,24 +240,14 @@ def eval_sentence(
     mode = "intensional" if m.frames else "extensional"
     term, node_terms = translate_with_nodes(tree, lexicon, mode)
 
-    if s is not None:
-        evaluate = lambda t: eval_int(t, m, g, s)  # noqa: E731
-    elif not m.frames:
-        evaluate = lambda t: eval_ext(t, m, g)  # noqa: E731
-    elif m.is_extensional:
-        s0 = the_index(m)
-        evaluate = lambda t: eval_int(t, m, g, s0)  # noqa: E731
-    else:
-        raise UnknownIndex("model has a nontrivial frame; an index is required")
-
     try:
-        value = evaluate(term)
+        value = evaluate(term, m, g, s)
     except PresuppositionFailure as err:
         for node, _ in iter_nodes(tree):
             if node.label != "DP":
                 continue
             try:
-                evaluate(node_terms[id(node)])
+                evaluate(node_terms[id(node)], m, g, s)
             except PresuppositionFailure:
                 covered = " ".join(node.words())
                 raise PresuppositionFailure(f"{err} in DP '{covered}'") from None
@@ -278,6 +259,6 @@ def eval_sentence(
         line = f"{'  ' * depth}{node.label} '{covered}'"
         t = node_terms.get(id(node))
         if t is not None:
-            line += f" := {render_term(t)} = {render_value(evaluate(t), m)}"
+            line += f" := {render_term(t)} = {render_value(evaluate(t, m, g, s), m)}"
         lines.append(line)
     return SentenceResult(tree, term, value, tuple(lines))

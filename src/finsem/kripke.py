@@ -8,6 +8,7 @@ agree so either route can be trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .relalg import (
     EndpointMismatch,
@@ -52,10 +53,15 @@ class Frame:
         k = self.domain.elements[0]
         return self.rel.pairs == frozenset({(k, k)})
 
+    @cached_property
+    def _successors(self) -> dict[str, tuple[str, ...]]:
+        els = self.domain.elements
+        return {u: tuple(v for v in els if (u, v) in self.rel.pairs) for u in els}
+
     def successors(self, element: str) -> list[str]:
-        if element not in self.domain:
+        if element not in self._successors:
             raise UnknownElement(f"{element!r} is not in frame {self.label!r}")
-        return [v for v in self.domain.elements if (element, v) in self.rel.pairs]
+        return list(self._successors[element])
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,8 @@ from .semmodel import (
     TruthType,
     TupleV,
     Value,
-    index_space,
     parse_type,
     render_type,
-    validate,
     value_key,
 )
 
@@ -117,7 +115,7 @@ def model_file_from_doc(doc: Any) -> ModelFile:
         except ValueError as err:
             errs.append(f"model: {err}")
     if model is not None:
-        for v in validate(model):
+        for v in model.violations:
             where = f"constant {v.constant!r}: " if v.constant else ""
             errs.append(f"validation: {where}{v.kind} ({v.detail})")
 
@@ -446,7 +444,7 @@ def dump_model_file(mf: ModelFile) -> str:
                 fj["designated"] = designated[f.label]
             doc["frames"].append(fj)
     if m.constants:
-        space_order = {idx: i for i, idx in enumerate(index_space(m))}
+        # Model keeps every table in canonical index order
         doc["constants"] = [
             {
                 "name": c.name,
@@ -456,9 +454,7 @@ def dump_model_file(mf: ModelFile) -> str:
                         "index": [e for _, e in idx.components],
                         "value": encode_value(v, c.semtype),
                     }
-                    for idx, v in sorted(
-                        c.table, key=lambda r: space_order.get(r[0], len(space_order))
-                    )
+                    for idx, v in c.table
                 ],
             }
             for c in m.constants

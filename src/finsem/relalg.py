@@ -89,6 +89,8 @@ class FnGraph:
         for x in self.underlying.source.elements:
             if x not in table:
                 raise ValueError(f"relation is not total: no value at {x!r}")
+        # kept outside the dataclass fields, so == and hash stay structural
+        object.__setattr__(self, "_table", table)
 
     @property
     def source(self) -> FinSet:
@@ -99,10 +101,7 @@ class FnGraph:
         return self.underlying.target
 
     def __call__(self, x: str) -> str:
-        for a, b in self.underlying.pairs:
-            if a == x:
-                return b
-        raise KeyError(x)
+        return self._table[x]
 
 
 def identity(carrier: FinSet) -> Relation:
@@ -214,7 +213,7 @@ def check_property(r: Relation, prop: str) -> bool:
             return all(
                 (u, w) in rp for (u, v) in rp for (v2, w) in rp if v == v2
             )
-        case "total":
+        case "total" | "strongly_connected":
             # connexity: any two points are comparable (forces reflexivity)
             return all((u, v) in rp or (v, u) in rp for u in dom for v in dom)
         case "equivalence":
@@ -228,8 +227,6 @@ def check_property(r: Relation, prop: str) -> bool:
             )
         case "total_order":
             return check_property(r, "partial_order") and check_property(r, "total")
-        case "strongly_connected":
-            return all((u, v) in rp or (v, u) in rp for u in dom for v in dom)
         case "weakly_connected":
             return all(
                 (v, w) in rp or (w, v) in rp

@@ -5,12 +5,17 @@ an interpretation table per constant. Tables are total maps from the index
 space (the product of the frame domains) to values of the constant's type.
 Everything is finite and enumerable, so validation and evaluation are
 exhaustive rather than symbolic.
+
+A model computes its index order (`positions`), its lookup tables and its
+validation report (`violations`) once, on first use, and keeps them outside
+its dataclass fields, so equality and hashing stay structural.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .kripke import Frame
@@ -369,11 +374,15 @@ class Constant:
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", tuple(tuple(e) for e in self.table))
 
+    @cached_property
+    def _rows(self) -> dict[Index, Value]:
+        return dict(reversed(self.table))  # the first row for an index wins
+
     def value_at(self, s: Index) -> Value:
-        for idx, v in self.table:
-            if idx == s:
-                return v
-        raise UnknownIndex(f"constant {self.name!r} has no entry at {s.render()}")
+        v = self._rows.get(s)
+        if v is None:
+            raise UnknownIndex(f"constant {self.name!r} has no entry at {s.render()}")
+        return v
 
 
 @dataclass(frozen=True)
@@ -401,12 +410,12 @@ class Model:
         if len(set(names)) != len(names):
             raise ValueError("duplicate constant names")
         for l, e in self.designated:
-            fr = _frame_of(self.frames, l)
+            fr = self.frame(l)
             if fr is None:
                 raise ValueError(f"designated element for unknown frame {l!r}")
             if e not in fr.domain:
                 raise ValueError(f"designated element {e!r} not in frame {l!r}")
-        position = {idx: i for i, idx in enumerate(_space_of(self.frames))}
+        position = self.positions
         normalized = tuple(
             Constant(
                 c.name,
@@ -425,14 +434,30 @@ class Model:
             self, "designated", tuple(sorted(tuple(d) for d in self.designated))
         )
 
+    @cached_property
+    def positions(self) -> dict[Index, int]:
+        """Each index to its canonical position, frames varying lexicographically."""
+        axes = [[(f.label, e) for e in f.domain.elements] for f in self.frames]
+        return {Index(combo): i for i, combo in enumerate(itertools.product(*axes))}
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """The validation report, computed once per model object."""
+        return tuple(validate(self))
+
+    @cached_property
+    def _frames_by_label(self) -> dict[str, Frame]:
+        return {f.label: f for f in self.frames}
+
+    @cached_property
+    def _constants_by_name(self) -> dict[str, Constant]:
+        return {c.name: c for c in self.constants}
+
     def frame(self, label: str) -> Optional[Frame]:
-        return _frame_of(self.frames, label)
+        return self._frames_by_label.get(label)
 
     def constant(self, name: str) -> Optional[Constant]:
-        for c in self.constants:
-            if c.name == name:
-                return c
-        return None
+        return self._constants_by_name.get(name)
 
     @property
     def is_extensional(self) -> bool:
@@ -450,29 +475,16 @@ class Model:
         return fr.domain.elements[0]
 
 
-def _frame_of(frames: tuple[Frame, ...], label: str) -> Optional[Frame]:
-    for f in frames:
-        if f.label == label:
-            return f
-    return None
-
-
-def _space_of(frames: tuple[Frame, ...]) -> list[Index]:
-    axes = [[(f.label, e) for e in f.domain.elements] for f in frames]
-    return [Index(tuple(combo)) for combo in itertools.product(*axes)]
-
-
 def index_space(m: Model) -> list[Index]:
     """All indices, frames varying lexicographically; [Index(())] when frame-free."""
-    return _space_of(m.frames)
+    return list(m.positions)
 
 
 def the_index(m: Model) -> Index:
     """The unique index of an extensional-mode model."""
-    space = index_space(m)
-    if len(space) != 1:
+    if len(m.positions) != 1:
         raise UnknownIndex("model has more than one index")
-    return space[0]
+    return next(iter(m.positions))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +493,7 @@ def the_index(m: Model) -> Index:
 
 def type_cardinality(m: Model, t: SemType, limit: int = MAX_DOMAIN_SIZE) -> int:
     """Size of the domain of t, refusing early when any layer exceeds limit."""
-    n = _card(m, t, limit)
-    return n
+    return _card(m, t, limit)
 
 
 def _card(m: Model, t: SemType, limit: int) -> int:
@@ -508,7 +519,11 @@ def _card(m: Model, t: SemType, limit: int) -> int:
                     raise DomainTooLarge(f"{render_type(t)} exceeds {limit} values")
             n = 2**base
         case FnType(domain, codomain):
-            n = _card(m, codomain, limit) ** _card(m, domain, limit)
+            base, exponent = _card(m, codomain, limit), _card(m, domain, limit)
+            # then base ** exponent >= 2 ** limit.bit_length() > limit: skip the power
+            if base >= 2 and exponent >= limit.bit_length():
+                raise DomainTooLarge(f"{render_type(t)} exceeds {limit} values")
+            n = base**exponent
         case _:
             raise ValueError(f"unknown type {t!r}")
     if n > limit:
@@ -610,8 +625,7 @@ def validate(m: Model) -> list[Violation]:
     out: list[Violation] = []
     if len(m.entity_domain) == 0:
         out.append(Violation("EmptyEntityDomain", "", "entity domain is empty"))
-    space = index_space(m)
-    known = set(space)
+    space = m.positions
     for c in m.constants:
         seen: set[Index] = set()
         for idx, v in c.table:
@@ -621,7 +635,7 @@ def validate(m: Model) -> list[Violation]:
                 )
                 continue
             seen.add(idx)
-            if idx not in known:
+            if idx not in space:
                 out.append(
                     Violation("UnexpectedIndexEntry", c.name, f"index {idx.render()}")
                 )
@@ -649,15 +663,6 @@ def validate(m: Model) -> list[Violation]:
                     Violation("MissingIndexEntry", c.name, f"index {idx.render()}")
                 )
     return out
-
-
-_VALIDATION_CACHE: dict[Model, tuple[Violation, ...]] = {}
-
-
-def cached_validate(m: Model) -> tuple[Violation, ...]:
-    if m not in _VALIDATION_CACHE:
-        _VALIDATION_CACHE[m] = tuple(validate(m))
-    return _VALIDATION_CACHE[m]
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,15 @@ def test_exit_2_unparseable_term() -> None:
     assert got.returncode == 2
 
 
+def test_exit_2_term_nested_too_deep() -> None:
+    deep = "(not " * 1199 + "(eq x x)" + ")" * 1199
+    got = run("eval", EXTENSIONAL, "--term", deep, "--assign", "x=s1")
+    assert got.returncode == 2
+    assert got.stdout == ""
+    assert got.stderr.startswith("error: term nested deeper than")
+    assert "Traceback" not in got.stderr
+
+
 def test_exit_2_usage_error() -> None:
     got = run("no-such-command", EXTENSIONAL)
     assert got.returncode == 2

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import pytest
 
+from finsem import denote, semmodel
 from finsem.denote import (
+    MAX_TERM_DEPTH,
     And,
     App,
     Const,
@@ -28,6 +30,7 @@ from finsem.denote import (
     eval_all_indices,
     eval_ext,
     eval_int,
+    evaluate,
     has_modal,
     parse_term,
     render_term,
@@ -318,6 +321,37 @@ def test_diamond_rebinds_only_its_own_frame() -> None:
     assert eval_int(nested_wt, m, s=at("w0", "t0")) == Truth(0)
 
 
+def test_evaluate_picks_the_evaluator(monkeypatch) -> None:
+    seen = []
+    real_ext, real_int = denote.eval_ext, denote.eval_int
+    monkeypatch.setattr(
+        denote, "eval_ext", lambda t, m, g=None: seen.append("ext") or real_ext(t, m, g)
+    )
+    monkeypatch.setattr(
+        denote,
+        "eval_int",
+        lambda t, m, g=None, s=None: seen.append(s.render()) or real_int(t, m, g, s),
+    )
+    assert evaluate(READS, MODAL, s=w_index("w1")) == Truth(1)
+    assert evaluate(READS, EXT) == Truth(1)
+    # the collapse keeps the designated w0 slice, where nobody read anything
+    assert evaluate(MIGHT_READ, trivialize_all(MODAL)) == Truth(0)
+    with pytest.raises(UnknownIndex, match="index is required"):
+        evaluate(READS, MODAL)
+    assert seen == ["w1", "ext", "k0"]
+
+
+def test_validation_runs_once_per_model(monkeypatch) -> None:
+    calls = []
+    real = semmodel.validate
+    monkeypatch.setattr(semmodel, "validate", lambda m: calls.append(m) or real(m))
+    m = build_modal()
+    assert evaluate(READS, m, s=w_index("w0")) == Truth(0)
+    assert evaluate(THE_STUDENT, m, s=w_index("w1")) == Entity("s1")
+    assert eval_all_indices(MIGHT_READ, m)[w_index("w0")] == Truth(1)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # text syntax
 
@@ -355,3 +389,26 @@ def test_bare_names_resolve_against_declared_constants() -> None:
 def test_term_syntax_rejects(bad: str) -> None:
     with pytest.raises(ValueError):
         parse_term(bad)
+
+
+def nested_not(depth: int) -> str:
+    """(not (not ... (eq x x))) with depth parenthesised forms in all."""
+    return "(not " * (depth - 1) + "(eq x x)" + ")" * (depth - 1)
+
+
+def test_parser_refuses_nesting_past_the_limit() -> None:
+    for depth in (MAX_TERM_DEPTH + 1, 1200):
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_term(nested_not(depth))
+
+
+def test_deepest_terms_typecheck_evaluate_and_render() -> None:
+    g = Assignment((("x", "s1"),))
+    negations = parse_term(nested_not(MAX_TERM_DEPTH))
+    assert eval_ext(negations, EXT, g) == Truth(MAX_TERM_DEPTH % 2)
+    # argument lists cost the evaluator and renderer a comprehension frame per level
+    chain = "(func mentor " * MAX_TERM_DEPTH + "alice" + ")" * MAX_TERM_DEPTH
+    term = parse_term(chain, frozenset({"alice"}))
+    assert eval_ext(term, ext_with_functions()) == Entity("s1")
+    assert not has_modal(term)
+    assert render_term(term) == chain

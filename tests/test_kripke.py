@@ -60,6 +60,9 @@ def test_successors_in_domain_order() -> None:
     assert f.successors("w1") == []
     with pytest.raises(UnknownElement):
         f.successors("w9")
+    # each call returns a fresh list
+    f.successors("w0").append("w1")
+    assert f.successors("w0") == ["w0", "w2"]
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,14 @@ def test_loader_collects_every_problem() -> None:
     assert len(e.value.problems) >= 6
 
 
+def test_loader_reports_too_deep_terms() -> None:
+    deep = "(not " * 1199 + "(eq x x)" + ")" * 1199
+    with pytest.raises(ModelFileError) as e:
+        model_file_from_doc({"entities": ["a"], "terms": {"deep": deep}})
+    assert len(e.value.problems) == 1
+    assert e.value.problems[0].startswith("terms['deep']: term nested deeper than")
+
+
 def test_loader_reports_validation_violations() -> None:
     doc = {
         "entities": ["a"],

@@ -8,6 +8,8 @@ in ascending bitmask order over the member enumeration.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,7 +43,6 @@ from finsem.semmodel import (
     Violation,
     arg_types,
     assignment_variant,
-    cached_validate,
     fn_arity,
     fn_type,
     index_space,
@@ -262,6 +263,20 @@ def test_domain_too_large() -> None:
         type_cardinality(M, parse_type("rel(set(set(e)),set(set(e)))"), limit=100)
 
 
+def test_function_type_refused_before_exponentiating() -> None:
+    # 30**4 = 810000 keys and values each: the power would have millions of digits
+    m = Model(FinSet("E", tuple(f"x{i}" for i in range(30))), (), ())
+    quad = "pair(pair(e,e),pair(e,e))"
+    start = time.perf_counter()
+    with pytest.raises(DomainTooLarge):
+        type_cardinality(m, parse_type(f"fn({quad},{quad})"))
+    assert time.perf_counter() - start < 0.1
+    # the early refusal is exact: 2 ** 4 = 16 fits a limit of 16, not of 15
+    assert type_cardinality(M, parse_type("fn(set(e),t)"), limit=16) == 16
+    with pytest.raises(DomainTooLarge):
+        type_cardinality(M, parse_type("fn(set(e),t)"), limit=15)
+
+
 def test_ungrounded_index_type() -> None:
     with pytest.raises(UngroundedType):
         type_domain(M, IdxType("T"))
@@ -359,7 +374,25 @@ def test_validate_clean_model() -> None:
     rows = tuple((s, SetV(frozenset({TupleV((A,))}))) for s in index_space(M))
     m = Model(ENTS, (FRAME_W,), (unary("p", rows),))
     assert validate(m) == []
-    assert cached_validate(m) == ()
+    assert m.violations == ()
+
+
+def test_built_lookups_keep_equality_structural() -> None:
+    def build() -> Model:
+        frame = small_frame("W", ("w0", "w1"), {("w0", "w1")})
+        rows = tuple((s, SetV(frozenset({TupleV((A,))}))) for s in index_space(M))
+        return Model(ENTS, (frame,), (unary("p", rows),))
+
+    used = build()
+    assert used.constant("p").value_at(Index((("W", "w1"),))) == SetV(
+        frozenset({TupleV((A,))})
+    )
+    assert used.frame("W").successors("w0") == ["w1"]
+    assert used.violations == ()
+    assert "violations" in vars(used)
+    fresh = build()
+    assert used == fresh
+    assert hash(used) == hash(fresh)
 
 
 def test_validate_reports_every_problem() -> None:
@@ -398,6 +431,8 @@ def test_validate_duplicate_index_entry() -> None:
         (unary("p", ((w0, SetV(frozenset())), (w0, SetV(frozenset({TupleV((A,))}))), (w1, SetV(frozenset())))),),
     )
     assert {v.kind for v in validate(dup)} == {"DuplicateIndexEntry"}
+    # lookups read the first row for an index, as the report counts it
+    assert dup.constant("p").value_at(w0) == SetV(frozenset())
 
 
 def test_validate_empty_entity_domain() -> None:

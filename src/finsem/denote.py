@@ -10,6 +10,13 @@ Lambda abstraction evaluates by extending the environment over the bound
 variable's finite domain; no textual substitution ever happens, so capture
 is a non-issue and every result is a finite first-class value.
 
+eval_all_indices labels a term a set of indices at a time, as CTL model
+checking labels states: a Diamond body is evaluated once per index some needed
+index sees, not once per edge, and And, Not and Eq over modal subterms combine
+the outcomes index by index. Every other subterm goes through the per-index
+clauses, and eval_int remains the per-index oracle the labelling must match,
+errors included.
+
 evaluate is the one dispatch between the two evaluators; the command line and
 the sentence fragment both use it. The parser refuses terms nested deeper than
 MAX_TERM_DEPTH, which keeps every recursion over a parsed term shallow.
@@ -18,7 +25,7 @@ MAX_TERM_DEPTH, which keeps every recursion over a parsed term shallow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .semmodel import (
     Assignment,
@@ -313,7 +320,15 @@ def eval_all_indices(
     _require_valid(m)
     typecheck(term, m, assignment_types(g))
     env = _env_of(g, m)
-    return {s: _eval(term, m, env, s, modal=True) for s in m.positions}
+    space = list(m.positions)
+    outcomes = _label(term, m, env, space, range(len(space)))
+    values: dict[Index, Value] = {}
+    for p, s in enumerate(space):
+        outcome = outcomes[p]
+        if isinstance(outcome, Exception):
+            raise outcome
+        values[s] = outcome
+    return values
 
 
 def evaluate(
@@ -426,6 +441,66 @@ def _eval(
     raise ValueError(f"unknown term {term!r}")
 
 
+# Each position's outcome: the value _eval returns there, or the exception it raises.
+Outcome = Value | Exception
+TRUE, FALSE = Truth(1), Truth(0)
+
+
+def _label(
+    term: Term, m: Model, env: dict[str, Value], space: list[Index], needed: Iterable[int]
+) -> dict[int, Outcome]:
+    """The outcome of term at each needed index position, a set at a time.
+
+    Diamond is a preimage: its body is evaluated once per distinct successor
+    position, then each needed position reads its successors in frame order,
+    so the first failing successor supplies the error, as in _eval. And, Not
+    and Eq over modal subterms combine outcomes position by position; every
+    other term is evaluated by _eval at each needed position.
+    """
+    match term:
+        case Diamond(label, body):
+            succ = m.successor_positions(label)
+            needed = list(needed)
+            inner = _label(body, m, env, space, dict.fromkeys(t for p in needed for t in succ[p]))
+            out: dict[int, Outcome] = {}
+            for p in needed:
+                outcome: Outcome = FALSE
+                for t in succ[p]:
+                    o = inner[t]
+                    if isinstance(o, Exception):
+                        outcome = o
+                        break
+                    if o == TRUE:
+                        outcome = TRUE
+                out[p] = outcome
+            return out
+        case Not(body) if has_modal(body):
+            return {
+                p: o if isinstance(o, Exception) else TRUE if o == FALSE else FALSE
+                for p, o in _label(body, m, env, space, needed).items()
+            }
+        case And(left, right) | Eq(left, right) if has_modal(term):
+            out = _label(left, m, env, space, needed)
+            ok = [p for p, o in out.items() if not isinstance(o, Exception)]
+            rights = _label(right, m, env, space, ok)
+            for p in ok:
+                lv, rv = out[p], rights[p]
+                if isinstance(rv, Exception):
+                    out[p] = rv
+                elif isinstance(term, And):
+                    out[p] = TRUE if lv == TRUE and rv == TRUE else FALSE
+                else:
+                    out[p] = TRUE if lv == rv else FALSE
+            return out
+    out = {}
+    for p in needed:
+        try:
+            out[p] = _eval(term, m, env, space[p], modal=True)
+        except Exception as err:
+            out[p] = err
+    return out
+
+
 # ---------------------------------------------------------------------------
 # surface syntax
 
@@ -455,8 +530,10 @@ def render_term(term: Term) -> str:
     raise ValueError(f"unrenderable term {term!r}")
 
 
-# The recursive parser, typechecker, evaluator and renderer take at most two
-# stack frames per level, well within the default recursion limit of 1000.
+# The recursive parser, typechecker, per-index evaluator, labelling pass and
+# renderer take at most two stack frames per level (the labelling pass one per
+# modal or pointwise level, then the per-index evaluator below it), well within
+# the default recursion limit of 1000.
 MAX_TERM_DEPTH = 256
 
 

@@ -27,8 +27,10 @@ truth values as 0/1, pairs as 2-lists, sets as lists of member encodings,
 relations as lists of tuples (lists), finite functions as lists of
 [key, value] 2-lists.
 
-The loader collects every schema problem and every model validation
-violation before failing, so one pass reports all defects.
+The loader collects every schema problem, every model validation violation
+and every lexicon entry whose pred is not a constant of the type its category
+needs (rel(e) for N, rel(e,e) for V) before failing, so one pass reports all
+defects.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .semmodel import (
 
 TOP_KEYS = ("entities", "frames", "constants", "lexicon", "terms")
 LEXICAL_KEYS = {"cat", "pred", "frame", "sem"}
+LEXICAL_PRED_TYPES = {"N": RelType((EntType(),)), "V": RelType((EntType(), EntType()))}
 
 
 class ModelFileError(Exception):
@@ -88,6 +91,8 @@ def load_model_file(path: str) -> ModelFile:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ModelFileError([f"not valid JSON: {err}"]) from None
+        except RecursionError:
+            raise ModelFileError(["JSON nested too deeply to decode"]) from None
     return model_file_from_doc(doc)
 
 
@@ -119,7 +124,7 @@ def model_file_from_doc(doc: Any) -> ModelFile:
             where = f"constant {v.constant!r}: " if v.constant else ""
             errs.append(f"validation: {where}{v.kind} ({v.detail})")
 
-    lexicon = _load_lexicon(doc.get("lexicon", {}), frames, errs)
+    lexicon = _load_lexicon(doc.get("lexicon", {}), frames, constants, errs)
     terms = _load_terms(doc.get("terms", {}), constants, errs)
 
     if errs or model is None:
@@ -216,8 +221,12 @@ def _load_constants(
             errs.append(f"{where}: name must be a string")
             continue
         where = f"constant {name!r}"
+        type_text = cj.get("type", "")
+        if not isinstance(type_text, str):
+            errs.append(f"{where}: type must be a string")
+            continue
         try:
-            semtype = parse_type(cj.get("type", ""))
+            semtype = parse_type(type_text)
         except ValueError as err:
             errs.append(f"{where}: {err}")
             continue
@@ -250,12 +259,13 @@ def _load_constants(
 
 
 def _load_lexicon(
-    j: Any, frames: list[Frame], errs: list[str]
+    j: Any, frames: list[Frame], constants: list[Constant], errs: list[str]
 ) -> dict[str, LexEntry]:
     out: dict[str, LexEntry] = {}
     if not isinstance(j, dict):
         errs.append("lexicon must be an object")
         return out
+    types = {c.name: c.semtype for c in constants}
     for word, ej in j.items():
         where = f"lexicon[{word!r}]"
         if not isinstance(ej, dict):
@@ -268,9 +278,21 @@ def _load_lexicon(
         if cat not in ("D", "N", "V", "Mod"):
             errs.append(f"{where}: cat must be one of D, N, V, Mod")
             continue
-        if cat in ("N", "V") and not isinstance(ej.get("pred"), str):
-            errs.append(f"{where}: {cat} entries need a pred")
-            continue
+        if cat in ("N", "V"):
+            pred = ej.get("pred")
+            if not isinstance(pred, str):
+                errs.append(f"{where}: {cat} entries need a pred")
+                continue
+            want = LEXICAL_PRED_TYPES[cat]
+            if pred not in types:
+                errs.append(f"{where}: pred {pred!r} names no constant")
+                continue
+            if types[pred] != want:
+                errs.append(
+                    f"{where}: {cat} entries need a {render_type(want)} pred, "
+                    f"{pred!r} is {render_type(types[pred])}"
+                )
+                continue
         if cat == "Mod":
             frame = ej.get("frame")
             if not isinstance(frame, str) or all(f.label != frame for f in frames):

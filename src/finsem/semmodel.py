@@ -14,6 +14,7 @@ its dataclass fields, so equality and hashing stay structural.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -151,9 +152,22 @@ def render_type(t: SemType) -> str:
     raise ValueError(f"unrenderable type {t!r}")
 
 
+# The recursive type parser, renderer, enumerators and value checks take at
+# most two stack frames per level, well within the default recursion limit.
+MAX_TYPE_DEPTH = 64
+
+
 def parse_type(text: str) -> SemType:
-    """Parse the textual type syntax: e, t, s(W), pair(,), set(), rel(,...), fn(,...,)."""
+    """Parse the textual type syntax: e, t, s(W), pair(,), set(), rel(,...), fn(,...,).
+
+    Nesting deeper than MAX_TYPE_DEPTH constructors raises ValueError.
+    """
     compact = text.replace(" ", "")
+    depth = 0
+    for ch in compact:
+        depth += 1 if ch == "(" else -1 if ch == ")" else 0
+        if depth > MAX_TYPE_DEPTH:
+            raise ValueError(f"type nested deeper than {MAX_TYPE_DEPTH} levels")
     ty, pos = _type_at(compact, 0)
     if pos != len(compact):
         raise ValueError(f"trailing input after type in {text!r}")
@@ -439,6 +453,33 @@ class Model:
         """Each index to its canonical position, frames varying lexicographically."""
         axes = [[(f.label, e) for e in f.domain.elements] for f in self.frames]
         return {Index(combo): i for i, combo in enumerate(itertools.product(*axes))}
+
+    @cached_property
+    def _successor_tables(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        return {}
+
+    def successor_positions(self, label: str) -> tuple[tuple[int, ...], ...]:
+        """For each index position, the positions of that index's label
+        successors, in Frame.successors order; built for a label on first use."""
+        if label in self._successor_tables:
+            return self._successor_tables[label]
+        fr = self.frame(label)
+        if fr is None:
+            raise UnknownFrame(f"model has no frame {label!r}")
+        # positions are mixed-radix numbers, the last frame varying fastest
+        axis = self.frames.index(fr)
+        stride = math.prod(len(f.domain) for f in self.frames[axis + 1 :])
+        size = len(fr.domain)
+        steps = [
+            tuple((fr.domain.position(v) - here) * stride for v in fr.successors(u))
+            for here, u in enumerate(fr.domain.elements)
+        ]
+        table = tuple(
+            tuple(p + d for d in steps[p // stride % size])
+            for p in range(len(self.positions))
+        )
+        self._successor_tables[label] = table
+        return table
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:

@@ -232,6 +232,30 @@ def test_exit_2_malformed_model_lists_all_problems(tmp_path) -> None:
     assert got.stderr.count("error: ") >= 2
 
 
+def test_exit_2_type_nested_too_deep(tmp_path) -> None:
+    deep = "set(" * 1200 + "e" + ")" * 1200
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps({"entities": ["a"], "constants": [{"name": "p", "type": deep}]}))
+    got = run("check-rel", str(bad))
+    assert got.returncode == 2
+    assert got.stderr == "error: constant 'p': type nested deeper than 64 levels\n"
+
+
+def test_exit_2_lexicon_pred_names_no_constant(tmp_path) -> None:
+    doc = json.loads((MODELS_DIR / "extensional.json").read_text())
+    doc["lexicon"]["read"]["pred"] = "wrote"
+    doc["lexicon"]["book"]["pred"] = "read"
+    bad = tmp_path / "lexicon.json"
+    bad.write_text(json.dumps(doc))
+    got = run("check-rel", str(bad))
+    assert got.returncode == 2
+    assert got.stdout == ""
+    assert got.stderr.splitlines() == [
+        "error: lexicon['book']: N entries need a rel(e) pred, 'read' is rel(e,e)",
+        "error: lexicon['read']: pred 'wrote' names no constant",
+    ]
+
+
 def test_exit_2_unparseable_term() -> None:
     got = run("eval", EXTENSIONAL, "--term", "(pred")
     assert got.returncode == 2

@@ -111,6 +111,65 @@ def test_loader_reports_too_deep_terms() -> None:
     assert e.value.problems[0].startswith("terms['deep']: term nested deeper than")
 
 
+def test_loader_reports_too_deep_and_non_text_types() -> None:
+    deep = "set(" * 1200 + "e" + ")" * 1200
+    doc = {
+        "entities": ["a"],
+        "constants": [{"name": "p", "type": deep}, {"name": "q", "type": 7}],
+    }
+    with pytest.raises(ModelFileError) as e:
+        model_file_from_doc(doc)
+    assert e.value.problems == [
+        "constant 'p': type nested deeper than 64 levels",
+        "constant 'q': type must be a string",
+    ]
+
+
+def test_loader_reports_too_deep_json(tmp_path) -> None:
+    path = tmp_path / "deep.json"
+    path.write_text('{"entities": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ModelFileError) as e:
+        load_model_file(str(path))
+    assert e.value.problems == ["JSON nested too deeply to decode"]
+
+
+def lexicon_doc(lexicon: dict) -> dict:
+    row = {"index": [], "value": []}
+    return {
+        "entities": ["a"],
+        "constants": [
+            {"name": "happy", "type": "rel(e)", "table": [row]},
+            {"name": "likes", "type": "rel(e,e)", "table": [row]},
+            {"name": "alice", "type": "e", "table": [{"index": [], "value": "a"}]},
+        ],
+        "lexicon": lexicon,
+    }
+
+
+def test_loader_accepts_lexicon_preds_of_the_right_type() -> None:
+    lexicon = {"happy": {"cat": "N", "pred": "happy"}, "likes": {"cat": "V", "pred": "likes"}}
+    assert set(model_file_from_doc(lexicon_doc(lexicon)).lexicon) == {"happy", "likes"}
+
+
+def test_loader_checks_lexicon_preds() -> None:
+    lexicon = {
+        "cat": {"cat": "N", "pred": "feline"},
+        "sees": {"cat": "V", "pred": "sees"},
+        "likes": {"cat": "N", "pred": "likes"},
+        "happy": {"cat": "V", "pred": "happy"},
+        "alice": {"cat": "N", "pred": "alice"},
+    }
+    with pytest.raises(ModelFileError) as e:
+        model_file_from_doc(lexicon_doc(lexicon))
+    assert e.value.problems == [
+        "lexicon['cat']: pred 'feline' names no constant",
+        "lexicon['sees']: pred 'sees' names no constant",
+        "lexicon['likes']: N entries need a rel(e) pred, 'likes' is rel(e,e)",
+        "lexicon['happy']: V entries need a rel(e,e) pred, 'happy' is rel(e)",
+        "lexicon['alice']: N entries need a rel(e) pred, 'alice' is e",
+    ]
+
+
 def test_loader_reports_validation_violations() -> None:
     doc = {
         "entities": ["a"],

@@ -18,6 +18,7 @@ from finsem.kripke import Frame
 from finsem.relalg import FinSet, Relation
 from finsem.semmodel import (
     EMPTY_INDEX,
+    MAX_TYPE_DEPTH,
     Assignment,
     Constant,
     DomainTooLarge,
@@ -115,6 +116,14 @@ def test_type_syntax_rejects(bad: str) -> None:
         parse_type(bad)
 
 
+def test_type_parser_refuses_nesting_past_the_limit() -> None:
+    deepest = "set(" * MAX_TYPE_DEPTH + "e" + ")" * MAX_TYPE_DEPTH
+    assert render_type(parse_type(deepest)) == deepest
+    for depth in (MAX_TYPE_DEPTH + 1, 1200):
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_type("set(" * depth + "e" + ")" * depth)
+
+
 def test_fn_type_helpers() -> None:
     ternary = fn_type([EntType(), EntType(), TruthType()], EntType())
     assert fn_arity(ternary) == 3
@@ -178,6 +187,25 @@ def test_index_component_and_replace() -> None:
     with pytest.raises(UnknownFrame):
         s.replace("L", "l0")
     assert EMPTY_INDEX.render() == "()"
+
+
+def test_successor_positions_follow_the_frame_in_its_order() -> None:
+    three = small_frame("L", ("l0", "l1", "l2"), {("l0", "l2"), ("l0", "l1"), ("l2", "l0")})
+    m = Model(ENTS, (FRAME_W, three, FRAME_T), ())
+    assert "_successor_tables" not in vars(m)  # nothing is built before first use
+    space = list(m.positions)
+    for f in m.frames:
+        want = tuple(
+            tuple(
+                m.positions[s.replace(f.label, v)]
+                for v in f.successors(s.component(f.label))
+            )
+            for s in space
+        )
+        assert m.successor_positions(f.label) == want
+    assert m.successor_positions("L")[0] == (1 * 2, 2 * 2)  # l1 then l2, stride 2
+    with pytest.raises(UnknownFrame):
+        m.successor_positions("Q")
 
 
 def test_the_index() -> None:

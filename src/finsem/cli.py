@@ -1,8 +1,8 @@
 """Command line interface over model files.
 
 Exit codes: 0 success, 1 violated precondition (one-line diagnostic on
-stderr), 2 unreadable or malformed input. All stdout is deterministic for a
-given input file and arguments.
+stderr), 2 unreadable or malformed input, or an --out file that cannot be
+written. All stdout is deterministic for a given input file and arguments.
 """
 
 from __future__ import annotations
@@ -155,8 +155,12 @@ def cmd_trivialize(mf: ModelFile, args: argparse.Namespace) -> int:
     )
     text = dump_model_file(ModelFile(transformed, mf.lexicon, mf.terms))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

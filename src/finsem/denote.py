@@ -2,9 +2,17 @@
 
 eval_ext interprets a term against an extensional-mode model (no frames, or
 every frame collapsed); eval_int interprets against an arbitrary model at an
-index. Both share one clause table; the only divergence is that the modal
-operator has no extensional clause and that constants are looked up at the
-supplied index rather than the unique one.
+index. Both share one clause table, _CLAUSES, which picks a term's clause by
+its class in one dict lookup; the only divergence is that the modal operator
+has no extensional clause and that constants are looked up at the supplied
+index rather than the unique one. Boolean clauses return the shared TRUE and
+FALSE, and lambda and iota range over the model's cached entity values.
+
+Each evaluator typechecks before it evaluates. morphisms.verify_equivalence
+runs both on one term and shares that typecheck between them only when the
+term typechecks on the frame-free model: such a term has no Diamond, so it
+typechecks alike on the collapsed model. A modal or ill-typed term keeps each
+evaluator's own typecheck and outcome.
 
 Lambda abstraction evaluates by extending the environment over the bound
 variable's finite domain; no textual substitution ever happens, so capture
@@ -28,7 +36,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .semmodel import (
+    MAX_DOMAIN_SIZE,
     Assignment,
+    DomainTooLarge,
     EntType,
     Entity,
     FnType,
@@ -49,7 +59,6 @@ from .semmodel import (
     parse_type,
     render_type,
     the_index,
-    type_domain,
 )
 
 
@@ -293,9 +302,7 @@ def eval_ext(term: Term, m: Model, g: Optional[Assignment] = None) -> Value:
     g = g if g is not None else Assignment()
     if not m.is_extensional:
         raise ModeError("model has a nontrivial frame; evaluate at an index instead")
-    _require_valid(m)
-    typecheck(term, m, assignment_types(g))
-    return _eval(term, m, _env_of(g, m), the_index(m), modal=False)
+    return _eval_checked(term, m, g, the_index(m), False, _type_error(term, m, g))
 
 
 def eval_int(
@@ -307,9 +314,7 @@ def eval_int(
         raise UnknownIndex("eval_int needs an index")
     if s not in m.positions:
         raise UnknownIndex(f"{s.render()} is not in the index space")
-    _require_valid(m)
-    typecheck(term, m, assignment_types(g))
-    return _eval(term, m, _env_of(g, m), s, modal=True)
+    return _eval_checked(term, m, g, s, True, _type_error(term, m, g))
 
 
 def eval_all_indices(
@@ -359,6 +364,33 @@ def _env_of(g: Assignment, m: Model) -> dict[str, Value]:
     return env
 
 
+def _type_error(term: Term, m: Model, g: Assignment) -> Optional[Exception]:
+    """The error typechecking term on m under g raises, or None. Any error is
+    kept, for _eval_checked to raise unchanged after the validity check."""
+    try:
+        typecheck(term, m, assignment_types(g))
+    except Exception as err:
+        return err
+    return None
+
+
+def _eval_checked(
+    term: Term,
+    m: Model,
+    g: Assignment,
+    s: Index,
+    modal: bool,
+    type_error: Optional[Exception],
+) -> Value:
+    """eval_int's and eval_ext's steps once the term's typecheck on m has run:
+    the validity check, then the typecheck's error if it had one, then the
+    assignment and the clauses."""
+    _require_valid(m)
+    if type_error is not None:
+        raise type_error
+    return _eval(term, m, _env_of(g, m), s, modal)
+
+
 def _require_valid(m: Model) -> None:
     if m.violations:
         first = m.violations[0]
@@ -374,76 +406,134 @@ def _nest_tuple(values: list[Value]) -> Value:
     return TupleV((values[0], _nest_tuple(values[1:])))
 
 
+TRUE, FALSE = Truth(1), Truth(0)
+
+
 def _eval(
     term: Term, m: Model, env: dict[str, Value], s: Index, modal: bool
 ) -> Value:
-    match term:
-        case Const(name):
-            return m.constant(name).value_at(s)
-        case Var(name):
-            return env[name]
-        case PredApp(pred, args):
-            table = m.constant(pred).value_at(s)
-            assert isinstance(table, SetV)
-            got = TupleV(tuple(_eval(a, m, env, s, modal) for a in args))
-            return Truth(1 if got in table.members else 0)
-        case FuncApp(fn, args):
-            f = m.constant(fn).value_at(s)
-            assert isinstance(f, FnV)
-            vals = [_eval(a, m, env, s, modal) for a in args]
-            key = vals[0] if len(vals) == 1 else _nest_tuple(vals)
-            return f.apply(key)
-        case Lam(var, var_type, body):
-            rows = []
-            for dv in type_domain(m, var_type):
-                inner = dict(env)
-                inner[var] = dv
-                rows.append((dv, _eval(body, m, inner, s, modal)))
-            return FnV(tuple(rows))
-        case App(func, arg):
-            fv = _eval(func, m, env, s, modal)
-            av = _eval(arg, m, env, s, modal)
-            assert isinstance(fv, FnV)
-            return fv.apply(av)
-        case Iota(var, body):
-            hits = []
-            for k in m.entity_domain.elements:
-                inner = dict(env)
-                inner[var] = Entity(k)
-                if _eval(body, m, inner, s, modal) == Truth(1):
-                    hits.append(k)
-            if len(hits) != 1:
-                raise PresuppositionFailure(
-                    f"iota over {var!r} needs exactly one witness, found {len(hits)}"
-                )
-            return Entity(hits[0])
-        case Diamond(label, body):
-            if not modal:
-                raise ModeError("modal operator has no extensional clause")
-            frame = m.frame(label)
-            here = s.component(label)
-            hit = False
-            for succ in frame.successors(here):
-                if _eval(body, m, env, s.replace(label, succ), modal) == Truth(1):
-                    hit = True
-            return Truth(1 if hit else 0)
-        case And(left, right):
-            lv = _eval(left, m, env, s, modal)
-            rv = _eval(right, m, env, s, modal)
-            return Truth(1 if (lv, rv) == (Truth(1), Truth(1)) else 0)
-        case Not(body):
-            bv = _eval(body, m, env, s, modal)
-            return Truth(1 if bv == Truth(0) else 0)
-        case Eq(left, right):
-            lv = _eval(left, m, env, s, modal)
-            rv = _eval(right, m, env, s, modal)
-            return Truth(1 if lv == rv else 0)
-    raise ValueError(f"unknown term {term!r}")
+    clause = _CLAUSES.get(type(term))
+    if clause is None:
+        raise ValueError(f"unknown term {term!r}")
+    return clause(term, m, env, s, modal)
+
+
+# One clause per term class, chosen from _CLAUSES by type(term). A clause
+# evaluates its subterms through the table directly: a term reaching a clause
+# has typechecked, so every subterm has a clause.
+
+
+def _eval_const(term: Const, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
+    return m.constant(term.name).value_at(s)
+
+
+def _eval_var(term: Var, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
+    return env[term.name]
+
+
+def _eval_pred_app(
+    term: PredApp, m: Model, env: dict[str, Value], s: Index, modal: bool
+) -> Value:
+    table = m.constant(term.pred).value_at(s)
+    assert isinstance(table, SetV)
+    got = TupleV(tuple([_CLAUSES[type(a)](a, m, env, s, modal) for a in term.args]))
+    return TRUE if got in table.members else FALSE
+
+
+def _eval_func_app(
+    term: FuncApp, m: Model, env: dict[str, Value], s: Index, modal: bool
+) -> Value:
+    f = m.constant(term.fn).value_at(s)
+    assert isinstance(f, FnV)
+    vals = [_CLAUSES[type(a)](a, m, env, s, modal) for a in term.args]
+    return f.apply(vals[0] if len(vals) == 1 else _nest_tuple(vals))
+
+
+def _eval_lam(term: Lam, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
+    # the bound variable is entity typed, so its domain is the model's entities
+    entities = m.entities
+    if len(entities) > MAX_DOMAIN_SIZE:
+        raise DomainTooLarge(f"{render_type(term.var_type)} exceeds {MAX_DOMAIN_SIZE} values")
+    body, var = term.body, term.var
+    clause = _CLAUSES[type(body)]
+    inner = dict(env)
+    rows = []
+    for dv in entities:
+        inner[var] = dv
+        rows.append((dv, clause(body, m, inner, s, modal)))
+    return FnV(tuple(rows))
+
+
+def _eval_app(term: App, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
+    fv = _CLAUSES[type(term.func)](term.func, m, env, s, modal)
+    av = _CLAUSES[type(term.arg)](term.arg, m, env, s, modal)
+    assert isinstance(fv, FnV)
+    return fv.apply(av)
+
+
+def _eval_iota(term: Iota, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
+    body, var = term.body, term.var
+    clause = _CLAUSES[type(body)]
+    inner = dict(env)
+    hits = []
+    for k in m.entities:
+        inner[var] = k
+        if clause(body, m, inner, s, modal).flag:
+            hits.append(k)
+    if len(hits) != 1:
+        raise PresuppositionFailure(
+            f"iota over {var!r} needs exactly one witness, found {len(hits)}"
+        )
+    return hits[0]
+
+
+def _eval_diamond(
+    term: Diamond, m: Model, env: dict[str, Value], s: Index, modal: bool
+) -> Value:
+    if not modal:
+        raise ModeError("modal operator has no extensional clause")
+    label, body = term.label, term.body
+    clause = _CLAUSES[type(body)]
+    hit = False
+    for succ in m.frame(label).successors(s.component(label)):
+        if clause(body, m, env, s.replace(label, succ), modal).flag:
+            hit = True
+    return TRUE if hit else FALSE
+
+
+def _eval_and(term: And, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
+    lv = _CLAUSES[type(term.left)](term.left, m, env, s, modal)
+    rv = _CLAUSES[type(term.right)](term.right, m, env, s, modal)
+    return TRUE if lv.flag and rv.flag else FALSE
+
+
+def _eval_not(term: Not, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
+    return FALSE if _CLAUSES[type(term.body)](term.body, m, env, s, modal).flag else TRUE
+
+
+def _eval_eq(term: Eq, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
+    lv = _CLAUSES[type(term.left)](term.left, m, env, s, modal)
+    rv = _CLAUSES[type(term.right)](term.right, m, env, s, modal)
+    return TRUE if lv == rv else FALSE
+
+
+_CLAUSES = {
+    Const: _eval_const,
+    Var: _eval_var,
+    PredApp: _eval_pred_app,
+    FuncApp: _eval_func_app,
+    Lam: _eval_lam,
+    App: _eval_app,
+    Iota: _eval_iota,
+    Diamond: _eval_diamond,
+    And: _eval_and,
+    Not: _eval_not,
+    Eq: _eval_eq,
+}
 
 
 # Each position's outcome: the value _eval returns there, or the exception it raises.
 Outcome = Value | Exception
-TRUE, FALSE = Truth(1), Truth(0)
 
 
 def _label(

@@ -91,6 +91,8 @@ def load_model_file(path: str) -> ModelFile:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ModelFileError([f"not valid JSON: {err}"]) from None
+        except UnicodeDecodeError as err:
+            raise ModelFileError([f"not valid UTF-8: {err}"]) from None
         except RecursionError:
             raise ModelFileError(["JSON nested too deeply to decode"]) from None
     return model_file_from_doc(doc)

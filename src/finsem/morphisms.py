@@ -24,7 +24,8 @@ from .denote import (
     PredApp,
     Term,
     Var,
-    eval_ext,
+    _eval_checked,
+    _type_error,
     eval_int,
     render_term,
 )
@@ -224,17 +225,30 @@ def verify_equivalence(
 
     The model must be fully trivial. Two outcomes agree when both produce the
     same value or both fail with the same kind of error.
+
+    Each check typechecks once, on the frame-free model, where eval_ext would.
+    A term that typechecks there has no Diamond, and the collapsed model has the
+    same constants with the same types, so it typechecks alike on both and both
+    routes skip their own typecheck. Any other term (modal or ill-typed) goes
+    through eval_int on the collapsed model, and the extensional route fails as
+    eval_ext would: its validity check, then the typecheck's error.
     """
     if not m.is_extensional:
         raise NotFullyTrivial("verify_equivalence needs a fully trivial model")
     ext = extensionalize(m)
-    s0 = the_index(m)
+    s0, s_ext = the_index(m), the_index(ext)
     gs = list(assignments) if assignments else [Assignment()]
     records = []
     for term in terms:
         for g in gs:
-            val_i, err_i = _outcome(lambda: eval_int(term, m, g, s0))
-            val_e, err_e = _outcome(lambda: eval_ext(term, ext, g))
+            type_error = _type_error(term, ext, g)
+            if type_error is None:
+                val_i, err_i = _outcome(lambda: _eval_checked(term, m, g, s0, True, None))
+            else:
+                val_i, err_i = _outcome(lambda: eval_int(term, m, g, s0))
+            val_e, err_e = _outcome(
+                lambda: _eval_checked(term, ext, g, s_ext, False, type_error)
+            )
             if err_i is None and err_e is None:
                 agree = val_i == val_e
                 left, right = render_value(val_i, m), render_value(val_e, ext)

@@ -455,6 +455,11 @@ class Model:
         return {Index(combo): i for i, combo in enumerate(itertools.product(*axes))}
 
     @cached_property
+    def entities(self) -> tuple[Entity, ...]:
+        """The entity domain as values, in domain order."""
+        return tuple(Entity(e) for e in self.entity_domain.elements)
+
+    @cached_property
     def _successor_tables(self) -> dict[str, tuple[tuple[int, ...], ...]]:
         return {}
 

@@ -273,3 +273,57 @@ def test_exit_2_term_nested_too_deep() -> None:
 def test_exit_2_usage_error() -> None:
     got = run("no-such-command", EXTENSIONAL)
     assert got.returncode == 2
+
+
+def test_exit_2_unwritable_out(tmp_path) -> None:
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    got = run("trivialize", MODAL, "--frame", "W", "--out", str(out))
+    assert got.returncode == 2
+    assert got.stdout == ""
+    assert got.stderr == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not out.exists()
+
+
+# {tmp} is replaced by a directory holding the files bad_files writes
+BAD_INPUTS = [
+    pytest.param(("eval", "{tmp}/nope.json", "--term", "x"), 2, id="missing-model-file"),
+    pytest.param(("check-rel", "{tmp}"), 2, id="model-path-is-a-directory"),
+    pytest.param(("check-rel", "{tmp}/garbage.json"), 2, id="model-not-json"),
+    pytest.param(("check-rel", "{tmp}/latin1.json"), 2, id="model-not-utf8"),
+    pytest.param(("check-rel", "{tmp}/list.json"), 2, id="model-not-an-object"),
+    pytest.param(
+        ("trivialize", MODAL, "--frame", "W", "--out", "{tmp}/no/such/dir/x.json"),
+        2,
+        id="out-dir-missing",
+    ),
+    pytest.param(("trivialize", MODAL, "--frame", "W", "--out", "{tmp}"), 2, id="out-is-a-directory"),
+    pytest.param(("eval", EXTENSIONAL, "--term", "(pred"), 2, id="unparseable-term"),
+    pytest.param(("eval", EXTENSIONAL, "--term", "(lam x wat x)"), 2, id="unparseable-lam-type"),
+    pytest.param(("no-such-command", EXTENSIONAL), 2, id="unknown-command"),
+    pytest.param(("eval", EXTENSIONAL), 2, id="missing-required-option"),
+    pytest.param(
+        ("eval", EXTENSIONAL, "--term", "(app (lam x e x) (lam y e y))"), 1, id="ill-typed-term"
+    ),
+    pytest.param(("eval", EXTENSIONAL, "--term", "(pred nope x)"), 1, id="unknown-constant"),
+    pytest.param(
+        ("eval", EXTENSIONAL, "--term", "(might W (pred student x))", "--assign", "x=s1"),
+        1,
+        id="modal-term-without-frames",
+    ),
+    pytest.param(("eval", EXTENSIONAL, "--term", "x", "--assign", "x"), 1, id="assignment-without-="),
+    pytest.param(("eval", EXTENSIONAL, "--term", "x", "--assign", "x=zz"), 1, id="unknown-entity"),
+    pytest.param(("eval", MODAL, "--term", READS, "--index", "w9"), 1, id="index-not-in-space"),
+    pytest.param(("sentence", EXTENSIONAL, "--text", "the zebra"), 1, id="unknown-word"),
+    pytest.param(("square", MODAL, "--frames", "W"), 1, id="square-needs-two-frames"),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_INPUTS)
+def test_bad_input_exits_1_or_2_without_traceback(tmp_path, argv, code) -> None:
+    (tmp_path / "garbage.json").write_text("{not json")
+    (tmp_path / "latin1.json").write_bytes('{"entities": ["\xe9"]}'.encode("latin-1"))
+    (tmp_path / "list.json").write_text("[]")
+    got = run(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert got.returncode == code
+    assert "Traceback" not in got.stderr
+    assert got.stderr.strip()

@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finsem.denote import Const, Iota, PredApp, Var, eval_ext
+from finsem import denote, semmodel
+from finsem.denote import (
+    App,
+    Const,
+    Diamond,
+    FuncApp,
+    Iota,
+    Lam,
+    Not,
+    PredApp,
+    Var,
+    eval_ext,
+    eval_int,
+    render_term,
+)
 from finsem.generators import random_model, random_term
 from finsem.kripke import Frame, UnknownElement
 from finsem.morphisms import (
@@ -36,8 +52,11 @@ from finsem.semmodel import (
     Index,
     Model,
     RelType,
+    Truth,
     UnknownFrame,
     index_space,
+    render_value,
+    the_index,
 )
 
 import random
@@ -279,3 +298,118 @@ def test_diagram_three_frames_counts() -> None:
     lines = diagram_export(m, ("W", "T", "L")).strip().split("\n")
     assert sum(1 for l in lines if l.startswith("node ")) == 8
     assert sum(1 for l in lines if l.startswith("edge ")) == 12
+
+
+# ---------------------------------------------------------------------------
+# the shared typecheck
+
+
+def _reference_check(m: Model, term, g: Assignment) -> CheckRecord:
+    """One check as the two public evaluators give it, each typechecking."""
+    ext, s0 = extensionalize(m), the_index(m)
+    routes = ((lambda: eval_int(term, m, g, s0), m), (lambda: eval_ext(term, ext, g), ext))
+    outcomes = []
+    for route, home in routes:
+        try:
+            outcomes.append((route(), None, home))
+        except Exception as err:
+            outcomes.append((None, type(err).__name__, home))
+    (val_i, err_i, _), (val_e, err_e, _) = outcomes
+    left, right = (
+        f"error:{err}" if err else render_value(val, home) for val, err, home in outcomes
+    )
+    agree = val_i == val_e if err_i is None and err_e is None else err_i == err_e
+    return CheckRecord(categorize(term, m), render_term(term), g.bindings, left, right, agree)
+
+
+def _differential_corpus(seed: int):
+    """(collapsed model, terms, assignments) triples mixing well-typed random
+    terms with modal, ill-typed and unbound ones, over one invalid model too."""
+    rng = random.Random(seed)
+    corpus = []
+    for i in range(24):
+        m = trivialize_all(random_model(rng, max_entities=3, min_frames=1, max_frames=2))
+        ents = m.entity_domain.elements
+        terms = [random_term(rng, m) for _ in range(6)]
+        label = rng.choice(m.frames).label
+        terms += [Diamond(label, t) for t in terms[:3]] + [Diamond("Q", terms[0])]
+        pred = next(c for c in m.constants if isinstance(c.semtype, RelType))
+        terms += [
+            Const("nope"),
+            PredApp("nope", (Var("x"),)),
+            PredApp(pred.name, ()),
+            PredApp(pred.name, (Var("x"),) * (len(pred.semtype.components) + 1)),
+            FuncApp("f0", ()),
+            Var("unassigned"),
+            Not(Var("x")),
+        ]
+        gs = [
+            Assignment(tuple((v, rng.choice(ents)) for v in ("x", "y", "z"))),
+            Assignment((("x", "zz"), ("y", ents[0]), ("z", ents[0]))),
+        ]
+        if i == 0:  # drop a table row: the model fails validation
+            first, *rest = m.constants
+            emptied = Constant(first.name, first.semtype, ())
+            m = Model(m.entity_domain, m.frames, (emptied, *rest))
+            assert m.violations
+        corpus.append((m, terms, gs))
+    return corpus
+
+
+def test_shared_typecheck_matches_the_public_evaluators() -> None:
+    kinds: Counter = Counter()
+    for m, terms, gs in _differential_corpus(5):
+        report = verify_equivalence(m, terms, gs)
+        expected = tuple(_reference_check(m, t, g) for t in terms for g in gs)
+        assert report.checks == expected
+        kinds.update(r.extensional.removeprefix("error:") for r in expected if "error:" in r.extensional)
+        kinds["value"] += sum("error:" not in r.extensional for r in expected)
+    for kind in ("value", "UngroundedType", "UnboundVariable", "TermTypeError",
+                 "UnknownEntity", "ValueError", "PresuppositionFailure"):
+        assert kinds[kind] >= 5, kinds
+
+
+def _count_root_typechecks(monkeypatch) -> list:
+    roots = []
+    real = denote._type_of
+
+    def counting(term, m, env, path):
+        if path == "root":
+            roots.append(term)
+        return real(term, m, env, path)
+
+    monkeypatch.setattr(denote, "_type_of", counting)
+    return roots
+
+
+def test_each_check_typechecks_once_unless_modal(monkeypatch) -> None:
+    rng = random.Random(9)
+    m = trivialize_all(random_model(rng, max_entities=3, min_frames=1, max_frames=2))
+    terms = [random_term(rng, m) for _ in range(20)]
+    ents = m.entity_domain.elements
+    gs = [
+        Assignment(tuple((v, rng.choice(ents)) for v in ("x", "y", "z"))),
+        Assignment(tuple((v, ents[0]) for v in ("x", "y", "z"))),
+    ]
+    roots = _count_root_typechecks(monkeypatch)
+    verify_equivalence(m, terms, gs)
+    assert len(roots) == len(terms) * len(gs)
+    roots.clear()
+    modal = [Diamond(m.frames[0].label, t) for t in terms]
+    verify_equivalence(m, modal, gs)
+    assert len(roots) == 2 * len(modal) * len(gs)
+
+
+def test_lam_does_not_enumerate_type_domains(monkeypatch) -> None:
+    flat = trivialize_all(MODAL)
+    ext = extensionalize(flat)
+    # validation enumerates function domains; it runs once per model, here
+    assert flat.violations == ext.violations == ()
+    sized = []
+    real = semmodel._card
+    monkeypatch.setattr(semmodel, "_card", lambda *a: sized.append(a) or real(*a))
+    is_student = Lam("v", EntType(), PredApp("student", (Var("v"),)))
+    the_student = Iota("w", PredApp("student", (Var("w"),)))
+    assert eval_ext(App(is_student, the_student), ext) == Truth(1)
+    assert eval_int(is_student, flat, s=the_index(flat)) == eval_ext(is_student, ext)
+    assert sized == []

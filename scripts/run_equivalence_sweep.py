@@ -4,17 +4,22 @@
 Generates small random models, collapses every frame, and compares
 index-based evaluation against plain extensional evaluation for a batch of
 random well-typed terms per model. Prints a per-category table and exits
-nonzero on any mismatch.
+nonzero on any mismatch, and on any outcome that failed with an exception
+other than finsem's own or ValueError: such an error is a bug in the checker
+even when both routes share it and so agree.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import pkgutil
 import random
 import sys
 import time
 from dataclasses import dataclass
 
+import finsem
 from finsem.generators import random_model, random_term
 from finsem.morphisms import trivialize_all, verify_equivalence
 from finsem.semmodel import Assignment
@@ -30,11 +35,46 @@ class SweepConfig:
     max_frames: int = 2
 
 
+def finsem_error_kinds() -> frozenset[str]:
+    """Names of the exceptions an outcome may record: the public exception
+    classes defined in finsem's modules, and ValueError."""
+    kinds = {"ValueError"}
+    for info in pkgutil.iter_modules(finsem.__path__):
+        if info.name.startswith("_"):  # __main__ would run the command line
+            continue
+        module = importlib.import_module(f"{finsem.__name__}.{info.name}")
+        kinds.update(
+            name
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+            and obj.__module__ == module.__name__ and not name.startswith("_")
+        )
+    return frozenset(kinds)
+
+
+def check_line(rec) -> str:
+    return f"  {rec.term} under {rec.assignment}: {rec.intensional} vs {rec.extensional}"
+
+
+def internal_errors(records, allowed: frozenset[str]) -> list[str]:
+    """One line per check with an error outcome whose kind is not allowed."""
+    return [
+        check_line(rec)
+        for rec in records
+        if any(
+            side.startswith("error:") and side.removeprefix("error:") not in allowed
+            for side in (rec.intensional, rec.extensional)
+        )
+    ]
+
+
 def run_sweep(cfg: SweepConfig) -> int:
     rng = random.Random(cfg.seed)
     start = time.perf_counter()
     totals: dict[str, tuple[int, int]] = {}
     mismatch_lines: list[str] = []
+    internal_lines: list[str] = []
+    allowed = finsem_error_kinds()
     for _ in range(cfg.models):
         m = trivialize_all(
             random_model(
@@ -52,11 +92,8 @@ def run_sweep(cfg: SweepConfig) -> int:
         for cat, (checked, bad) in report.by_category().items():
             c, b = totals.get(cat, (0, 0))
             totals[cat] = (c + checked, b + bad)
-        for rec in report.mismatches:
-            mismatch_lines.append(
-                f"  {rec.term} under {rec.assignment}: "
-                f"{rec.intensional} vs {rec.extensional}"
-            )
+        mismatch_lines.extend(check_line(rec) for rec in report.mismatches)
+        internal_lines.extend(internal_errors(report.checks, allowed))
     elapsed = time.perf_counter() - start
 
     checked_total = sum(c for c, _ in totals.values())
@@ -69,7 +106,11 @@ def run_sweep(cfg: SweepConfig) -> int:
         print("mismatching checks:")
         for line in mismatch_lines:
             print(line)
-    return 0 if bad_total == 0 else 1
+    if internal_lines:
+        print("checks failing with an internal error:")
+        for line in internal_lines:
+            print(line)
+    return 0 if bad_total == 0 and not internal_lines else 1
 
 
 def main() -> int:

@@ -5,8 +5,18 @@ every frame collapsed); eval_int interprets against an arbitrary model at an
 index. Both share one clause table, _CLAUSES, which picks a term's clause by
 its class in one dict lookup; the only divergence is that the modal operator
 has no extensional clause and that constants are looked up at the supplied
-index rather than the unique one. Boolean clauses return the shared TRUE and
-FALSE, and lambda and iota range over the model's cached entity values.
+index rather than the unique one. Clauses work at the index's canonical
+position in Model.positions (0 on an extensional model): constants read
+Model.columns, which the validity check every evaluator runs first makes
+safe, and Diamond walks Model.successor_positions, the table the labelling
+pass reads too. Boolean clauses return the shared TRUE and FALSE, lambda and
+iota range over the model's cached entity values, and lambda stores its rows
+straight in the model's entity key order, without FnV's sort and check.
+
+The typechecker passes each subterm its path as a (parent path, step) pair
+and renders it as text only when it raises, so located messages cost nothing
+on a term that typechecks. render_term, like the evaluator, picks its case
+by the term's class.
 
 Each evaluator typechecks before it evaluates. morphisms.verify_equivalence
 runs both on one term and shares that typecheck between them only when the
@@ -187,109 +197,112 @@ def typecheck(
     return _type_of(term, m, dict(gtypes or {}), "root")
 
 
-def _type_of(term: Term, m: Model, env: dict[str, SemType], path: str) -> SemType:
+_E, _T = EntType(), TruthType()
+
+
+def _at(path: object) -> str:
+    """The text of a path "root" or (parent path, step), step ".body" and so
+    on or i for .args[i]; built only for an error, never while typechecking."""
+    steps = []
+    while isinstance(path, tuple):
+        path, step = path
+        steps.append(f".args[{step}]" if isinstance(step, int) else step)
+    return path + "".join(reversed(steps))
+
+
+def _type_of(term: Term, m: Model, env: dict[str, SemType], path: object) -> SemType:
     match term:
         case Const(name):
             c = m.constant(name)
             if c is None:
-                raise UnboundVariable(f"at {path}: unknown constant {name!r}")
+                raise UnboundVariable(f"at {_at(path)}: unknown constant {name!r}")
             return c.semtype
         case Var(name):
             if name not in env:
-                raise UnboundVariable(f"at {path}: variable {name!r} is not in scope")
+                raise UnboundVariable(f"at {_at(path)}: variable {name!r} is not in scope")
             return env[name]
         case PredApp(pred, args):
             c = m.constant(pred)
             if c is None:
-                raise UnboundVariable(f"at {path}: unknown predicate {pred!r}")
+                raise UnboundVariable(f"at {_at(path)}: unknown predicate {pred!r}")
             if not isinstance(c.semtype, RelType):
-                raise TermTypeError(
-                    path, "a relation-typed constant", render_type(c.semtype)
-                )
+                raise TermTypeError(_at(path), "a relation-typed constant", render_type(c.semtype))
             comps = c.semtype.components
             if len(args) != len(comps):
                 raise TermTypeError(
-                    path, f"{len(comps)} arguments to {pred!r}", f"{len(args)} arguments"
+                    _at(path), f"{len(comps)} arguments to {pred!r}", f"{len(args)} arguments"
                 )
             for i, (a, want) in enumerate(zip(args, comps)):
-                got = _type_of(a, m, env, f"{path}.args[{i}]")
+                got = _type_of(a, m, env, (path, i))
                 if got != want:
-                    raise TermTypeError(
-                        f"{path}.args[{i}]", render_type(want), render_type(got)
-                    )
-            return TruthType()
+                    raise TermTypeError(_at((path, i)), render_type(want), render_type(got))
+            return _T
         case FuncApp(fn, args):
             c = m.constant(fn)
             if c is None:
-                raise UnboundVariable(f"at {path}: unknown function {fn!r}")
+                raise UnboundVariable(f"at {_at(path)}: unknown function {fn!r}")
             if not isinstance(c.semtype, FnType):
-                raise TermTypeError(
-                    path, "a function-typed constant", render_type(c.semtype)
-                )
+                raise TermTypeError(_at(path), "a function-typed constant", render_type(c.semtype))
             try:
                 wants = arg_types(c.semtype, len(args))
             except ValueError:
                 raise TermTypeError(
-                    path,
+                    _at(path),
                     f"arguments matching {render_type(c.semtype)}",
                     f"{len(args)} arguments",
                 ) from None
             for i, (a, want) in enumerate(zip(args, wants)):
-                got = _type_of(a, m, env, f"{path}.args[{i}]")
+                got = _type_of(a, m, env, (path, i))
                 if got != want:
-                    raise TermTypeError(
-                        f"{path}.args[{i}]", render_type(want), render_type(got)
-                    )
+                    raise TermTypeError(_at((path, i)), render_type(want), render_type(got))
             return c.semtype.codomain
         case Lam(var, var_type, body):
-            if var_type != EntType():
+            if var_type != _E:
                 raise TermTypeError(
-                    path, "e (bound variables are entity-typed)", render_type(var_type)
+                    _at(path), "e (bound variables are entity-typed)", render_type(var_type)
                 )
             inner = dict(env)
             inner[var] = var_type
-            return FnType(var_type, _type_of(body, m, inner, f"{path}.body"))
+            return FnType(var_type, _type_of(body, m, inner, (path, ".body")))
         case App(func, arg):
-            ft = _type_of(func, m, env, f"{path}.func")
+            ft = _type_of(func, m, env, (path, ".func"))
             if not isinstance(ft, FnType):
-                raise TermTypeError(f"{path}.func", "a function type", render_type(ft))
-            at = _type_of(arg, m, env, f"{path}.arg")
+                raise TermTypeError(_at((path, ".func")), "a function type", render_type(ft))
+            at = _type_of(arg, m, env, (path, ".arg"))
             if at != ft.domain:
-                raise TermTypeError(
-                    f"{path}.arg", render_type(ft.domain), render_type(at)
-                )
+                raise TermTypeError(_at((path, ".arg")), render_type(ft.domain), render_type(at))
             return ft.codomain
         case Iota(var, body):
             inner = dict(env)
-            inner[var] = EntType()
-            bt = _type_of(body, m, inner, f"{path}.body")
-            if bt != TruthType():
-                raise TermTypeError(f"{path}.body", "t", render_type(bt))
-            return EntType()
+            inner[var] = _E
+            bt = _type_of(body, m, inner, (path, ".body"))
+            if bt != _T:
+                raise TermTypeError(_at((path, ".body")), "t", render_type(bt))
+            return _E
         case Diamond(label, body):
             if m.frame(label) is None:
-                raise UngroundedType(f"at {path}: no frame {label!r} in this model")
-            bt = _type_of(body, m, env, f"{path}.body")
-            if bt != TruthType():
-                raise TermTypeError(f"{path}.body", "t", render_type(bt))
-            return TruthType()
+                raise UngroundedType(f"at {_at(path)}: no frame {label!r} in this model")
+            bt = _type_of(body, m, env, (path, ".body"))
+            if bt != _T:
+                raise TermTypeError(_at((path, ".body")), "t", render_type(bt))
+            return _T
         case And(left, right):
-            for side, sub in (("left", left), ("right", right)):
-                st = _type_of(sub, m, env, f"{path}.{side}")
-                if st != TruthType():
-                    raise TermTypeError(f"{path}.{side}", "t", render_type(st))
-            return TruthType()
+            for side, sub in ((".left", left), (".right", right)):
+                st = _type_of(sub, m, env, (path, side))
+                if st != _T:
+                    raise TermTypeError(_at((path, side)), "t", render_type(st))
+            return _T
         case Not(body):
-            bt = _type_of(body, m, env, f"{path}.body")
-            if bt != TruthType():
-                raise TermTypeError(f"{path}.body", "t", render_type(bt))
-            return TruthType()
+            bt = _type_of(body, m, env, (path, ".body"))
+            if bt != _T:
+                raise TermTypeError(_at((path, ".body")), "t", render_type(bt))
+            return _T
         case Eq(left, right):
-            lt = _type_of(left, m, env, f"{path}.left")
-            rt = _type_of(right, m, env, f"{path}.right")
+            lt = _type_of(left, m, env, (path, ".left"))
+            rt = _type_of(right, m, env, (path, ".right"))
             if lt != rt:
-                raise TermTypeError(f"{path}.right", render_type(lt), render_type(rt))
-            return TruthType()
+                raise TermTypeError(_at((path, ".right")), render_type(lt), render_type(rt))
+            return _T
     raise ValueError(f"unknown term {term!r}")
 
 
@@ -302,7 +315,7 @@ def eval_ext(term: Term, m: Model, g: Optional[Assignment] = None) -> Value:
     g = g if g is not None else Assignment()
     if not m.is_extensional:
         raise ModeError("model has a nontrivial frame; evaluate at an index instead")
-    return _eval_checked(term, m, g, the_index(m), False, _type_error(term, m, g))
+    return _eval_checked(term, m, g, 0, False, _type_error(term, m, g))
 
 
 def eval_int(
@@ -314,7 +327,7 @@ def eval_int(
         raise UnknownIndex("eval_int needs an index")
     if s not in m.positions:
         raise UnknownIndex(f"{s.render()} is not in the index space")
-    return _eval_checked(term, m, g, s, True, _type_error(term, m, g))
+    return _eval_checked(term, m, g, m.positions[s], True, _type_error(term, m, g))
 
 
 def eval_all_indices(
@@ -324,11 +337,9 @@ def eval_all_indices(
     g = g if g is not None else Assignment()
     _require_valid(m)
     typecheck(term, m, assignment_types(g))
-    env = _env_of(g, m)
-    space = list(m.positions)
-    outcomes = _label(term, m, env, space, range(len(space)))
+    outcomes = _label(term, m, _env_of(g, m), range(len(m.positions)))
     values: dict[Index, Value] = {}
-    for p, s in enumerate(space):
+    for s, p in m.positions.items():
         outcome = outcomes[p]
         if isinstance(outcome, Exception):
             raise outcome
@@ -352,7 +363,7 @@ def evaluate(
 
 
 def assignment_types(g: Assignment) -> dict[str, SemType]:
-    return {x: EntType() for x, _ in g.bindings}
+    return {x: _E for x, _ in g.bindings}
 
 
 def _env_of(g: Assignment, m: Model) -> dict[str, Value]:
@@ -375,20 +386,15 @@ def _type_error(term: Term, m: Model, g: Assignment) -> Optional[Exception]:
 
 
 def _eval_checked(
-    term: Term,
-    m: Model,
-    g: Assignment,
-    s: Index,
-    modal: bool,
-    type_error: Optional[Exception],
+    term: Term, m: Model, g: Assignment, p: int, modal: bool, type_error: Optional[Exception]
 ) -> Value:
     """eval_int's and eval_ext's steps once the term's typecheck on m has run:
     the validity check, then the typecheck's error if it had one, then the
-    assignment and the clauses."""
+    assignment and the clauses at index position p."""
     _require_valid(m)
     if type_error is not None:
         raise type_error
-    return _eval(term, m, _env_of(g, m), s, modal)
+    return _eval(term, m, _env_of(g, m), p, modal)
 
 
 def _require_valid(m: Model) -> None:
@@ -409,76 +415,71 @@ def _nest_tuple(values: list[Value]) -> Value:
 TRUE, FALSE = Truth(1), Truth(0)
 
 
-def _eval(
-    term: Term, m: Model, env: dict[str, Value], s: Index, modal: bool
-) -> Value:
+def _eval(term: Term, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
     clause = _CLAUSES.get(type(term))
     if clause is None:
         raise ValueError(f"unknown term {term!r}")
-    return clause(term, m, env, s, modal)
+    return clause(term, m, env, p, modal)
 
 
-# One clause per term class, chosen from _CLAUSES by type(term). A clause
-# evaluates its subterms through the table directly: a term reaching a clause
-# has typechecked, so every subterm has a clause.
+# One clause per term class, chosen from _CLAUSES by type(term), evaluates at
+# index position p of a valid model. Clauses evaluate subterms through the table
+# directly: a term reaching a clause has typechecked, so each subterm has one.
 
 
-def _eval_const(term: Const, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
-    return m.constant(term.name).value_at(s)
+def _eval_const(term: Const, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+    return m.columns[term.name][p]
 
 
-def _eval_var(term: Var, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
+def _eval_var(term: Var, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
     return env[term.name]
 
 
-def _eval_pred_app(
-    term: PredApp, m: Model, env: dict[str, Value], s: Index, modal: bool
-) -> Value:
-    table = m.constant(term.pred).value_at(s)
+def _eval_pred_app(term: PredApp, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+    table = m.columns[term.pred][p]
     assert isinstance(table, SetV)
-    got = TupleV(tuple([_CLAUSES[type(a)](a, m, env, s, modal) for a in term.args]))
+    got = TupleV(tuple([_CLAUSES[type(a)](a, m, env, p, modal) for a in term.args]))
     return TRUE if got in table.members else FALSE
 
 
-def _eval_func_app(
-    term: FuncApp, m: Model, env: dict[str, Value], s: Index, modal: bool
-) -> Value:
-    f = m.constant(term.fn).value_at(s)
+def _eval_func_app(term: FuncApp, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+    f = m.columns[term.fn][p]
     assert isinstance(f, FnV)
-    vals = [_CLAUSES[type(a)](a, m, env, s, modal) for a in term.args]
+    vals = [_CLAUSES[type(a)](a, m, env, p, modal) for a in term.args]
     return f.apply(vals[0] if len(vals) == 1 else _nest_tuple(vals))
 
 
-def _eval_lam(term: Lam, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
-    # the bound variable is entity typed, so its domain is the model's entities
+def _eval_lam(term: Lam, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+    # the bound variable is entity typed, so its domain is the model's entities;
+    # the body runs in domain order, and the rows are stored in key order
     entities = m.entities
     if len(entities) > MAX_DOMAIN_SIZE:
         raise DomainTooLarge(f"{render_type(term.var_type)} exceeds {MAX_DOMAIN_SIZE} values")
     body, var = term.body, term.var
     clause = _CLAUSES[type(body)]
     inner = dict(env)
-    rows = []
+    values = []
     for dv in entities:
         inner[var] = dv
-        rows.append((dv, clause(body, m, inner, s, modal)))
-    return FnV(tuple(rows))
+        values.append(clause(body, m, inner, p, modal))
+    return FnV._ordered(tuple([(entities[i], values[i]) for i in m.entity_key_order]))
 
 
-def _eval_app(term: App, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
-    fv = _CLAUSES[type(term.func)](term.func, m, env, s, modal)
-    av = _CLAUSES[type(term.arg)](term.arg, m, env, s, modal)
+def _eval_app(term: App, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+    fv = _CLAUSES[type(term.func)](term.func, m, env, p, modal)
+    av = _CLAUSES[type(term.arg)](term.arg, m, env, p, modal)
     assert isinstance(fv, FnV)
     return fv.apply(av)
 
 
-def _eval_iota(term: Iota, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
+def _eval_iota(term: Iota, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
     body, var = term.body, term.var
     clause = _CLAUSES[type(body)]
     inner = dict(env)
     hits = []
     for k in m.entities:
         inner[var] = k
-        if clause(body, m, inner, s, modal).flag:
+        if clause(body, m, inner, p, modal).flag:
             hits.append(k)
     if len(hits) != 1:
         raise PresuppositionFailure(
@@ -487,33 +488,28 @@ def _eval_iota(term: Iota, m: Model, env: dict[str, Value], s: Index, modal: boo
     return hits[0]
 
 
-def _eval_diamond(
-    term: Diamond, m: Model, env: dict[str, Value], s: Index, modal: bool
-) -> Value:
+def _eval_diamond(term: Diamond, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
     if not modal:
         raise ModeError("modal operator has no extensional clause")
     label, body = term.label, term.body
     clause = _CLAUSES[type(body)]
-    hit = False
-    for succ in m.frame(label).successors(s.component(label)):
-        if clause(body, m, env, s.replace(label, succ), modal).flag:
-            hit = True
-    return TRUE if hit else FALSE
+    flags = [clause(body, m, env, t, modal).flag for t in m.successor_positions(label)[p]]
+    return TRUE if any(flags) else FALSE
 
 
-def _eval_and(term: And, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
-    lv = _CLAUSES[type(term.left)](term.left, m, env, s, modal)
-    rv = _CLAUSES[type(term.right)](term.right, m, env, s, modal)
+def _eval_and(term: And, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+    lv = _CLAUSES[type(term.left)](term.left, m, env, p, modal)
+    rv = _CLAUSES[type(term.right)](term.right, m, env, p, modal)
     return TRUE if lv.flag and rv.flag else FALSE
 
 
-def _eval_not(term: Not, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
-    return FALSE if _CLAUSES[type(term.body)](term.body, m, env, s, modal).flag else TRUE
+def _eval_not(term: Not, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+    return FALSE if _CLAUSES[type(term.body)](term.body, m, env, p, modal).flag else TRUE
 
 
-def _eval_eq(term: Eq, m: Model, env: dict[str, Value], s: Index, modal: bool) -> Value:
-    lv = _CLAUSES[type(term.left)](term.left, m, env, s, modal)
-    rv = _CLAUSES[type(term.right)](term.right, m, env, s, modal)
+def _eval_eq(term: Eq, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+    lv = _CLAUSES[type(term.left)](term.left, m, env, p, modal)
+    rv = _CLAUSES[type(term.right)](term.right, m, env, p, modal)
     return TRUE if lv == rv else FALSE
 
 
@@ -537,7 +533,7 @@ Outcome = Value | Exception
 
 
 def _label(
-    term: Term, m: Model, env: dict[str, Value], space: list[Index], needed: Iterable[int]
+    term: Term, m: Model, env: dict[str, Value], needed: Iterable[int]
 ) -> dict[int, Outcome]:
     """The outcome of term at each needed index position, a set at a time.
 
@@ -551,7 +547,7 @@ def _label(
         case Diamond(label, body):
             succ = m.successor_positions(label)
             needed = list(needed)
-            inner = _label(body, m, env, space, dict.fromkeys(t for p in needed for t in succ[p]))
+            inner = _label(body, m, env, dict.fromkeys(t for p in needed for t in succ[p]))
             out: dict[int, Outcome] = {}
             for p in needed:
                 outcome: Outcome = FALSE
@@ -567,12 +563,12 @@ def _label(
         case Not(body) if has_modal(body):
             return {
                 p: o if isinstance(o, Exception) else TRUE if o == FALSE else FALSE
-                for p, o in _label(body, m, env, space, needed).items()
+                for p, o in _label(body, m, env, needed).items()
             }
         case And(left, right) | Eq(left, right) if has_modal(term):
-            out = _label(left, m, env, space, needed)
+            out = _label(left, m, env, needed)
             ok = [p for p, o in out.items() if not isinstance(o, Exception)]
-            rights = _label(right, m, env, space, ok)
+            rights = _label(right, m, env, ok)
             for p in ok:
                 lv, rv = out[p], rights[p]
                 if isinstance(rv, Exception):
@@ -585,7 +581,7 @@ def _label(
     out = {}
     for p in needed:
         try:
-            out[p] = _eval(term, m, env, space[p], modal=True)
+            out[p] = _eval(term, m, env, p, modal=True)
         except Exception as err:
             out[p] = err
     return out
@@ -596,28 +592,25 @@ def _label(
 
 
 def render_term(term: Term) -> str:
-    match term:
-        case Const(name) | Var(name):
-            return name
-        case PredApp(pred, args):
-            return "(pred " + " ".join([pred] + [render_term(a) for a in args]) + ")"
-        case FuncApp(fn, args):
-            return "(func " + " ".join([fn] + [render_term(a) for a in args]) + ")"
-        case Lam(var, var_type, body):
-            return f"(lam {var} {render_type(var_type)} {render_term(body)})"
-        case App(func, arg):
-            return f"(app {render_term(func)} {render_term(arg)})"
-        case Iota(var, body):
-            return f"(iota {var} {render_term(body)})"
-        case Diamond(label, body):
-            return f"(might {label} {render_term(body)})"
-        case And(left, right):
-            return f"(and {render_term(left)} {render_term(right)})"
-        case Not(body):
-            return f"(not {render_term(body)})"
-        case Eq(left, right):
-            return f"(eq {render_term(left)} {render_term(right)})"
-    raise ValueError(f"unrenderable term {term!r}")
+    render = _RENDER.get(type(term))
+    if render is None:
+        raise ValueError(f"unrenderable term {term!r}")
+    return render(term)
+
+
+_RENDER = {
+    Const: lambda t: t.name,
+    Var: lambda t: t.name,
+    PredApp: lambda t: " ".join(["(pred", t.pred, *map(render_term, t.args)]) + ")",
+    FuncApp: lambda t: " ".join(["(func", t.fn, *map(render_term, t.args)]) + ")",
+    Lam: lambda t: f"(lam {t.var} {render_type(t.var_type)} {render_term(t.body)})",
+    App: lambda t: f"(app {render_term(t.func)} {render_term(t.arg)})",
+    Iota: lambda t: f"(iota {t.var} {render_term(t.body)})",
+    Diamond: lambda t: f"(might {t.label} {render_term(t.body)})",
+    And: lambda t: f"(and {render_term(t.left)} {render_term(t.right)})",
+    Not: lambda t: f"(not {render_term(t.body)})",
+    Eq: lambda t: f"(eq {render_term(t.left)} {render_term(t.right)})",
+}
 
 
 # The recursive parser, typechecker, per-index evaluator, labelling pass and
@@ -673,8 +666,9 @@ def _term_at(
             ctor = PredApp if head == "pred" else FuncApp
             return ctor(name, tuple(args)), i + 1
         case "lam":
-            var, tyname = _tok(tokens, i), _tok(tokens, i + 1)
-            body, i = _term_at(tokens, i + 2, constants, bound | {var})
+            var = _tok(tokens, i)
+            tyname, i = _type_text(tokens, i + 1)
+            body, i = _term_at(tokens, i, constants, bound | {var})
             return Lam(var, parse_type(tyname), body), _close(tokens, i)
         case "iota":
             var = _tok(tokens, i)
@@ -701,6 +695,21 @@ def _term_at(
             return Eq(left, right), _close(tokens, i)
         case _:
             raise ValueError(f"unknown term form {head!r}")
+
+
+def _type_text(tokens: list[str], i: int) -> tuple[str, int]:
+    """A lam's type at tokens[i]: a ground type name, or a constructor name and
+    the balanced parenthesized group after it, as in set(e) or fn(e,t)."""
+    name, i = _tok(tokens, i), i + 1
+    if name in ("e", "t") or i == len(tokens) or tokens[i] != "(":
+        return name, i
+    depth, start = 0, i
+    while True:
+        tok = _tok(tokens, i)
+        depth += 1 if tok == "(" else -1 if tok == ")" else 0
+        i += 1
+        if depth == 0:
+            return name + "".join(tokens[start:i]), i
 
 
 def _close(tokens: list[str], i: int) -> int:

@@ -231,24 +231,23 @@ def verify_equivalence(
     same constants with the same types, so it typechecks alike on both and both
     routes skip their own typecheck. Any other term (modal or ill-typed) goes
     through eval_int on the collapsed model, and the extensional route fails as
-    eval_ext would: its validity check, then the typecheck's error.
+    eval_ext would: its validity check, then the typecheck's error. Both
+    models have one index, so both routes evaluate at position 0.
     """
     if not m.is_extensional:
         raise NotFullyTrivial("verify_equivalence needs a fully trivial model")
     ext = extensionalize(m)
-    s0, s_ext = the_index(m), the_index(ext)
+    s0 = the_index(m)
     gs = list(assignments) if assignments else [Assignment()]
     records = []
     for term in terms:
         for g in gs:
             type_error = _type_error(term, ext, g)
             if type_error is None:
-                val_i, err_i = _outcome(lambda: _eval_checked(term, m, g, s0, True, None))
+                val_i, err_i = _outcome(lambda: _eval_checked(term, m, g, 0, True, None))
             else:
                 val_i, err_i = _outcome(lambda: eval_int(term, m, g, s0))
-            val_e, err_e = _outcome(
-                lambda: _eval_checked(term, ext, g, s_ext, False, type_error)
-            )
+            val_e, err_e = _outcome(lambda: _eval_checked(term, ext, g, 0, False, type_error))
             if err_i is None and err_e is None:
                 agree = val_i == val_e
                 left, right = render_value(val_i, m), render_value(val_e, ext)

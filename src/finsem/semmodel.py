@@ -8,7 +8,11 @@ exhaustive rather than symbolic.
 
 A model computes its index order (`positions`), its lookup tables and its
 validation report (`violations`) once, on first use, and keeps them outside
-its dataclass fields, so equality and hashing stay structural.
+its dataclass fields, so equality and hashing stay structural. The evaluator
+works at index positions, not Index values: it reads a constant's value at a
+position from `columns` (only once the model is valid, when each constant has
+exactly one row per index), a frame's successors from `successor_positions`,
+and builds a lambda's function value directly in `entity_key_order`.
 """
 
 from __future__ import annotations
@@ -284,6 +288,13 @@ class FnV(Value):
             raise ValueError("duplicate keys in function value")
         object.__setattr__(self, "entries", ordered)
 
+    @classmethod
+    def _ordered(cls, entries: tuple[tuple[Value, Value], ...]) -> "FnV":
+        """An FnV over entries already in value_key order, with distinct keys."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "entries", entries)
+        return fn
+
     def apply(self, arg: Value) -> Value:
         for k, v in self.entries:
             if k == arg:
@@ -458,6 +469,17 @@ class Model:
     def entities(self) -> tuple[Entity, ...]:
         """The entity domain as values, in domain order."""
         return tuple(Entity(e) for e in self.entity_domain.elements)
+
+    @cached_property
+    def entity_key_order(self) -> tuple[int, ...]:
+        """Entity positions in value_key order, the row order of a function value."""
+        return tuple(sorted(range(len(self.entities)), key=lambda i: value_key(self.entities[i])))
+
+    @cached_property
+    def columns(self) -> dict[str, tuple[Value, ...]]:
+        """Each constant's values in canonical position order. Only a valid
+        model has one row per index: read this only once it has passed validation."""
+        return {c.name: tuple(v for _, v in c.table) for c in self.constants}
 
     @cached_property
     def _successor_tables(self) -> dict[str, tuple[tuple[int, ...], ...]]:

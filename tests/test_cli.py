@@ -270,6 +270,13 @@ def test_exit_2_term_nested_too_deep() -> None:
     assert "Traceback" not in got.stderr
 
 
+def test_exit_1_lam_over_a_parenthesized_type() -> None:
+    got = run("eval", EXTENSIONAL, "--term", "(lam x set(e) x)")
+    assert got.returncode == 1
+    assert got.stdout == ""
+    assert got.stderr == "error: at root: expected e (bound variables are entity-typed), found set(e)\n"
+
+
 def test_exit_2_usage_error() -> None:
     got = run("no-such-command", EXTENSIONAL)
     assert got.returncode == 2
@@ -305,6 +312,7 @@ BAD_INPUTS = [
         ("eval", EXTENSIONAL, "--term", "(app (lam x e x) (lam y e y))"), 1, id="ill-typed-term"
     ),
     pytest.param(("eval", EXTENSIONAL, "--term", "(pred nope x)"), 1, id="unknown-constant"),
+    pytest.param(("eval", EXTENSIONAL, "--term", "(lam x set(e) x)"), 1, id="lam-over-a-set-type"),
     pytest.param(
         ("eval", EXTENSIONAL, "--term", "(might W (pred student x))", "--assign", "x=s1"),
         1,

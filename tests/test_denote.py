@@ -50,6 +50,7 @@ from finsem.semmodel import (
     Index,
     Model,
     RelType,
+    SetType,
     SetV,
     Truth,
     TruthType,
@@ -182,6 +183,98 @@ def test_typecheck_modal_needs_a_frame() -> None:
         typecheck(Diamond("W", THE_STUDENT), MODAL)
 
 
+def _twice_not(term):
+    return Not(Not(term))
+
+
+FNS = ext_with_functions()
+ALICE = Const("alice")
+
+# (term, model, error class, exact message), each located three or more steps
+# below the root; every step kind and every located error class appears
+NESTED_TYPE_ERRORS = [
+    pytest.param(
+        PredApp("read", (THE_STUDENT, Iota("y", PredApp("book", (Const("zz"),))))), EXT,
+        UnboundVariable, "at root.args[1].body.args[0]: unknown constant 'zz'", id="constant",
+    ),
+    pytest.param(
+        Not(And(READS, PredApp("student", (Var("q"),)))), EXT,
+        UnboundVariable, "at root.body.right.args[0]: variable 'q' is not in scope", id="variable",
+    ),
+    pytest.param(
+        App(Lam("x", EntType(), Not(PredApp("zz", (Var("x"),)))), THE_STUDENT), EXT,
+        UnboundVariable, "at root.func.body.body: unknown predicate 'zz'", id="predicate",
+    ),
+    pytest.param(
+        Eq(THE_STUDENT, Iota("y", Eq(Var("y"), FuncApp("nofn", (Var("y"),))))), EXT,
+        UnboundVariable, "at root.right.body.right: unknown function 'nofn'", id="function",
+    ),
+    pytest.param(
+        And(READS, _twice_not(Diamond("Q", READS))), MODAL,
+        UngroundedType, "at root.right.body.body: no frame 'Q' in this model", id="frame",
+    ),
+    pytest.param(
+        _twice_not(PredApp("read", (THE_STUDENT, READS))), EXT,
+        TermTypeError, "at root.body.body.args[1]: expected e, found t", id="args",
+    ),
+    pytest.param(
+        _twice_not(Diamond("W", THE_STUDENT)), MODAL,
+        TermTypeError, "at root.body.body.body: expected t, found e", id="body",
+    ),
+    pytest.param(
+        _twice_not(App(THE_STUDENT, THE_BOOK)), EXT,
+        TermTypeError, "at root.body.body.func: expected a function type, found e", id="func",
+    ),
+    pytest.param(
+        _twice_not(App(Lam("x", EntType(), PredApp("student", (Var("x"),))), READS)), EXT,
+        TermTypeError, "at root.body.body.arg: expected e, found t", id="arg",
+    ),
+    pytest.param(
+        Not(Iota("x", And(Var("x"), READS))), EXT,
+        TermTypeError, "at root.body.body.left: expected t, found e", id="left",
+    ),
+    pytest.param(
+        _twice_not(Eq(THE_STUDENT, READS)), EXT,
+        TermTypeError, "at root.body.body.right: expected e, found t", id="right",
+    ),
+    pytest.param(
+        And(READS, _twice_not(PredApp("read", (THE_STUDENT,)))), EXT,
+        TermTypeError, "at root.right.body.body: expected 2 arguments to 'read', found 1 arguments",
+        id="pred-arity",
+    ),
+    pytest.param(
+        _twice_not(App(Lam("x", TruthType(), Var("x")), READS)), EXT,
+        TermTypeError, "at root.body.body.func: expected e (bound variables are entity-typed), found t",
+        id="lam-type",
+    ),
+    pytest.param(
+        _twice_not(PredApp("alice", ())), FNS,
+        TermTypeError, "at root.body.body: expected a relation-typed constant, found e",
+        id="not-a-relation",
+    ),
+    pytest.param(
+        Not(Eq(ALICE, FuncApp("pick", (ALICE, FuncApp("mentor", (FuncApp("student", (ALICE,)),)))))),
+        FNS,
+        TermTypeError, "at root.body.right.args[1].args[0]: expected a function-typed constant, found rel(e)",
+        id="not-a-function",
+    ),
+    pytest.param(
+        Not(Eq(ALICE, FuncApp("pick", (ALICE, ALICE, ALICE)))), FNS,
+        TermTypeError, "at root.body.right: expected arguments matching fn(e,e,e), found 3 arguments",
+        id="fn-arity",
+    ),
+]
+
+
+@pytest.mark.parametrize("term, m, kind, message", NESTED_TYPE_ERRORS)
+def test_nested_typecheck_errors_are_located_exactly(term, m, kind, message) -> None:
+    with pytest.raises(kind) as e:
+        typecheck(term, m)
+    assert str(e.value) == message
+    if kind is TermTypeError:
+        assert message.startswith(f"at {e.value.path}: expected {e.value.expected}, found ")
+
+
 def test_has_modal() -> None:
     assert has_modal(MIGHT_READ)
     assert has_modal(Not(And(READS, MIGHT_READ)))
@@ -220,6 +313,25 @@ def test_eval_iota_presupposition_failures() -> None:
 def test_eval_lambda_materializes_graph() -> None:
     got = eval_ext(Lam("x", EntType(), PredApp("student", (Var("x"),))), EXT)
     assert got == FnV(((Entity("b1"), Truth(0)), (Entity("s1"), Truth(1))))
+
+
+def test_lam_rows_match_the_checked_constructor_in_key_order() -> None:
+    # domain order e2, e10 differs from key order e10, e2
+    m = Model(
+        FinSet("E", ("e2", "e10")),
+        (),
+        (
+            Constant("p", RelType((EntType(),)), ((EMPTY_INDEX, rel_value(("e2",))),)),
+            Constant("r", RelType((EntType(), EntType())), ((EMPTY_INDEX, rel_value(("e10", "e2"), ("e10", "e10"))),)),
+        ),
+    )
+    got = eval_ext(Lam("x", EntType(), PredApp("p", (Var("x"),))), m)
+    want = FnV(((Entity("e2"), Truth(1)), (Entity("e10"), Truth(0))))
+    assert got == want and got.entries == want.entries
+    assert [k for k, _ in got.entries] == [Entity("e10"), Entity("e2")]
+    # the body still runs in domain order: e2's failure (no witness) comes first
+    with pytest.raises(PresuppositionFailure, match="found 0"):
+        eval_ext(Lam("x", EntType(), Iota("y", PredApp("r", (Var("x"), Var("y"))))), m)
 
 
 def test_eval_app_is_beta() -> None:
@@ -374,6 +486,18 @@ def test_term_syntax_round_trip(text: str, term) -> None:
     assert parse_term(render_term(term), frozenset({"alice"})) == term
 
 
+def test_lam_type_with_parentheses_is_one_group() -> None:
+    assert parse_term("(lam x set(e) x)") == Lam("x", SetType(EntType()), Var("x"))
+    fn_et = parse_term("(lam f fn(e,t) (app f y))")
+    assert fn_et == Lam("f", FnType(EntType(), TruthType()), App(Var("f"), Var("y")))
+    assert parse_term("(lam x fn(pair(e,e), t) x)").var_type == fn_type([EntType(), EntType()], TruthType())
+    # a ground type is one name, even when the body opens a parenthesis
+    assert parse_term("(lam x e (not x))") == Lam("x", EntType(), Not(Var("x")))
+    with pytest.raises(TermTypeError) as e:
+        typecheck(parse_term("(lam x set(e) x)"), EXT)
+    assert str(e.value) == "at root: expected e (bound variables are entity-typed), found set(e)"
+
+
 def test_bare_names_resolve_against_declared_constants() -> None:
     assert parse_term("alice", frozenset({"alice"})) == Const("alice")
     assert parse_term("alice") == Var("alice")
@@ -384,7 +508,10 @@ def test_bare_names_resolve_against_declared_constants() -> None:
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "(", ")", "(pred)", "(pred p", "(lam x e)", "(quux x)", "(pred p x) y", "(and x)"],
+    [
+        "", "(", ")", "(pred)", "(pred p", "(lam x e)", "(quux x)", "(pred p x) y", "(and x)",
+        "(lam x set(e)", "(lam x set(e x)", "(lam x set(e) x",
+    ],
 )
 def test_term_syntax_rejects(bad: str) -> None:
     with pytest.raises(ValueError):

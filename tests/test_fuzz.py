@@ -1,20 +1,47 @@
-"""Fuzzed inputs to the parsers and the model-file loader.
+"""Fuzzed inputs to the parsers and the model-file loader, and the term
+syntax round trip.
 
 Malformed input must end in the documented exception, never another one: a
-type or term text in ValueError, a model document in ModelFileError.
+type or term text in ValueError, a model document in ModelFileError. Every
+term renders to text that parses back to the same term.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsem.denote import parse_term
+from finsem.denote import (
+    And,
+    App,
+    Const,
+    Diamond,
+    Eq,
+    FuncApp,
+    Iota,
+    Lam,
+    Not,
+    PredApp,
+    Var,
+    parse_term,
+    render_term,
+)
+from finsem.generators import random_model, random_term
 from finsem.modelfile import ModelFileError, model_file_from_doc
-from finsem.semmodel import parse_type
+from finsem.semmodel import (
+    EntType,
+    FnType,
+    IdxType,
+    PairType,
+    RelType,
+    SetType,
+    TruthType,
+    parse_type,
+)
 
 from helpers import MODELS_DIR
 
@@ -145,3 +172,56 @@ def test_model_file_from_doc_raises_only_model_file_error(doc) -> None:
         model_file_from_doc(doc)
     except ModelFileError as err:
         assert err.problems
+
+
+# ---------------------------------------------------------------------------
+# render_term and parse_term round trip
+
+# declared constants and variable names stay apart, so a bare name's reading
+# as Const or Var survives; head words and type names are fair names too
+CONSTANTS = frozenset({"a", "b", "pred"})
+VARIABLES = st.sampled_from(["x", "y", "e", "t", "lam", "set"])
+HEADS = st.sampled_from(["p", "f", "lam", "e", "W"])
+
+sem_types = st.recursive(
+    st.sampled_from([EntType(), TruthType(), IdxType("W"), IdxType("T")]),
+    lambda inner: st.one_of(
+        st.builds(PairType, inner, inner),
+        st.builds(SetType, inner),
+        st.lists(inner, min_size=1, max_size=3).map(lambda cs: RelType(tuple(cs))),
+        st.builds(FnType, inner, inner),
+    ),
+    max_leaves=5,
+)
+
+terms = st.recursive(
+    st.builds(Const, st.sampled_from(sorted(CONSTANTS))) | st.builds(Var, VARIABLES),
+    lambda inner: st.one_of(
+        st.builds(PredApp, HEADS, st.lists(inner, max_size=3).map(tuple)),
+        st.builds(FuncApp, HEADS, st.lists(inner, max_size=3).map(tuple)),
+        st.builds(Lam, VARIABLES, sem_types, inner),
+        st.builds(App, inner, inner),
+        st.builds(Iota, VARIABLES, inner),
+        st.builds(Diamond, st.sampled_from(["W", "T"]), inner),
+        st.builds(And, inner, inner),
+        st.builds(Not, inner),
+        st.builds(Eq, inner, inner),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300)
+@given(terms)
+def test_rendered_terms_parse_back(term) -> None:
+    assert parse_term(render_term(term), CONSTANTS) == term
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_rendered_random_terms_parse_back(seed: int) -> None:
+    rng = random.Random(seed)
+    m = random_model(rng, max_frames=2)
+    names = frozenset(c.name for c in m.constants)
+    for _ in range(5):
+        term = random_term(rng, m, max_depth=4)
+        assert parse_term(render_term(term), names) == term

@@ -44,11 +44,11 @@ from helpers import UNARY, build_modal, rel_value
 
 
 def oracle(term: Term, m: Model, g: Assignment) -> tuple:
-    """The per-index route: one _eval call per index, in canonical order."""
+    """The per-index route: one _eval call per index position, in canonical order."""
     typecheck(term, m, denote.assignment_types(g))
     env = denote._env_of(g, m)
     try:
-        return ("value", {s: denote._eval(term, m, env, s, modal=True) for s in m.positions})
+        return ("value", {s: denote._eval(term, m, env, p, modal=True) for s, p in m.positions.items()})
     except Exception as err:
         return ("error", type(err), str(err))
 
@@ -138,17 +138,27 @@ def test_failure_at_one_successor_propagates_the_first_in_frame_order() -> None:
     assert assert_routes_agree(wrapped, m)[2].endswith("found 2")
 
 
-def test_diamond_under_a_binder_takes_the_per_index_route() -> None:
+def test_diamond_under_a_binder_takes_the_per_index_route(monkeypatch) -> None:
     m = build_modal()
     g = Assignment((("z", "s1"),))
     under_lam = App(Lam("x", EntType(), Diamond("W", PredApp("student", (Var("x"),)))), Var("z"))
     under_iota = Iota("y", Diamond("W", PredApp("book", (Var("y"),))))
     in_an_argument = Eq(under_iota, Iota("y", PredApp("book", (Var("y"),))))
-    assert assert_routes_agree(under_lam, m, g)[0] == "value"
+    calls: list = []
+    per_index = denote._CLAUSES[Diamond]
+    monkeypatch.setitem(
+        denote._CLAUSES, Diamond, lambda *args: calls.append(args[3]) or per_index(*args)
+    )
+    assert labelled(Diamond("W", PredApp("student", (Var("z"),))), m, g)[0] == "value"
+    assert calls == []  # a Diamond at the top is labelled, not evaluated per index
+    assert labelled(under_lam, m, g)[0] == "value"
     # w1 sees nothing, so the iota finds no witness there
-    assert assert_routes_agree(in_an_argument, m)[0] == "error"
-    # neither term built the successor table the labelling pass reads
-    assert "W" not in m._successor_tables
+    assert labelled(in_an_argument, m, g)[0] == "error"
+    # each term ran the per-index clause at both positions, once per entity bound
+    assert calls == [0, 0, 1, 1] * 2
+    calls.clear()
+    assert_routes_agree(under_lam, m, g)
+    assert_routes_agree(in_an_argument, m)
 
 
 def grid_model() -> Model:
@@ -169,21 +179,29 @@ def grid_model() -> Model:
     )
 
 
-def test_each_constant_is_read_once_per_index(monkeypatch) -> None:
+class CountingColumn(tuple):
+    """A column of Model.columns that counts its reads by position."""
+
+    def __new__(cls, name: str, values: tuple, reads: Counter):
+        column = super().__new__(cls, values)
+        column.name, column.reads = name, reads
+        return column
+
+    def __getitem__(self, p: int):
+        self.reads[self.name, p] += 1
+        return super().__getitem__(p)
+
+
+def test_each_constant_is_read_once_per_index() -> None:
     m = grid_model()
     reads: Counter = Counter()
-    value_at = Constant.value_at
-
-    def counting(self: Constant, s: Index):
-        reads[self.name, s] += 1
-        return value_at(self, s)
-
-    monkeypatch.setattr(Constant, "value_at", counting)
+    counted = {name: CountingColumn(name, col, reads) for name, col in m.columns.items()}
+    vars(m)["columns"] = counted  # the cached column table the clauses read
     term = parse_term("(might W (might T (pred p c)))", frozenset({"c", "p"}))
     values = eval_all_indices(term, m)
     assert set(values.values()) == {Truth(1)}
     # per index the oracle walks four two-step paths and reads both constants on each
-    assert reads == Counter({(name, s): 1 for name in ("c", "p") for s in m.positions})
+    assert reads == Counter({(name, p): 1 for name in ("c", "p") for p in range(len(m.positions))})
 
 
 def test_deepest_modal_terms_label_without_recursion_error() -> None:

@@ -3,9 +3,9 @@
 
     python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10 --workload sweep --out BENCH_6.json
 
-Exports the --base revision (`git archive`) and the --head side (the working
-tree by default: every tracked or untracked, not ignored file; or a revision)
-into fresh directories, so both sides start without compiled or cached files.
+Exports the --base revision (`git archive`) and the working tree (every tracked
+or untracked, not ignored file) into fresh directories, so both sides start
+without compiled or cached files.
 Pair i runs the unmodified `python3 perfbench/run.py --workload W --seed S+i`
 once on each side, the base first on even pairs and the head first on odd
 ones, so drift in the machine's speed falls on both sides alike.
@@ -31,7 +31,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKTREE = "worktree"
 
 
 def git(*args: str) -> str:
@@ -40,17 +39,20 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
-def export(rev: str, dest: Path) -> str:
-    """Write rev's files, or the working tree's, into dest; return a label."""
+def export_worktree(dest: Path) -> str:
+    """Copy the working tree's files into dest; return a label."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        src = ROOT / name
+        if name and src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+    dirty = bool(git("status", "--porcelain"))
+    return f"{git('rev-parse', 'HEAD')}{' + uncommitted changes' if dirty else ''}"
+
+
+def export_revision(rev: str, dest: Path) -> str:
+    """Write rev's files into dest; return its commit."""
     dest.mkdir(parents=True)
-    if rev == WORKTREE:
-        for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
-            src = ROOT / name
-            if name and src.is_file():
-                (dest / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(src, dest / name)
-        dirty = bool(git("status", "--porcelain"))
-        return f"{git('rev-parse', 'HEAD')}{' + uncommitted changes' if dirty else ''}"
     archive = subprocess.run(
         ["git", "archive", rev], cwd=ROOT, check=True, capture_output=True
     ).stdout
@@ -98,7 +100,6 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision to compare against")
-    parser.add_argument("--head", default=WORKTREE, help="a revision, or 'worktree' (default)")
     parser.add_argument("--workload", action="append", choices=("sweep", "modal_grid", "cli"),
                         help="repeatable; default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
@@ -119,8 +120,8 @@ def main() -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         sides = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
-        record["base"] = export(args.base, sides["base"])
-        record["head"] = export(args.head, sides["head"])
+        record["base"] = export_revision(args.base, sides["base"])
+        record["head"] = export_worktree(sides["head"])
         for workload in workloads:
             runs = []
             for i in range(args.pairs):

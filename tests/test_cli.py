@@ -270,13 +270,6 @@ def test_exit_2_term_nested_too_deep() -> None:
     assert "Traceback" not in got.stderr
 
 
-def test_exit_1_lam_over_a_parenthesized_type() -> None:
-    got = run("eval", EXTENSIONAL, "--term", "(lam x set(e) x)")
-    assert got.returncode == 1
-    assert got.stdout == ""
-    assert got.stderr == "error: at root: expected e (bound variables are entity-typed), found set(e)\n"
-
-
 def test_exit_2_usage_error() -> None:
     got = run("no-such-command", EXTENSIONAL)
     assert got.returncode == 2

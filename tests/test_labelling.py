@@ -2,7 +2,9 @@
 clause of _eval is its oracle.
 
 Outcomes compare by value, or by exception type and message, so the two
-routes must agree on errors as well as on values.
+routes must agree on errors as well as on values. Both routes read
+Model.successor_positions and Model.columns; tests/test_semmodel.py checks
+those tables against the Index route.
 """
 
 from __future__ import annotations

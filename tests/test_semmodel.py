@@ -8,12 +8,14 @@ in ascending bitmask order over the member enumeration.
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from finsem import generators
 from finsem.kripke import Frame
 from finsem.relalg import FinSet, Relation
 from finsem.semmodel import (
@@ -206,6 +208,36 @@ def test_successor_positions_follow_the_frame_in_its_order() -> None:
     assert m.successor_positions("L")[0] == (1 * 2, 2 * 2)  # l1 then l2, stride 2
     with pytest.raises(UnknownFrame):
         m.successor_positions("Q")
+
+
+def test_position_tables_match_the_index_route_on_random_models() -> None:
+    """successor_positions and columns against Index.replace, Frame.successors
+    and Constant.value_at, on models whose rows arrive shuffled."""
+    rng = random.Random(61)
+    for nframes in (0, 1, 2, 3):
+        for _ in range(12):
+            drawn = generators.random_model(rng, min_frames=nframes, max_frames=nframes)
+            shuffled = []
+            for c in drawn.constants:
+                rows = list(c.table)
+                rng.shuffle(rows)
+                shuffled.append(Constant(c.name, c.semtype, tuple(rows)))
+            rng.shuffle(shuffled)
+            m = Model(drawn.entity_domain, drawn.frames, tuple(shuffled))
+            assert not m.violations
+            for f in m.frames:
+                table = m.successor_positions(f.label)
+                for s, p in m.positions.items():
+                    want = tuple(
+                        m.positions[s.replace(f.label, v)]
+                        for v in f.successors(s.component(f.label))
+                    )
+                    assert table[p] == want, (f.label, s.render())
+            for c in m.constants:
+                column = m.columns[c.name]
+                assert len(column) == len(m.positions)
+                for s, p in m.positions.items():
+                    assert column[p] == c.value_at(s), (c.name, s.render())
 
 
 def test_the_index() -> None:

@@ -1,8 +1,9 @@
 """Command line interface over model files.
 
-Exit codes: 0 success, 1 violated precondition (one-line diagnostic on
-stderr), 2 unreadable or malformed input, or an --out file that cannot be
-written. All stdout is deterministic for a given input file and arguments.
+Exit codes: 0 success, 1 violated precondition (a command raised a
+FinsemError; one-line diagnostic on stderr), 2 unreadable or malformed input,
+or an --out file that cannot be written. All stdout is deterministic for a
+given input file and arguments.
 """
 
 from __future__ import annotations
@@ -13,58 +14,19 @@ import sys
 from typing import Optional, Sequence
 
 from . import kripke, morphisms
-from .denote import (
-    ModeError,
-    PresuppositionFailure,
-    TermTypeError,
-    UnboundVariable,
-    evaluate,
-    has_modal,
-    parse_term,
-    render_term,
-)
-from .fragment import AmbiguousParse, NoParse, UnknownWord, eval_sentence
-from .kripke import UnknownElement
+from .denote import evaluate, has_modal, parse_term, render_term
+from .fragment import eval_sentence
 from .modelfile import ModelFile, ModelFileError, dump_model_file, load_model_file
-from .morphisms import AlreadyTrivial, NotFullyTrivial, TrivializeFrame
-from .relalg import (
-    PROPERTY_NAMES,
-    EndpointMismatch,
-    NotEndorelation,
-    NotJointlyMonic,
-    check_property,
-)
+from .morphisms import TrivializeFrame
+from .relalg import PROPERTY_NAMES, FinsemError, check_property
 from .semmodel import (
     Assignment,
-    DomainTooLarge,
     Index,
     Model,
-    UngroundedType,
     UnknownEntity,
     UnknownFrame,
     UnknownIndex,
     render_value,
-)
-
-PRECONDITION_ERRORS = (
-    EndpointMismatch,
-    NotEndorelation,
-    NotJointlyMonic,
-    UnknownElement,
-    UnknownEntity,
-    UnknownFrame,
-    UnknownIndex,
-    DomainTooLarge,
-    UngroundedType,
-    TermTypeError,
-    UnboundVariable,
-    PresuppositionFailure,
-    ModeError,
-    AlreadyTrivial,
-    NotFullyTrivial,
-    UnknownWord,
-    NoParse,
-    AmbiguousParse,
 )
 
 
@@ -83,13 +45,15 @@ def _parse_index(m: Model, text: str) -> Index:
 
 
 def _parse_assignment(pairs: Optional[Sequence[str]]) -> Assignment:
-    bindings = []
+    bindings = {}
     for p in pairs or []:
         if "=" not in p:
             raise UnknownEntity(f"assignment {p!r} must look like x=entity")
         var, _, ent = p.partition("=")
-        bindings.append((var, ent))
-    return Assignment(tuple(bindings))
+        if var in bindings:
+            raise FinsemError(f"variable {var!r} is assigned more than once")
+        bindings[var] = ent
+    return Assignment(tuple(bindings.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +233,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.handler(mf, args)
-    except PRECONDITION_ERRORS as err:
+    except FinsemError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

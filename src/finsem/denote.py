@@ -15,8 +15,9 @@ straight in the model's entity key order, without FnV's sort and check.
 
 The typechecker passes each subterm its path as a (parent path, step) pair
 and renders it as text only when it raises, so located messages cost nothing
-on a term that typechecks. render_term, like the evaluator, picks its case
-by the term's class.
+on a term that typechecks. Every subterm whose type its context fixes goes
+through _expect, the one place that compares and raises. render_term, like
+the evaluator, picks its case by the term's class.
 
 Each evaluator typechecks before it evaluates. morphisms.verify_equivalence
 runs both on one term and shares that typecheck between them only when the
@@ -45,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from .relalg import FinsemError
 from .semmodel import (
     MAX_DOMAIN_SIZE,
     Assignment,
@@ -72,7 +74,7 @@ from .semmodel import (
 )
 
 
-class TermTypeError(Exception):
+class TermTypeError(FinsemError):
     def __init__(self, path: str, expected: str, found: str):
         self.path = path
         self.expected = expected
@@ -80,15 +82,15 @@ class TermTypeError(Exception):
         super().__init__(f"at {path}: expected {expected}, found {found}")
 
 
-class UnboundVariable(Exception):
+class UnboundVariable(FinsemError):
     pass
 
 
-class PresuppositionFailure(Exception):
+class PresuppositionFailure(FinsemError):
     pass
 
 
-class ModeError(Exception):
+class ModeError(FinsemError):
     pass
 
 
@@ -210,6 +212,13 @@ def _at(path: object) -> str:
     return path + "".join(reversed(steps))
 
 
+def _expect(term: Term, m: Model, env: dict[str, SemType], path: object, want: SemType) -> None:
+    """Typecheck a subterm at path and refuse it unless its type is want."""
+    got = _type_of(term, m, env, path)
+    if got != want:
+        raise TermTypeError(_at(path), render_type(want), render_type(got))
+
+
 def _type_of(term: Term, m: Model, env: dict[str, SemType], path: object) -> SemType:
     match term:
         case Const(name):
@@ -233,9 +242,7 @@ def _type_of(term: Term, m: Model, env: dict[str, SemType], path: object) -> Sem
                     _at(path), f"{len(comps)} arguments to {pred!r}", f"{len(args)} arguments"
                 )
             for i, (a, want) in enumerate(zip(args, comps)):
-                got = _type_of(a, m, env, (path, i))
-                if got != want:
-                    raise TermTypeError(_at((path, i)), render_type(want), render_type(got))
+                _expect(a, m, env, (path, i), want)
             return _T
         case FuncApp(fn, args):
             c = m.constant(fn)
@@ -252,9 +259,7 @@ def _type_of(term: Term, m: Model, env: dict[str, SemType], path: object) -> Sem
                     f"{len(args)} arguments",
                 ) from None
             for i, (a, want) in enumerate(zip(args, wants)):
-                got = _type_of(a, m, env, (path, i))
-                if got != want:
-                    raise TermTypeError(_at((path, i)), render_type(want), render_type(got))
+                _expect(a, m, env, (path, i), want)
             return c.semtype.codomain
         case Lam(var, var_type, body):
             if var_type != _E:
@@ -268,40 +273,28 @@ def _type_of(term: Term, m: Model, env: dict[str, SemType], path: object) -> Sem
             ft = _type_of(func, m, env, (path, ".func"))
             if not isinstance(ft, FnType):
                 raise TermTypeError(_at((path, ".func")), "a function type", render_type(ft))
-            at = _type_of(arg, m, env, (path, ".arg"))
-            if at != ft.domain:
-                raise TermTypeError(_at((path, ".arg")), render_type(ft.domain), render_type(at))
+            _expect(arg, m, env, (path, ".arg"), ft.domain)
             return ft.codomain
         case Iota(var, body):
             inner = dict(env)
             inner[var] = _E
-            bt = _type_of(body, m, inner, (path, ".body"))
-            if bt != _T:
-                raise TermTypeError(_at((path, ".body")), "t", render_type(bt))
+            _expect(body, m, inner, (path, ".body"), _T)
             return _E
         case Diamond(label, body):
             if m.frame(label) is None:
                 raise UngroundedType(f"at {_at(path)}: no frame {label!r} in this model")
-            bt = _type_of(body, m, env, (path, ".body"))
-            if bt != _T:
-                raise TermTypeError(_at((path, ".body")), "t", render_type(bt))
+            _expect(body, m, env, (path, ".body"), _T)
             return _T
         case And(left, right):
-            for side, sub in ((".left", left), (".right", right)):
-                st = _type_of(sub, m, env, (path, side))
-                if st != _T:
-                    raise TermTypeError(_at((path, side)), "t", render_type(st))
+            _expect(left, m, env, (path, ".left"), _T)
+            _expect(right, m, env, (path, ".right"), _T)
             return _T
         case Not(body):
-            bt = _type_of(body, m, env, (path, ".body"))
-            if bt != _T:
-                raise TermTypeError(_at((path, ".body")), "t", render_type(bt))
+            _expect(body, m, env, (path, ".body"), _T)
             return _T
         case Eq(left, right):
             lt = _type_of(left, m, env, (path, ".left"))
-            rt = _type_of(right, m, env, (path, ".right"))
-            if lt != rt:
-                raise TermTypeError(_at((path, ".right")), render_type(lt), render_type(rt))
+            _expect(right, m, env, (path, ".right"), lt)
             return _T
     raise ValueError(f"unknown term {term!r}")
 

@@ -23,18 +23,19 @@ from .denote import (
     evaluate,
     render_term,
 )
+from .relalg import FinsemError
 from .semmodel import Assignment, Index, Model, Value, render_value
 
 
-class UnknownWord(Exception):
+class UnknownWord(FinsemError):
     pass
 
 
-class NoParse(Exception):
+class NoParse(FinsemError):
     pass
 
 
-class AmbiguousParse(Exception):
+class AmbiguousParse(FinsemError):
     pass
 
 

@@ -13,6 +13,7 @@ from functools import cached_property
 from .relalg import (
     EndpointMismatch,
     FinSet,
+    FinsemError,
     FnGraph,
     Relation,
     compose,
@@ -22,7 +23,7 @@ from .relalg import (
 )
 
 
-class UnknownElement(Exception):
+class UnknownElement(FinsemError):
     pass
 
 
@@ -95,7 +96,7 @@ class MonotoneProfile:
 def monotone_inclusions(m: FrameMap) -> MonotoneProfile:
     f = m.graph.underlying
     rx, ry = m.source.rel, m.target.rel
-    pointwise = all((m(u), m(v)) in ry.pairs for (u, v) in rx.pairs)
+    pointwise = forth_holds(m)
     # rx <= f ; ry ; dagger(f)
     sandwich = leq(rx, compose(compose(f, ry), dagger(f)))
     # rx ; f <= f ; ry

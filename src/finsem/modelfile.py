@@ -42,7 +42,7 @@ from typing import Any, Optional
 from .denote import Term, parse_term, render_term
 from .fragment import LexEntry
 from .kripke import Frame
-from .relalg import FinSet, Relation
+from .relalg import FinSet, FinsemError, Relation
 from .semmodel import (
     Constant,
     EntType,
@@ -72,7 +72,7 @@ LEXICAL_KEYS = {"cat", "pred", "frame", "sem"}
 LEXICAL_PRED_TYPES = {"N": RelType((EntType(),)), "V": RelType((EntType(), EntType()))}
 
 
-class ModelFileError(Exception):
+class ModelFileError(FinsemError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("\n".join(self.problems))

@@ -31,6 +31,7 @@ from .denote import (
 )
 from .kripke import TRIVIAL_ELEMENT, UnknownElement
 from .kripke import trivialize as trivialize_frame
+from .relalg import FinsemError
 from .semmodel import (
     EMPTY_INDEX,
     Assignment,
@@ -47,11 +48,11 @@ from .semmodel import (
 )
 
 
-class AlreadyTrivial(Exception):
+class AlreadyTrivial(FinsemError):
     pass
 
 
-class NotFullyTrivial(Exception):
+class NotFullyTrivial(FinsemError):
     pass
 
 

@@ -9,15 +9,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class EndpointMismatch(Exception):
+class FinsemError(Exception):
+    """Base of every exception finsem raises for input it refuses."""
+
+
+class EndpointMismatch(FinsemError):
     pass
 
 
-class NotEndorelation(Exception):
+class NotEndorelation(FinsemError):
     pass
 
 
-class NotJointlyMonic(Exception):
+class NotJointlyMonic(FinsemError):
     pass
 
 

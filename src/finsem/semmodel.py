@@ -24,26 +24,26 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .kripke import Frame
-from .relalg import FinSet
+from .relalg import FinSet, FinsemError
 
 
-class UnknownEntity(Exception):
+class UnknownEntity(FinsemError):
     pass
 
 
-class UnknownIndex(Exception):
+class UnknownIndex(FinsemError):
     pass
 
 
-class UnknownFrame(Exception):
+class UnknownFrame(FinsemError):
     pass
 
 
-class DomainTooLarge(Exception):
+class DomainTooLarge(FinsemError):
     pass
 
 
-class UngroundedType(Exception):
+class UngroundedType(FinsemError):
     pass
 
 

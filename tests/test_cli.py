@@ -1,17 +1,26 @@
 """End-to-end command line checks: output bytes, exit codes, determinism.
 
-Every command runs in a subprocess; determinism checks repeat the run under
+Every command runs in a subprocess, except where a test patches a command
+handler and calls cli.main in process; determinism checks repeat the run under
 different hash seeds and require byte-identical stdout.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
+
+import finsem
+from finsem import cli
+from finsem.denote import TermTypeError
+from finsem.modelfile import ModelFileError
+from finsem.relalg import FinsemError
 
 from helpers import MODELS_DIR, REPO_ROOT
 
@@ -312,6 +321,11 @@ BAD_INPUTS = [
         id="modal-term-without-frames",
     ),
     pytest.param(("eval", EXTENSIONAL, "--term", "x", "--assign", "x"), 1, id="assignment-without-="),
+    pytest.param(
+        ("eval", EXTENSIONAL, "--term", "x", "--assign", "x=s1", "--assign", "x=b1"),
+        1,
+        id="assignment-binds-a-variable-twice",
+    ),
     pytest.param(("eval", EXTENSIONAL, "--term", "x", "--assign", "x=zz"), 1, id="unknown-entity"),
     pytest.param(("eval", MODAL, "--term", READS, "--index", "w9"), 1, id="index-not-in-space"),
     pytest.param(("sentence", EXTENSIONAL, "--text", "the zebra"), 1, id="unknown-word"),
@@ -328,3 +342,48 @@ def test_bad_input_exits_1_or_2_without_traceback(tmp_path, argv, code) -> None:
     assert got.returncode == code
     assert "Traceback" not in got.stderr
     assert got.stderr.strip()
+
+
+def test_repeated_assignment_names_the_variable(capsys) -> None:
+    argv = ["eval", EXTENSIONAL, "--term", "x", "--assign", "x=s1", "--assign", "x=b1"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: variable 'x' is assigned more than once\n"
+
+
+def _finsem_exception_classes() -> list[type]:
+    """The public exception classes defined in finsem's modules."""
+    found = []
+    for info in pkgutil.iter_modules(finsem.__path__):
+        if info.name.startswith("_"):  # __main__ would run the command line
+            continue
+        module = importlib.import_module(f"{finsem.__name__}.{info.name}")
+        found.extend(
+            obj
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+            and obj.__module__ == module.__name__ and not name.startswith("_")
+        )
+    return found
+
+
+def test_every_finsem_exception_is_a_finsem_error() -> None:
+    classes = _finsem_exception_classes()
+    assert len(classes) >= 20
+    assert FinsemError in classes
+    assert all(issubclass(cls, FinsemError) for cls in classes), classes
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [c for c in _finsem_exception_classes() if c is not ModelFileError],
+    ids=lambda c: c.__name__,
+)
+def test_a_finsem_error_from_a_command_exits_1(monkeypatch, capsys, cls) -> None:
+    err = cls("root", "t", "e") if cls is TermTypeError else cls(f"a {cls.__name__}")
+
+    def handler(mf, args):
+        raise err
+
+    monkeypatch.setattr(cli, "cmd_check_rel", handler)
+    assert cli.main(["check-rel", EXTENSIONAL]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"

@@ -234,6 +234,14 @@ NESTED_TYPE_ERRORS = [
         TermTypeError, "at root.body.body.left: expected t, found e", id="left",
     ),
     pytest.param(
+        Not(Iota("x", And(READS, Var("x")))), EXT,
+        TermTypeError, "at root.body.body.right: expected t, found e", id="and-right",
+    ),
+    pytest.param(
+        Eq(THE_STUDENT, Iota("y", Not(Var("y")))), EXT,
+        TermTypeError, "at root.right.body.body: expected t, found e", id="not-body",
+    ),
+    pytest.param(
         _twice_not(Eq(THE_STUDENT, READS)), EXT,
         TermTypeError, "at root.body.body.right: expected e, found t", id="right",
     ),
@@ -257,6 +265,10 @@ NESTED_TYPE_ERRORS = [
         FNS,
         TermTypeError, "at root.body.right.args[1].args[0]: expected a function-typed constant, found rel(e)",
         id="not-a-function",
+    ),
+    pytest.param(
+        Not(Eq(ALICE, FuncApp("mentor", (PredApp("student", (ALICE,)),)))), FNS,
+        TermTypeError, "at root.body.right.args[0]: expected e, found t", id="func-args",
     ),
     pytest.param(
         Not(Eq(ALICE, FuncApp("pick", (ALICE, ALICE, ALICE)))), FNS,

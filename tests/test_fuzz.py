@@ -1,9 +1,10 @@
 """Fuzzed inputs to the parsers and the model-file loader, and the term
-syntax round trip.
+syntax and model-file round trips.
 
 Malformed input must end in the documented exception, never another one: a
 type or term text in ValueError, a model document in ModelFileError. Every
-term renders to text that parses back to the same term.
+term renders to text that parses back to the same term, and every model file
+dumps to a document that loads back to the same model file.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from finsem.denote import (
     render_term,
 )
 from finsem.generators import random_model, random_term
-from finsem.modelfile import ModelFileError, model_file_from_doc
+from finsem.fragment import LexEntry
+from finsem.modelfile import ModelFile, ModelFileError, dump_model_file, model_file_from_doc
 from finsem.semmodel import (
     EntType,
     FnType,
@@ -225,3 +227,24 @@ def test_rendered_random_terms_parse_back(seed: int) -> None:
     for _ in range(5):
         term = random_term(rng, m, max_depth=4)
         assert parse_term(render_term(term), names) == term
+
+
+def _lexicon_for(m) -> dict[str, LexEntry]:
+    """One entry of every category the model can interpret."""
+    lexicon = {"the": LexEntry("the", "D", sem="iota")}
+    for c in m.constants:
+        if isinstance(c.semtype, RelType):
+            cat = "N" if len(c.semtype.components) == 1 else "V"
+            lexicon[f"w{c.name}"] = LexEntry(f"w{c.name}", cat, pred=c.name)
+    for f in m.frames:
+        lexicon[f"might{f.label}"] = LexEntry(f"might{f.label}", "Mod", frame=f.label)
+    return lexicon
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_dumped_random_model_files_load_back(seed: int) -> None:
+    rng = random.Random(seed)
+    m = random_model(rng, min_frames=0, max_frames=3)
+    terms = {f"t{i}": random_term(rng, m, max_depth=3) for i in range(rng.randint(0, 3))}
+    mf = ModelFile(m, _lexicon_for(m), terms)
+    assert model_file_from_doc(json.loads(dump_model_file(mf))) == mf

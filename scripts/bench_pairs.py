@@ -11,9 +11,18 @@ once on each side, the base first on even pairs and the head first on odd
 ones, so drift in the machine's speed falls on both sides alike.
 
 The record holds every run (pair, seed, side, whether it ran first, the
-benchmark's correct/attempted/failed and its five end-to-end metrics), and per
-workload and metric each side's median and quartiles and the number of pairs
-the head won, in the direction BENCHMARK.json gives for the metric.
+benchmark's correct/attempted/failed and its five end-to-end metrics), each
+side's attempted and failed totals per workload, and per workload and metric
+each side's median and quartiles, the number of pairs the head won (in the
+direction BENCHMARK.json gives for the metric) and a verdict:
+
+    gain          the head won at least 9 of 10 pairs and its median is
+                  better than the base median by more than the base IQR
+    unresolved    the base runs spread wider than the metric's bound
+                  (IQR over median) and the head did not win every pair
+    within bound  the head median is worse than the base median by at most
+                  the metric's bound from BENCHMARK.json, relative to the base
+    worse         the head median is worse by more than the bound
 """
 
 from __future__ import annotations
@@ -79,22 +88,46 @@ def quartiles(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def verdict(base: dict, head: dict, sign: int, head_wins: int, pairs: int, bound: float) -> str:
+    """The verdict on one metric; sign is 1 when higher is better, -1 when lower is."""
+    gap = sign * (head["median"] - base["median"])
+    if 10 * head_wins >= 9 * pairs and gap > base["iqr"]:
+        return "gain"
+    if base["iqr"] > bound * abs(base["median"]) and head_wins < pairs:
+        return "unresolved"
+    return "within bound" if -gap <= bound * abs(base["median"]) else "worse"
+
+
+def summarize(runs: list[dict], spec: dict[str, dict]) -> dict:
+    """Per metric of spec (name -> its BENCHMARK.json entry) the quartiles of
+    both sides, the pairs the head won and the verdict."""
     out = {}
-    for metric, direction in better.items():
+    for metric, entry in spec.items():
         by_pair: dict[int, dict[str, float]] = {}
         for r in runs:
             by_pair.setdefault(r["pair"], {})[r["side"]] = r["metrics"][metric]
         pairs = [p for p in by_pair.values() if len(p) == 2]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if entry["better"] == "higher" else -1
+        base, head = quartiles([p["base"] for p in pairs]), quartiles([p["head"] for p in pairs])
+        head_wins = sum(sign * (p["head"] - p["base"]) > 0 for p in pairs)
         out[metric] = {
-            "base": quartiles([p["base"] for p in pairs]),
-            "head": quartiles([p["head"] for p in pairs]),
-            "better": direction,
-            "head_wins": sum(sign * (p["head"] - p["base"]) > 0 for p in pairs),
+            "base": base,
+            "head": head,
+            "better": entry["better"],
+            "bound": entry["bound"],
+            "head_wins": head_wins,
             "pairs": len(pairs),
+            "verdict": verdict(base, head, sign, head_wins, len(pairs), entry["bound"]),
         }
     return out
+
+
+def totals(runs: list[dict]) -> dict:
+    """Each side's attempted and failed operations, summed over its runs."""
+    return {
+        side: {key: sum(r[key] for r in runs if r["side"] == side) for key in ("attempted", "failed")}
+        for side in ("base", "head")
+    }
 
 
 def main() -> int:
@@ -109,7 +142,7 @@ def main() -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     record: dict = {
         "command": "python3 perfbench/run.py --workload W --seed S",
@@ -141,13 +174,21 @@ def main() -> int:
                     })
                     print(f"{workload} pair {i} seed {seed} {side}: "
                           f"work_per_s {runs[-1]['metrics']['work_per_s']:.6g}", flush=True)
-            record["workloads"][workload] = {"summary": summarize(runs, better), "runs": runs}
+            record["workloads"][workload] = {
+                "summary": summarize(runs, metrics),
+                "totals": totals(runs),
+                "runs": runs,
+            }
     record["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for workload, data in record["workloads"].items():
+        t = data["totals"]
+        print(f"{workload}: failed base {t['base']['failed']}/{t['base']['attempted']}, "
+              f"head {t['head']['failed']}/{t['head']['attempted']}")
         for metric, s in data["summary"].items():
             print(f"{workload} {metric}: base {s['base']['median']:.6g} (IQR {s['base']['iqr']:.3g}) "
-                  f"-> head {s['head']['median']:.6g}, head better {s['head_wins']}/{s['pairs']}")
+                  f"-> head {s['head']['median']:.6g}, head better {s['head_wins']}/{s['pairs']}: "
+                  f"{s['verdict']}")
     return 0
 
 

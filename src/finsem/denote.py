@@ -188,6 +188,22 @@ def has_modal(term: Term) -> bool:
     return False
 
 
+def free_vars(term: Term) -> frozenset[str]:
+    """The variables term uses outside every lam and iota that binds them."""
+    match term:
+        case Var(name):
+            return frozenset((name,))
+        case PredApp(_, args) | FuncApp(_, args):
+            return frozenset().union(*map(free_vars, args))
+        case Lam(var, _, body) | Iota(var, body):
+            return free_vars(body) - {var}
+        case Diamond(_, body) | Not(body):
+            return free_vars(body)
+        case App(left, right) | And(left, right) | Eq(left, right):
+            return free_vars(left) | free_vars(right)
+    return frozenset()
+
+
 # ---------------------------------------------------------------------------
 # typechecking
 

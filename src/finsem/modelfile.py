@@ -27,19 +27,25 @@ truth values as 0/1, pairs as 2-lists, sets as lists of member encodings,
 relations as lists of tuples (lists), finite functions as lists of
 [key, value] 2-lists.
 
-The loader collects every schema problem, every model validation violation
-and every lexicon entry whose pred is not a constant of the type its category
-needs (rel(e) for N, rel(e,e) for V) before failing, so one pass reports all
-defects.
+The loader collects every schema problem, every model validation violation,
+every lexicon entry whose pred is not a constant of the type its category
+needs (rel(e) for N, rel(e,e) for V) and every named term that does not
+typecheck on the model (free variables typed e, as every assignment binds
+entities) before failing, so one pass reports all defects.
+
+Each constant's values are read by one decoder, built once from the
+constant's type and run on every table row. A value's location, as in
+"constant 'p' table[0].value[1][0]", is kept as a (parent, step) chain and
+rendered as text only when a problem is reported there.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from .denote import Term, parse_term, render_term
+from .denote import Term, free_vars, parse_term, render_term, typecheck
 from .fragment import LexEntry
 from .kripke import Frame
 from .relalg import FinSet, FinsemError, Relation
@@ -127,7 +133,7 @@ def model_file_from_doc(doc: Any) -> ModelFile:
             errs.append(f"validation: {where}{v.kind} ({v.detail})")
 
     lexicon = _load_lexicon(doc.get("lexicon", {}), frames, constants, errs)
-    terms = _load_terms(doc.get("terms", {}), constants, errs)
+    terms = _load_terms(doc.get("terms", {}), constants, model, errs)
 
     if errs or model is None:
         raise ModelFileError(errs or ["no model could be built"])
@@ -135,14 +141,14 @@ def model_file_from_doc(doc: Any) -> ModelFile:
 
 
 def _str_list(
-    j: Any, where: str, errs: list[str], required: bool = False
+    j: Any, where: Any, errs: list[str], required: bool = False
 ) -> Optional[list[str]]:
     if j is None:
         if required:
-            errs.append(f"missing required key {where!r}")
+            errs.append(f"missing required key {_text(where)!r}")
         return None
     if not isinstance(j, list) or not all(isinstance(x, str) for x in j):
-        errs.append(f"{where} must be a list of strings")
+        errs.append(f"{_text(where)} must be a list of strings")
         return None
     return j
 
@@ -210,6 +216,7 @@ def _load_constants(
         errs.append("constants must be a list")
         return out
     labels = [f.label for f in frames]
+    indices: dict[tuple[str, ...], Index] = {}  # one shared Index per row key
     for i, cj in enumerate(j):
         where = f"constants[{i}]"
         if not isinstance(cj, dict):
@@ -237,22 +244,21 @@ def _load_constants(
         if not isinstance(rows, list):
             errs.append(f"{where}: table must be a list")
             continue
+        decode = _decoder(semtype)
         for k, row in enumerate(rows):
-            rw = f"{where} table[{k}]"
+            rw = ((where, " table"), k)
             if not isinstance(row, dict) or set(row) - {"index", "value"}:
-                errs.append(f"{rw}: rows are objects with index and value")
+                _bad(errs, rw, "rows are objects with index and value")
                 continue
-            idx_j = _str_list(row.get("index"), f"{rw}.index", errs, True)
+            idx_j = _str_list(row.get("index"), (rw, ".index"), errs, True)
             if idx_j is None:
                 continue
             if len(idx_j) != len(labels):
-                errs.append(
-                    f"{rw}: index has {len(idx_j)} components, model has "
-                    f"{len(labels)} frames"
-                )
+                _bad(errs, rw, f"index has {len(idx_j)} components, model has {len(labels)} frames")
                 continue
-            idx = Index(tuple(zip(labels, idx_j)))
-            val = decode_value(row.get("value"), semtype, errs, f"{rw}.value")
+            key = tuple(idx_j)
+            idx = indices.get(key) or indices.setdefault(key, Index(tuple(zip(labels, key))))
+            val = decode(row.get("value"), errs, (rw, ".value"))
             if val is None:
                 continue
             table.append((idx, val))
@@ -314,7 +320,7 @@ def _load_lexicon(
 
 
 def _load_terms(
-    j: Any, constants: list[Constant], errs: list[str]
+    j: Any, constants: list[Constant], model: Optional[Model], errs: list[str]
 ) -> dict[str, Term]:
     out: dict[str, Term] = {}
     if not isinstance(j, dict):
@@ -326,8 +332,11 @@ def _load_terms(
             errs.append(f"terms[{name!r}] must be a string")
             continue
         try:
-            out[name] = parse_term(tj, names)
-        except ValueError as err:
+            term = parse_term(tj, names)
+            if model is not None:  # free variables are typed e: assignments bind entities
+                typecheck(term, model, dict.fromkeys(free_vars(term), EntType()))
+            out[name] = term
+        except (ValueError, FinsemError) as err:
             errs.append(f"terms[{name!r}]: {err}")
     return out
 
@@ -335,93 +344,115 @@ def _load_terms(
 # ---------------------------------------------------------------------------
 # value coding
 
+Decoder = Callable[[Any, list[str], Any], Optional[Value]]
+
 
 def decode_value(
     j: Any, t: SemType, errs: list[str], where: str
 ) -> Optional[Value]:
+    return _decoder(t)(j, errs, where)
+
+
+def _text(at: Any) -> str:
+    """The text of a location; built only for an error, never while decoding."""
+    steps = []
+    while isinstance(at, tuple):
+        at, step = at
+        steps.append(f"[{step}]" if isinstance(step, int) else step)
+    return at + "".join(reversed(steps))
+
+
+def _bad(errs: list[str], at: Any, problem: str) -> None:
+    errs.append(f"{_text(at)}: {problem}")
+
+
+def _row(decoders: tuple[Decoder, ...], j: Any, errs: list[str], at: Any, problem: str) -> Any:
+    """A list of one item per decoder, decoded item by item, or None."""
+    if not isinstance(j, list) or len(j) != len(decoders):
+        return _bad(errs, at, problem)
+    start = len(errs)
+    items = tuple([decode(x, errs, (at, k)) for k, (decode, x) in enumerate(zip(decoders, j))])
+    return None if len(errs) > start else items
+
+
+def _decoder(t: SemType) -> Decoder:
+    """The decoder of values of type t, built once per type. It takes the JSON,
+    the error list and the value's location: a string, or a (location, step)
+    pair whose step is an int (rendered "[i]") or text. It returns None exactly
+    when it has appended at least one error."""
     match t:
         case EntType():
-            if isinstance(j, str):
-                return Entity(j)
-            errs.append(f"{where}: expected an entity id string")
+            entities: dict[str, Entity] = {}  # one shared Entity per id
+            return lambda j, errs, at: (
+                entities.get(j) or entities.setdefault(j, Entity(j))
+                if isinstance(j, str)
+                else _bad(errs, at, "expected an entity id string")
+            )
         case TruthType():
-            if isinstance(j, int) and not isinstance(j, bool) and j in (0, 1):
-                return Truth(j)
-            errs.append(f"{where}: expected 0 or 1")
+            return lambda j, errs, at: (
+                Truth(j)
+                if isinstance(j, int) and not isinstance(j, bool) and j in (0, 1)
+                else _bad(errs, at, "expected 0 or 1")
+            )
         case IdxType(label):
-            if isinstance(j, str):
-                return IndexElem(label, j)
-            errs.append(f"{where}: expected an element id string")
+            return lambda j, errs, at: (
+                IndexElem(label, j)
+                if isinstance(j, str)
+                else _bad(errs, at, "expected an element id string")
+            )
         case PairType(a, b):
-            if isinstance(j, list) and len(j) == 2:
-                first = decode_value(j[0], a, errs, f"{where}[0]")
-                second = decode_value(j[1], b, errs, f"{where}[1]")
-                if first is not None and second is not None:
-                    return TupleV((first, second))
-            else:
-                errs.append(f"{where}: expected a 2-list")
+            both = (_decoder(a), _decoder(b))
+
+            def pair(j: Any, errs: list[str], at: Any) -> Optional[Value]:
+                items = _row(both, j, errs, at, "expected a 2-list")
+                return None if items is None else TupleV(items)
+
+            return pair
         case SetType(member):
-            if isinstance(j, list):
-                vals = [
-                    decode_value(x, member, errs, f"{where}[{i}]")
+            each = _decoder(member)
+
+            def members(j: Any, errs: list[str], at: Any) -> Optional[Value]:
+                if not isinstance(j, list):
+                    return _bad(errs, at, "expected a list of members")
+                vals = frozenset([each(x, errs, (at, i)) for i, x in enumerate(j)])
+                if None in vals:
+                    return None
+                return SetV(vals) if len(vals) == len(j) else _bad(errs, at, "duplicate set member")
+
+            return members
+        case RelType(components):
+            items = tuple(_decoder(c) for c in components)
+            arity = f"expected a {len(items)}-list"
+
+            def tuples(j: Any, errs: list[str], at: Any) -> Optional[Value]:
+                if not isinstance(j, list):
+                    return _bad(errs, at, "expected a list of tuples")
+                rows = [_row(items, x, errs, (at, i), arity) for i, x in enumerate(j)]
+                if None in rows:
+                    return None
+                vals = frozenset(map(TupleV, rows))
+                return SetV(vals) if len(vals) == len(rows) else _bad(errs, at, "duplicate tuple")
+
+            return tuples
+        case FnType(domain, codomain):
+            both = (_decoder(domain), _decoder(codomain))
+
+            def entries(j: Any, errs: list[str], at: Any) -> Optional[Value]:
+                if not isinstance(j, list):
+                    return _bad(errs, at, "expected a list of [key, value] 2-lists")
+                rows = [
+                    _row(both, x, errs, (at, i), "expected a [key, value] 2-list")
                     for i, x in enumerate(j)
                 ]
-                if all(v is not None for v in vals):
-                    if len(set(vals)) != len(vals):
-                        errs.append(f"{where}: duplicate set member")
-                        return None
-                    return SetV(frozenset(vals))
-            else:
-                errs.append(f"{where}: expected a list of members")
-        case RelType(components):
-            if isinstance(j, list):
-                rows: list[Value] = []
-                ok = True
-                for i, row in enumerate(j):
-                    if not isinstance(row, list) or len(row) != len(components):
-                        errs.append(f"{where}[{i}]: expected a {len(components)}-list")
-                        ok = False
-                        continue
-                    items = [
-                        decode_value(x, c, errs, f"{where}[{i}][{k}]")
-                        for k, (x, c) in enumerate(zip(row, components))
-                    ]
-                    if any(v is None for v in items):
-                        ok = False
-                        continue
-                    rows.append(TupleV(tuple(items)))
-                if ok:
-                    if len(set(rows)) != len(rows):
-                        errs.append(f"{where}: duplicate tuple")
-                        return None
-                    return SetV(frozenset(rows))
-            else:
-                errs.append(f"{where}: expected a list of tuples")
-        case FnType(domain, codomain):
-            if isinstance(j, list):
-                entries: list[tuple[Value, Value]] = []
-                ok = True
-                for i, row in enumerate(j):
-                    if not isinstance(row, list) or len(row) != 2:
-                        errs.append(f"{where}[{i}]: expected a [key, value] 2-list")
-                        ok = False
-                        continue
-                    k = decode_value(row[0], domain, errs, f"{where}[{i}][0]")
-                    v = decode_value(row[1], codomain, errs, f"{where}[{i}][1]")
-                    if k is None or v is None:
-                        ok = False
-                        continue
-                    entries.append((k, v))
-                if ok:
-                    try:
-                        return FnV(tuple(entries))
-                    except ValueError as err:
-                        errs.append(f"{where}: {err}")
-            else:
-                errs.append(f"{where}: expected a list of [key, value] 2-lists")
-        case _:
-            errs.append(f"{where}: cannot decode type {render_type(t)}")
-    return None
+                if None in rows:
+                    return None
+                try:
+                    return FnV(tuple(rows))
+                except ValueError as err:
+                    return _bad(errs, at, str(err))
+
+            return entries
+    return lambda j, errs, at: _bad(errs, at, f"cannot decode type {render_type(t)}")
 
 
 def encode_value(v: Value, t: SemType) -> Any:

@@ -13,6 +13,12 @@ works at index positions, not Index values: it reads a constant's value at a
 position from `columns` (only once the model is valid, when each constant has
 exactly one row per index), a frame's successors from `successor_positions`,
 and builds a lambda's function value directly in `entity_key_order`.
+
+Validation builds one membership checker per constant from its type and runs
+it on every table row: entity ids are looked up in a frozenset, and a
+function type's domain keys are enumerated once per constant, on the first
+function value checked. A missing frame or an oversized domain raises when a
+value is checked, so each such row is still reported on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .kripke import Frame
 from .relalg import FinSet, FinsemError
@@ -448,7 +454,9 @@ class Model:
                 tuple(
                     sorted(
                         c.table,
-                        key=lambda e: (position.get(e[0], len(position)), e[0].render()),
+                        key=lambda e: (p, "")
+                        if (p := position.get(e[0])) is not None
+                        else (len(position), e[0].render()),
                     )
                 ),
             )
@@ -654,38 +662,62 @@ def _enumerate(m: Model, t: SemType, limit: int) -> list[Value]:
 
 def inhabits(m: Model, value: Value, t: SemType) -> bool:
     """Exhaustive membership check of a value in the domain of a type."""
-    match (t, value):
-        case (EntType(), Entity(ident)):
-            return ident in m.entity_domain
-        case (TruthType(), Truth(_)):
-            return True
-        case (IdxType(label), IndexElem(vlabel, ident)):
+    return _checker(m, t)(value)
+
+
+def _checker(m: Model, t: SemType) -> Callable[[Value], bool]:
+    """The membership test of type t in m, built once per type. A missing
+    frame or an oversized function domain raises when a value is checked,
+    never here; a function domain's key set is computed on the first check."""
+    match t:
+        case EntType():
+            ids = frozenset(m.entity_domain.elements)
+            return lambda v: isinstance(v, Entity) and v.ident in ids
+        case TruthType():
+            return lambda v: isinstance(v, Truth)
+        case IdxType(label):
             fr = m.frame(label)
-            if fr is None:
-                raise UngroundedType(f"no frame {label!r} in this model")
-            return vlabel == label and ident in fr.domain
-        case (PairType(a, b), TupleV(items)):
-            return (
-                len(items) == 2
-                and inhabits(m, items[0], a)
-                and inhabits(m, items[1], b)
+
+            def index_elem(v: Value) -> bool:
+                if isinstance(v, IndexElem) and fr is None:
+                    raise UngroundedType(f"no frame {label!r} in this model")
+                return isinstance(v, IndexElem) and v.label == label and v.ident in fr.domain
+
+            return index_elem
+        case PairType(a, b):
+            first, second = _checker(m, a), _checker(m, b)
+            return lambda v: (
+                isinstance(v, TupleV) and len(v.items) == 2 and first(v.items[0]) and second(v.items[1])
             )
-        case (SetType(member), SetV(members)):
-            return all(inhabits(m, v, member) for v in members)
-        case (RelType(components), SetV(members)):
-            return all(
-                isinstance(v, TupleV)
-                and len(v.items) == len(components)
-                and all(inhabits(m, item, c) for item, c in zip(v.items, components))
-                for v in members
-            )
-        case (FnType(domain, codomain), FnV(entries)):
-            expected = {value_key(k) for k in type_domain(m, domain)}
-            actual = {value_key(k) for k, _ in entries}
-            return expected == actual and all(
-                inhabits(m, v, codomain) for _, v in entries
-            )
-    return False
+        case SetType(member):
+            each = _checker(m, member)
+            return lambda v: isinstance(v, SetV) and all(map(each, v.members))
+        case RelType(components):
+            checks = tuple(_checker(m, c) for c in components)
+
+            def row(w: Value) -> bool:
+                if not isinstance(w, TupleV) or len(w.items) != len(checks):
+                    return False
+                for check, x in zip(checks, w.items):
+                    if not check(x):
+                        return False
+                return True
+
+            return lambda v: isinstance(v, SetV) and all(map(row, v.members))
+        case FnType(domain, codomain):
+            value_ok, keys = _checker(m, codomain), []
+
+            def fn(v: Value) -> bool:
+                if not isinstance(v, FnV):
+                    return False
+                if not keys:
+                    keys.append({value_key(k) for k in type_domain(m, domain)})
+                return {value_key(k) for k, _ in v.entries} == keys[0] and all(
+                    value_ok(w) for _, w in v.entries
+                )
+
+            return fn
+    return lambda v: False
 
 
 def validate(m: Model) -> list[Violation]:
@@ -695,6 +727,7 @@ def validate(m: Model) -> list[Violation]:
         out.append(Violation("EmptyEntityDomain", "", "entity domain is empty"))
     space = m.positions
     for c in m.constants:
+        check = _checker(m, c.semtype)
         seen: set[Index] = set()
         for idx, v in c.table:
             if idx in seen:
@@ -709,7 +742,7 @@ def validate(m: Model) -> list[Violation]:
                 )
                 continue
             try:
-                ok = inhabits(m, v, c.semtype)
+                ok = check(v)
             except UngroundedType as err:
                 out.append(Violation("UngroundedType", c.name, str(err)))
                 continue

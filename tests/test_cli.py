@@ -330,7 +330,10 @@ BAD_INPUTS = [
     pytest.param(("eval", MODAL, "--term", READS, "--index", "w9"), 1, id="index-not-in-space"),
     pytest.param(("sentence", EXTENSIONAL, "--text", "the zebra"), 1, id="unknown-word"),
     pytest.param(("square", MODAL, "--frames", "W"), 1, id="square-needs-two-frames"),
+    pytest.param(("check-rel", "{tmp}/ill_typed_term.json"), 2, id="named-term-ill-typed"),
 ]
+
+ILL_TYPED_TERM_DOC = {"entities": ["a"], "terms": {"odd": "(not x)"}}
 
 
 @pytest.mark.parametrize("argv, code", BAD_INPUTS)
@@ -338,6 +341,7 @@ def test_bad_input_exits_1_or_2_without_traceback(tmp_path, argv, code) -> None:
     (tmp_path / "garbage.json").write_text("{not json")
     (tmp_path / "latin1.json").write_bytes('{"entities": ["\xe9"]}'.encode("latin-1"))
     (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "ill_typed_term.json").write_text(json.dumps(ILL_TYPED_TERM_DOC))
     got = run(*(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert got.returncode == code
     assert "Traceback" not in got.stderr
@@ -348,6 +352,13 @@ def test_repeated_assignment_names_the_variable(capsys) -> None:
     argv = ["eval", EXTENSIONAL, "--term", "x", "--assign", "x=s1", "--assign", "x=b1"]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: variable 'x' is assigned more than once\n"
+
+
+def test_ill_typed_named_term_is_malformed_input(tmp_path, capsys) -> None:
+    path = tmp_path / "ill_typed_term.json"
+    path.write_text(json.dumps(ILL_TYPED_TERM_DOC))
+    assert cli.main(["check-rel", str(path)]) == 2
+    assert capsys.readouterr().err == "error: terms['odd']: at root.body: expected t, found e\n"
 
 
 def _finsem_exception_classes() -> list[type]:

@@ -170,6 +170,34 @@ def test_loader_checks_lexicon_preds() -> None:
     ]
 
 
+def test_loader_typechecks_named_terms() -> None:
+    doc = lexicon_doc({})
+    doc["terms"] = {
+        "fine": "(pred likes alice (iota y (pred happy y)))",
+        "unknown": "(pred sad alice)",
+        "ill_typed": "(and (pred happy alice) (not (func alice)))",
+        "modal": "(might W (pred happy alice))",
+    }
+    assert problems_of(doc) == [
+        "terms['unknown']: at root: unknown predicate 'sad'",
+        "terms['ill_typed']: at root.right.body: expected a function-typed constant, found e",
+        "terms['modal']: at root: no frame 'W' in this model",
+    ]
+    doc["terms"] = {"ill_typed": "(and (pred happy alice) (not (pred likes alice alice alice)))"}
+    assert problems_of(doc) == [
+        "terms['ill_typed']: at root.right.body: expected 2 arguments to 'likes', found 3 arguments"
+    ]
+
+
+def test_loader_types_free_variables_of_named_terms_as_entities() -> None:
+    doc = lexicon_doc({})
+    doc["terms"] = {"free": "(and (pred happy x) (eq x alice))", "bound": "(lam x e (pred happy x))"}
+    mf = model_file_from_doc(doc)
+    assert set(mf.terms) == {"free", "bound"}
+    doc["terms"] = {"applied": "(app x alice)"}
+    assert problems_of(doc) == ["terms['applied']: at root.func: expected a function type, found e"]
+
+
 def test_loader_reports_validation_violations() -> None:
     doc = {
         "entities": ["a"],
@@ -239,3 +267,131 @@ def test_model_file_is_plain_data() -> None:
     assert isinstance(mf, ModelFile)
     clone = ModelFile(mf.model, dict(mf.lexicon), dict(mf.terms))
     assert dump_model_file(clone) == dump_model_file(mf)
+
+
+def one_constant_doc(ty: str, *values, entities=("a", "b"), frame=("w0", "w1")) -> dict:
+    """A one-frame document whose constant p of type ty has the given values,
+    one row per frame element."""
+    return {
+        "entities": list(entities),
+        "frames": [{"label": "W", "elements": list(frame), "pairs": []}],
+        "constants": [
+            {
+                "name": "p",
+                "type": ty,
+                "table": [{"index": [w], "value": v} for w, v in zip(frame, values)],
+            }
+        ],
+    }
+
+
+def problems_of(doc: dict) -> list[str]:
+    with pytest.raises(ModelFileError) as e:
+        model_file_from_doc(doc)
+    return e.value.problems
+
+
+LOCATED_DECODE_PROBLEMS = [
+    # a row that is not an index/value object, then a value of the wrong JSON type
+    (
+        {**one_constant_doc("e", "a"), "constants": [
+            {"name": "p", "type": "e", "table": [{"index": ["w0"], "value": "a"}, ["w1", "a"]]},
+            {"name": "q", "type": "e", "table": [{"index": ["w0"], "value": 3}]},
+        ]},
+        [
+            "constant 'p' table[1]: rows are objects with index and value",
+            "constant 'q' table[0].value: expected an entity id string",
+        ],
+    ),
+    # an index that is missing, one that is not a list of strings, one of the wrong length
+    (
+        {**one_constant_doc("e"), "constants": [{"name": "p", "type": "e", "table": [
+            {"value": "a"}, {"index": [1], "value": "a"}, {"index": [], "value": "a"}]}]},
+        [
+            "missing required key \"constant 'p' table[0].index\"",
+            "constant 'p' table[1].index must be a list of strings",
+            "constant 'p' table[2]: index has 0 components, model has 1 frames",
+        ],
+    ),
+    (one_constant_doc("t", True, 2), [
+        "constant 'p' table[0].value: expected 0 or 1",
+        "constant 'p' table[1].value: expected 0 or 1",
+    ]),
+    (one_constant_doc("s(W)", 0, ["w0"]), [
+        "constant 'p' table[0].value: expected an element id string",
+        "constant 'p' table[1].value: expected an element id string",
+    ]),
+    (one_constant_doc("set(e)", ["a", 7, None], "a"), [
+        "constant 'p' table[0].value[1]: expected an entity id string",
+        "constant 'p' table[0].value[2]: expected an entity id string",
+        "constant 'p' table[1].value: expected a list of members",
+    ]),
+    (one_constant_doc("set(set(e))", [["a"], ["b", 3]], [["a"], ["a", "a"]]), [
+        "constant 'p' table[0].value[1][1]: expected an entity id string",
+        "constant 'p' table[1].value[1]: duplicate set member",
+    ]),
+    (one_constant_doc("set(e)", ["a", "b", "a"], [[]]), [
+        "constant 'p' table[0].value: duplicate set member",
+        "constant 'p' table[1].value[0]: expected an entity id string",
+    ]),
+    (one_constant_doc("rel(e,e)", [["a", "b"], ["a", 7], ["b"], "ab"], {"a": "b"}), [
+        "constant 'p' table[0].value[1][1]: expected an entity id string",
+        "constant 'p' table[0].value[2]: expected a 2-list",
+        "constant 'p' table[0].value[3]: expected a 2-list",
+        "constant 'p' table[1].value: expected a list of tuples",
+    ]),
+    (one_constant_doc("rel(e,s(W))", [["a", "w0"], ["a", "w0"]], [[7, 8]]), [
+        "constant 'p' table[0].value: duplicate tuple",
+        "constant 'p' table[1].value[0][0]: expected an entity id string",
+        "constant 'p' table[1].value[0][1]: expected an element id string",
+    ]),
+    (one_constant_doc("pair(e,t)", [7, "x"], ["a"]), [
+        "constant 'p' table[0].value[0]: expected an entity id string",
+        "constant 'p' table[0].value[1]: expected 0 or 1",
+        "constant 'p' table[1].value: expected a 2-list",
+    ]),
+    (one_constant_doc("fn(e,t)", [["a", 2], [7, 0], ["b"]], [["a", 1], ["a", 0]]), [
+        "constant 'p' table[0].value[0][1]: expected 0 or 1",
+        "constant 'p' table[0].value[1][0]: expected an entity id string",
+        "constant 'p' table[0].value[2]: expected a [key, value] 2-list",
+        "constant 'p' table[1].value: duplicate keys in function value",
+    ]),
+    (one_constant_doc("fn(e,e,t)", [[["a", 7], 1]], {}), [
+        "constant 'p' table[0].value[0][0][1]: expected an entity id string",
+        "constant 'p' table[1].value: expected a list of [key, value] 2-lists",
+    ]),
+]
+
+
+@pytest.mark.parametrize("doc, problems", LOCATED_DECODE_PROBLEMS)
+def test_loader_locates_decode_problems_at_depth(doc: dict, problems: list[str]) -> None:
+    # a row that fails to decode is also reported missing by validation
+    assert [p for p in problems_of(doc) if not p.startswith("validation: ")] == problems
+
+
+def test_validation_raises_per_row_not_per_type() -> None:
+    # s(X) names no frame: each row's value is refused on its own
+    assert problems_of(one_constant_doc("s(X)", "x0", "x1")) == [
+        "validation: constant 'p': UngroundedType (no frame 'X' in this model)",
+        "validation: constant 'p': UngroundedType (no frame 'X' in this model)",
+    ]
+    # a function domain too large to enumerate is refused per function value
+    many = tuple(f"e{i:02}" for i in range(21))
+    doc = one_constant_doc("fn(set(e),t)", [[[], 1]], [[["e00"], 0]], entities=many)
+    assert problems_of(doc) == [
+        "validation: constant 'p': DomainTooLarge (set(e) exceeds 1000000 values)",
+        "validation: constant 'p': DomainTooLarge (set(e) exceeds 1000000 values)",
+    ]
+    # with no value to check, neither type raises
+    for ty, entities in (("s(X)", ("a",)), ("fn(set(e),t)", many), ("set(fn(set(e),t))", many)):
+        assert problems_of(one_constant_doc(ty, entities=entities)) == [
+            "validation: constant 'p': MissingIndexEntry (index w0)",
+            "validation: constant 'p': MissingIndexEntry (index w1)",
+        ]
+    assert model_file_from_doc(one_constant_doc("set(fn(set(e),t))", [], [], entities=many))
+
+
+def test_validation_reports_a_partial_function() -> None:
+    assert problems_of(one_constant_doc("fn(e,t)", [["a", 1]], [["a", 0], ["b", 1]])) == [
+        "validation: constant 'p': IllTypedValue (index w0: value does not inhabit fn(e,t))",
+    ]

@@ -1,0 +1,188 @@
+"""A seeded corpus of corrupted model-file documents with pinned outcomes.
+
+Each document is a bundled model, a hand-written document that uses every
+type constructor, or a generated model dumped with dump_model_file. One to
+three positions inside its "constants" block are replaced by junk (wrong JSON
+types, unknown ids), swapped for another id of the document, deleted,
+duplicated or given the wrong arity. The outcome of loading it (the loader's
+problem list, or the canonical dump and the validation report of a model that
+loads) is hashed, and the hash of all outcomes is pinned, so any change to a
+decode or validation message, to its order or to what loads shows here. The
+count of each problem kind is pinned too, to show where a change lies. Named terms are left out of the base
+documents: whether they typecheck is tested on its own in test_modelfile.py.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import json
+import random
+import re
+from collections import Counter
+from typing import Any
+
+from finsem.generators import random_model
+from finsem.modelfile import ModelFile, ModelFileError, dump_model_file, model_file_from_doc
+
+from helpers import MODELS_DIR
+
+DOCUMENTS = 2000
+SEED = 8
+PINNED_DIGEST = "53ff5f78d1b7b553bc455a41acdf5af3c443eaf2920da99ee0265a4cf0ecff5c"
+PINNED_COUNTS = {
+    "DuplicateIndexEntry": 66,
+    "IllTypedValue": 236,
+    "MissingIndexEntry": 2487,
+    "UnexpectedIndexEntry": 144,
+    "constant Q table[N].index must be a list of strings": 352,
+    "constants[N] must be an object": 177,
+    "duplicate keys in function value": 32,
+    "duplicate set member": 2,
+    "duplicate tuple": 37,
+    "expected N or N": 6,
+    "expected a N-list": 378,
+    "expected a [key, value] N-list": 235,
+    "expected a list of [key, value] N-lists": 43,
+    "expected a list of members": 3,
+    "expected a list of tuples": 103,
+    "expected a type at position N in Q": 46,
+    "expected an element id string": 4,
+    "expected an entity id string": 415,
+    "index has N components, model has N frames": 203,
+    "loads": 59,
+    "missing required key \"constant Q table[N].index\"": 78,
+    "name must be a string": 139,
+    "pred Q names no constant": 125,
+    "problems": 1941,
+    "rows are objects with index and value": 308,
+    "table must be a list": 95,
+    "type must be a string": 86,
+    "unknown ground type Q": 72,
+    "unknown key Q": 11,
+}
+
+# wrong JSON types and unknown ids; each document's own ids are added to these
+JUNK = (7, -1, 2, 1.5, True, None, "", "zz", [], {}, ["zz"], [[]], [["zz", "zz"]], {"x": 1})
+
+EVERY_TYPE = {
+    "entities": ["a", "b"],
+    "frames": [{"label": "W", "elements": ["w0", "w1"], "pairs": [["w0", "w1"]]}],
+    "constants": [
+        {"name": name, "type": ty, "table": [{"index": [w], "value": v} for w, v in rows]}
+        for name, ty, rows in (
+            ("flag", "t", (("w0", 0), ("w1", 1))),
+            ("here", "s(W)", (("w0", "w0"), ("w1", "w0"))),
+            ("duo", "pair(e,t)", (("w0", ["a", 1]), ("w1", ["b", 0]))),
+            ("some", "set(e)", (("w0", ["a", "b"]), ("w1", []))),
+            ("nest", "set(set(e))", (("w0", [[], ["a"]]), ("w1", [["a", "b"]]))),
+            ("seen", "rel(e,s(W))", (("w0", [["a", "w1"]]), ("w1", [["b", "w0"], ["a", "w0"]]))),
+            ("odd", "fn(e,t)", (("w0", [["a", 1], ["b", 0]]), ("w1", [["a", 0], ["b", 0]]))),
+            ("likes", "fn(e,e,e)", (
+                ("w0", [[["a", "a"], "a"], [["a", "b"], "b"], [["b", "a"], "a"], [["b", "b"], "b"]]),
+                ("w1", [[["a", "a"], "b"], [["a", "b"], "b"], [["b", "a"], "b"], [["b", "b"], "b"]]),
+            )),
+        )
+    ],
+}
+
+
+def base_documents(rng: random.Random) -> list[dict]:
+    docs = []
+    for path in sorted(MODELS_DIR.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc.pop("terms", None)
+        docs.append(doc)
+    docs.append(EVERY_TYPE)
+    for _ in range(12):
+        m = random_model(rng, min_frames=0, max_frames=2)
+        docs.append(json.loads(dump_model_file(ModelFile(m, {}, {}))))
+    return docs
+
+
+def positions(node: Any, path: tuple = ()) -> list[tuple]:
+    """Every path to a node below node, node itself excluded."""
+    out = []
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        out.append(path + (key,))
+        out.extend(positions(child, path + (key,)))
+    return out
+
+
+def corrupt(rng: random.Random, doc: dict, ids: tuple[str, ...]) -> None:
+    """Change one position inside doc["constants"]; ids are the document's
+    entity and frame element ids, so a value can turn into another valid one."""
+    junk = JUNK + ids
+    path = rng.choice(positions(doc["constants"]) or [()])
+    if not path:
+        doc["constants"] = rng.choice(junk)
+        return
+    parent = doc["constants"]
+    for key in path[:-1]:
+        parent = parent[key]
+    key, node = path[-1], parent[path[-1]]
+    kind = rng.choice(("junk", "junk", "id", "delete", "duplicate", "arity"))
+    if kind == "id" and isinstance(node, str):
+        parent[key] = rng.choice(ids)
+    elif kind == "delete":
+        del parent[key]
+    elif kind == "duplicate" and isinstance(node, list) and node:
+        node.insert(rng.randrange(len(node) + 1), copy.deepcopy(rng.choice(node)))
+    elif kind == "arity" and isinstance(node, list):
+        if node and rng.random() < 0.5:
+            node.pop(rng.randrange(len(node)))
+        else:
+            node.append(copy.deepcopy(rng.choice(node)) if node else rng.choice(junk))
+    else:
+        parent[key] = copy.deepcopy(rng.choice(junk))
+
+
+def outcome(doc: dict) -> list:
+    try:
+        mf = model_file_from_doc(doc)
+    except ModelFileError as err:
+        return ["problems", err.problems]
+    dump = hashlib.sha256(dump_model_file(mf).encode()).hexdigest()
+    return ["loads", dump, [[v.kind, v.constant, v.detail] for v in mf.model.violations]]
+
+
+def corpus_outcomes() -> list[list]:
+    rng = random.Random(SEED)
+    bases = base_documents(rng)
+    outcomes = []
+    for _ in range(DOCUMENTS):
+        doc = copy.deepcopy(rng.choice(bases))
+        ids = tuple(doc["entities"]) + tuple(e for f in doc.get("frames", []) for e in f["elements"])
+        for _ in range(rng.randint(1, 3)):
+            corrupt(rng, doc, ids)
+        outcomes.append(outcome(doc))
+    return outcomes
+
+
+def digest(outcomes: list[list]) -> str:
+    each = [hashlib.sha256(json.dumps(o).encode()).hexdigest() for o in outcomes]
+    return hashlib.sha256("\n".join(each).encode()).hexdigest()
+
+
+def kind(problem: str) -> str:
+    """A violation's kind, or a problem without its location, names and numbers."""
+    violation = re.match(r"validation: (?:constant '[^']*': )?(\w+)", problem)
+    if violation:
+        return violation.group(1)
+    return re.sub(r"\d+", "N", re.sub(r"'[^']*'", "Q", problem.rsplit(": ", 1)[-1]))
+
+
+def counts(outcomes: list[list]) -> dict[str, int]:
+    """How many documents load, and how many problems there are of each kind."""
+    c: Counter = Counter(o[0] for o in outcomes)
+    for o in outcomes:
+        if o[0] == "problems":
+            c.update(kind(p) for p in o[1])
+    return dict(sorted(c.items()))
+
+
+def test_corrupted_corpus_outcomes_are_pinned() -> None:
+    outcomes = corpus_outcomes()
+    assert counts(outcomes) == PINNED_COUNTS
+    assert digest(outcomes) == PINNED_DIGEST

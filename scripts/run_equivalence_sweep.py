@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from finsem.generators import random_model, random_term
-from finsem.morphisms import trivialize_all, verify_equivalence
+from finsem.morphisms import EquivalenceReport, trivialize_all, verify_equivalence
 from finsem.relalg import FinsemError
 from finsem.semmodel import Assignment
 
@@ -64,10 +64,7 @@ def internal_errors(records, allowed: frozenset[str]) -> list[str]:
 def run_sweep(cfg: SweepConfig) -> int:
     rng = random.Random(cfg.seed)
     start = time.perf_counter()
-    totals: dict[str, tuple[int, int]] = {}
-    mismatch_lines: list[str] = []
-    internal_lines: list[str] = []
-    allowed = finsem_error_kinds()
+    records = []
     for _ in range(cfg.models):
         m = trivialize_all(
             random_model(
@@ -81,29 +78,20 @@ def run_sweep(cfg: SweepConfig) -> int:
         g = Assignment(
             tuple((v, rng.choice(m.entity_domain.elements)) for v in ("x", "y", "z"))
         )
-        report = verify_equivalence(m, terms, [g])
-        for cat, (checked, bad) in report.by_category().items():
-            c, b = totals.get(cat, (0, 0))
-            totals[cat] = (c + checked, b + bad)
-        mismatch_lines.extend(check_line(rec) for rec in report.mismatches)
-        internal_lines.extend(internal_errors(report.checks, allowed))
+        records.extend(verify_equivalence(m, terms, [g]).checks)
     elapsed = time.perf_counter() - start
 
-    checked_total = sum(c for c, _ in totals.values())
-    bad_total = sum(b for _, b in totals.values())
-    for cat in sorted(totals):
-        checked, bad = totals[cat]
-        print(f"{cat}: {bad} mismatches / {checked} checks")
-    print(f"total: {bad_total} mismatches / {checked_total} checks ({elapsed:.2f}s)")
+    report = EquivalenceReport(tuple(records))
+    lines = report.summary_lines()
+    lines[-1] += f" ({elapsed:.2f}s)"
+    mismatch_lines = [check_line(rec) for rec in report.mismatches]
+    internal_lines = internal_errors(records, finsem_error_kinds())
     if mismatch_lines:
-        print("mismatching checks:")
-        for line in mismatch_lines:
-            print(line)
+        lines += ["mismatching checks:", *mismatch_lines]
     if internal_lines:
-        print("checks failing with an internal error:")
-        for line in internal_lines:
-            print(line)
-    return 0 if bad_total == 0 and not internal_lines else 1
+        lines += ["checks failing with an internal error:", *internal_lines]
+    print("\n".join(lines))
+    return 0 if not mismatch_lines and not internal_lines else 1
 
 
 def main() -> int:

@@ -1,26 +1,2 @@
 """Finite-model semantics: relations, frames, typed models, two evaluators,
 model collapse morphisms, and two small natural-language fragments."""
-
-from . import (
-    cli,
-    denote,
-    fragment,
-    generators,
-    kripke,
-    modelfile,
-    morphisms,
-    relalg,
-    semmodel,
-)
-
-__all__ = [
-    "cli",
-    "denote",
-    "fragment",
-    "generators",
-    "kripke",
-    "modelfile",
-    "morphisms",
-    "relalg",
-    "semmodel",
-]

@@ -9,6 +9,7 @@ given input file and arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from typing import Optional, Sequence
@@ -166,7 +167,9 @@ def cmd_diagram(mf: ModelFile, args: argparse.Namespace) -> int:
 # wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; main finds each command's cmd_ handler by name."""
     parser = argparse.ArgumentParser(
         prog="finsem", description="finite-model semantics toolkit"
     )
@@ -175,47 +178,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-rel", help="frame relation property report")
     p.add_argument("model")
     p.add_argument("--prop", choices=PROPERTY_NAMES)
-    p.set_defaults(handler=cmd_check_rel)
 
     p = sub.add_parser("check-map", help="collapse-map monotone/bounded report")
     p.add_argument("model")
-    p.set_defaults(handler=cmd_check_map)
 
     p = sub.add_parser("eval", help="evaluate a term")
     p.add_argument("model")
     p.add_argument("--term", required=True)
     p.add_argument("--index")
     p.add_argument("--assign", action="append", metavar="VAR=ENTITY")
-    p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("sentence", help="parse and evaluate a sentence")
     p.add_argument("model")
     p.add_argument("--text", required=True)
     p.add_argument("--index")
-    p.set_defaults(handler=cmd_sentence)
 
     p = sub.add_parser("trivialize", help="collapse one frame and write the model")
     p.add_argument("model")
     p.add_argument("--frame", required=True)
     p.add_argument("--designate")
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_trivialize)
 
     p = sub.add_parser(
         "verify-theorem",
         help="collapse all frames and check both evaluators agree on every term",
     )
     p.add_argument("model")
-    p.set_defaults(handler=cmd_verify_theorem)
 
     p = sub.add_parser("square", help="check collapse order does not matter")
     p.add_argument("model")
     p.add_argument("--frames", required=True, metavar="L1,L2[,...]")
-    p.set_defaults(handler=cmd_square)
 
     p = sub.add_parser("diagram", help="emit the collapse hypercube as node/edge lines")
     p.add_argument("model")
-    p.set_defaults(handler=cmd_diagram)
 
     return parser
 
@@ -232,7 +227,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        return args.handler(mf, args)
+        return globals()["cmd_" + args.command.replace("-", "_")](mf, args)
     except FinsemError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

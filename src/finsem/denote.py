@@ -2,16 +2,17 @@
 
 eval_ext interprets a term against an extensional-mode model (no frames, or
 every frame collapsed); eval_int interprets against an arbitrary model at an
-index. Both share one clause table, _CLAUSES, which picks a term's clause by
-its class in one dict lookup; the only divergence is that the modal operator
-has no extensional clause and that constants are looked up at the supplied
-index rather than the unique one. Clauses work at the index's canonical
-position in Model.positions (0 on an extensional model): constants read
-Model.columns, which the validity check every evaluator runs first makes
-safe, and Diamond walks Model.successor_positions, the table the labelling
-pass reads too. Boolean clauses return the shared TRUE and FALSE, lambda and
-iota range over the model's cached entity values, and lambda stores its rows
-straight in the model's entity key order, without FnV's sort and check.
+index. All evaluators share one entry sequence, _prepare (validity check,
+typecheck error, assignment), and one clause table, _CLAUSES, which picks a
+term's clause by its class in one dict lookup; they differ only in the index
+they evaluate at, and eval_ext refuses a modal term before any clause runs.
+Clauses work at the index's canonical position in Model.positions (0 on an
+extensional model): constants read Model.columns, which the validity check
+makes safe, and Diamond walks Model.successor_positions, the table the
+labelling pass reads too. Boolean clauses return the shared TRUE and FALSE,
+lambda and iota range over the model's cached entity values, and lambda
+stores its rows straight in the model's entity key order, without FnV's sort
+and check.
 
 The typechecker passes each subterm its path as a (parent path, step) pair
 and renders it as text only when it raises, so located messages cost nothing
@@ -20,10 +21,10 @@ through _expect, the one place that compares and raises. render_term, like
 the evaluator, picks its case by the term's class.
 
 Each evaluator typechecks before it evaluates. morphisms.verify_equivalence
-runs both on one term and shares that typecheck between them only when the
-term typechecks on the frame-free model: such a term has no Diamond, so it
-typechecks alike on the collapsed model. A modal or ill-typed term keeps each
-evaluator's own typecheck and outcome.
+runs the entry sequence and the clauses on both models for one term, and
+typechecks on the collapsed model only when the term fails on the frame-free
+one: a term that typechecks there has no Diamond, so it typechecks alike on
+the collapsed model.
 
 Lambda abstraction evaluates by extending the environment over the bound
 variable's finite domain; no textual substitution ever happens, so capture
@@ -320,11 +321,14 @@ def _type_of(term: Term, m: Model, env: dict[str, SemType], path: object) -> Sem
 
 
 def eval_ext(term: Term, m: Model, g: Optional[Assignment] = None) -> Value:
-    """Evaluate against an extensional-mode model."""
+    """Evaluate against an extensional-mode model, refusing a modal term."""
     g = g if g is not None else Assignment()
     if not m.is_extensional:
         raise ModeError("model has a nontrivial frame; evaluate at an index instead")
-    return _eval_checked(term, m, g, 0, False, _type_error(term, m, g))
+    env = _prepare(m, g, _type_error(term, m, g))
+    if m.frames and has_modal(term):
+        raise ModeError("modal operator has no extensional clause")
+    return _eval(term, m, env, 0)
 
 
 def eval_int(
@@ -336,7 +340,7 @@ def eval_int(
         raise UnknownIndex("eval_int needs an index")
     if s not in m.positions:
         raise UnknownIndex(f"{s.render()} is not in the index space")
-    return _eval_checked(term, m, g, m.positions[s], True, _type_error(term, m, g))
+    return _eval(term, m, _prepare(m, g, _type_error(term, m, g)), m.positions[s])
 
 
 def eval_all_indices(
@@ -344,9 +348,8 @@ def eval_all_indices(
 ) -> dict[Index, Value]:
     """Evaluate at every index, keyed in canonical index order."""
     g = g if g is not None else Assignment()
-    _require_valid(m)
-    typecheck(term, m, assignment_types(g))
-    outcomes = _label(term, m, _env_of(g, m), range(len(m.positions)))
+    env = _prepare(m, g, _type_error(term, m, g))
+    outcomes = _label(term, m, env, range(len(m.positions)))
     values: dict[Index, Value] = {}
     for s, p in m.positions.items():
         outcome = outcomes[p]
@@ -386,7 +389,7 @@ def _env_of(g: Assignment, m: Model) -> dict[str, Value]:
 
 def _type_error(term: Term, m: Model, g: Assignment) -> Optional[Exception]:
     """The error typechecking term on m under g raises, or None. Any error is
-    kept, for _eval_checked to raise unchanged after the validity check."""
+    kept, for _prepare to raise unchanged after the validity check."""
     try:
         typecheck(term, m, assignment_types(g))
     except Exception as err:
@@ -394,16 +397,14 @@ def _type_error(term: Term, m: Model, g: Assignment) -> Optional[Exception]:
     return None
 
 
-def _eval_checked(
-    term: Term, m: Model, g: Assignment, p: int, modal: bool, type_error: Optional[Exception]
-) -> Value:
-    """eval_int's and eval_ext's steps once the term's typecheck on m has run:
-    the validity check, then the typecheck's error if it had one, then the
-    assignment and the clauses at index position p."""
+def _prepare(m: Model, g: Assignment, type_error: Optional[Exception]) -> dict[str, Value]:
+    """Every evaluator's steps before its clauses, once the term's typecheck
+    on m has run: the validity check, then the typecheck's error if it had
+    one, then the assignment as an environment."""
     _require_valid(m)
     if type_error is not None:
         raise type_error
-    return _eval(term, m, _env_of(g, m), p, modal)
+    return _env_of(g, m)
 
 
 def _require_valid(m: Model) -> None:
@@ -424,11 +425,11 @@ def _nest_tuple(values: list[Value]) -> Value:
 TRUE, FALSE = Truth(1), Truth(0)
 
 
-def _eval(term: Term, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+def _eval(term: Term, m: Model, env: dict[str, Value], p: int) -> Value:
     clause = _CLAUSES.get(type(term))
     if clause is None:
         raise ValueError(f"unknown term {term!r}")
-    return clause(term, m, env, p, modal)
+    return clause(term, m, env, p)
 
 
 # One clause per term class, chosen from _CLAUSES by type(term), evaluates at
@@ -436,29 +437,29 @@ def _eval(term: Term, m: Model, env: dict[str, Value], p: int, modal: bool) -> V
 # directly: a term reaching a clause has typechecked, so each subterm has one.
 
 
-def _eval_const(term: Const, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+def _eval_const(term: Const, m: Model, env: dict[str, Value], p: int) -> Value:
     return m.columns[term.name][p]
 
 
-def _eval_var(term: Var, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+def _eval_var(term: Var, m: Model, env: dict[str, Value], p: int) -> Value:
     return env[term.name]
 
 
-def _eval_pred_app(term: PredApp, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+def _eval_pred_app(term: PredApp, m: Model, env: dict[str, Value], p: int) -> Value:
     table = m.columns[term.pred][p]
     assert isinstance(table, SetV)
-    got = TupleV(tuple([_CLAUSES[type(a)](a, m, env, p, modal) for a in term.args]))
+    got = TupleV(tuple([_CLAUSES[type(a)](a, m, env, p) for a in term.args]))
     return TRUE if got in table.members else FALSE
 
 
-def _eval_func_app(term: FuncApp, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+def _eval_func_app(term: FuncApp, m: Model, env: dict[str, Value], p: int) -> Value:
     f = m.columns[term.fn][p]
     assert isinstance(f, FnV)
-    vals = [_CLAUSES[type(a)](a, m, env, p, modal) for a in term.args]
+    vals = [_CLAUSES[type(a)](a, m, env, p) for a in term.args]
     return f.apply(vals[0] if len(vals) == 1 else _nest_tuple(vals))
 
 
-def _eval_lam(term: Lam, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+def _eval_lam(term: Lam, m: Model, env: dict[str, Value], p: int) -> Value:
     # the bound variable is entity typed, so its domain is the model's entities;
     # the body runs in domain order, and the rows are stored in key order
     entities = m.entities
@@ -470,25 +471,25 @@ def _eval_lam(term: Lam, m: Model, env: dict[str, Value], p: int, modal: bool) -
     values = []
     for dv in entities:
         inner[var] = dv
-        values.append(clause(body, m, inner, p, modal))
+        values.append(clause(body, m, inner, p))
     return FnV._ordered(tuple([(entities[i], values[i]) for i in m.entity_key_order]))
 
 
-def _eval_app(term: App, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
-    fv = _CLAUSES[type(term.func)](term.func, m, env, p, modal)
-    av = _CLAUSES[type(term.arg)](term.arg, m, env, p, modal)
+def _eval_app(term: App, m: Model, env: dict[str, Value], p: int) -> Value:
+    fv = _CLAUSES[type(term.func)](term.func, m, env, p)
+    av = _CLAUSES[type(term.arg)](term.arg, m, env, p)
     assert isinstance(fv, FnV)
     return fv.apply(av)
 
 
-def _eval_iota(term: Iota, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
+def _eval_iota(term: Iota, m: Model, env: dict[str, Value], p: int) -> Value:
     body, var = term.body, term.var
     clause = _CLAUSES[type(body)]
     inner = dict(env)
     hits = []
     for k in m.entities:
         inner[var] = k
-        if clause(body, m, inner, p, modal).flag:
+        if clause(body, m, inner, p).flag:
             hits.append(k)
     if len(hits) != 1:
         raise PresuppositionFailure(
@@ -497,28 +498,26 @@ def _eval_iota(term: Iota, m: Model, env: dict[str, Value], p: int, modal: bool)
     return hits[0]
 
 
-def _eval_diamond(term: Diamond, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
-    if not modal:
-        raise ModeError("modal operator has no extensional clause")
+def _eval_diamond(term: Diamond, m: Model, env: dict[str, Value], p: int) -> Value:
     label, body = term.label, term.body
     clause = _CLAUSES[type(body)]
-    flags = [clause(body, m, env, t, modal).flag for t in m.successor_positions(label)[p]]
+    flags = [clause(body, m, env, t).flag for t in m.successor_positions(label)[p]]
     return TRUE if any(flags) else FALSE
 
 
-def _eval_and(term: And, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
-    lv = _CLAUSES[type(term.left)](term.left, m, env, p, modal)
-    rv = _CLAUSES[type(term.right)](term.right, m, env, p, modal)
+def _eval_and(term: And, m: Model, env: dict[str, Value], p: int) -> Value:
+    lv = _CLAUSES[type(term.left)](term.left, m, env, p)
+    rv = _CLAUSES[type(term.right)](term.right, m, env, p)
     return TRUE if lv.flag and rv.flag else FALSE
 
 
-def _eval_not(term: Not, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
-    return FALSE if _CLAUSES[type(term.body)](term.body, m, env, p, modal).flag else TRUE
+def _eval_not(term: Not, m: Model, env: dict[str, Value], p: int) -> Value:
+    return FALSE if _CLAUSES[type(term.body)](term.body, m, env, p).flag else TRUE
 
 
-def _eval_eq(term: Eq, m: Model, env: dict[str, Value], p: int, modal: bool) -> Value:
-    lv = _CLAUSES[type(term.left)](term.left, m, env, p, modal)
-    rv = _CLAUSES[type(term.right)](term.right, m, env, p, modal)
+def _eval_eq(term: Eq, m: Model, env: dict[str, Value], p: int) -> Value:
+    lv = _CLAUSES[type(term.left)](term.left, m, env, p)
+    rv = _CLAUSES[type(term.right)](term.right, m, env, p)
     return TRUE if lv == rv else FALSE
 
 
@@ -590,7 +589,7 @@ def _label(
     out = {}
     for p in needed:
         try:
-            out[p] = _eval(term, m, env, p, modal=True)
+            out[p] = _eval(term, m, env, p)
         except Exception as err:
             out[p] = err
     return out

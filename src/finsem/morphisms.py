@@ -24,9 +24,9 @@ from .denote import (
     PredApp,
     Term,
     Var,
-    _eval_checked,
+    _eval,
+    _prepare,
     _type_error,
-    eval_int,
     render_term,
 )
 from .kripke import TRIVIAL_ELEMENT, UnknownElement
@@ -229,26 +229,23 @@ def verify_equivalence(
 
     Each check typechecks once, on the frame-free model, where eval_ext would.
     A term that typechecks there has no Diamond, and the collapsed model has the
-    same constants with the same types, so it typechecks alike on both and both
-    routes skip their own typecheck. Any other term (modal or ill-typed) goes
-    through eval_int on the collapsed model, and the extensional route fails as
-    eval_ext would: its validity check, then the typecheck's error. Both
-    models have one index, so both routes evaluate at position 0.
+    same constants with the same types, so it typechecks alike on both. Only a
+    term that fails there (modal or ill-typed) is typechecked again, on the
+    collapsed model, as eval_int would. Each route then takes the evaluators'
+    one entry sequence, denote._prepare, with its own model and typecheck
+    error; both models have one index, so both evaluate at position 0.
     """
     if not m.is_extensional:
         raise NotFullyTrivial("verify_equivalence needs a fully trivial model")
     ext = extensionalize(m)
-    s0 = the_index(m)
     gs = list(assignments) if assignments else [Assignment()]
     records = []
     for term in terms:
         for g in gs:
             type_error = _type_error(term, ext, g)
-            if type_error is None:
-                val_i, err_i = _outcome(lambda: _eval_checked(term, m, g, 0, True, None))
-            else:
-                val_i, err_i = _outcome(lambda: eval_int(term, m, g, s0))
-            val_e, err_e = _outcome(lambda: _eval_checked(term, ext, g, 0, False, type_error))
+            int_error = type_error and _type_error(term, m, g)
+            val_i, err_i = _outcome(lambda: _eval(term, m, _prepare(m, g, int_error), 0))
+            val_e, err_e = _outcome(lambda: _eval(term, ext, _prepare(ext, g, type_error), 0))
             if err_i is None and err_e is None:
                 agree = val_i == val_e
                 left, right = render_value(val_i, m), render_value(val_e, ext)

@@ -398,3 +398,31 @@ def test_a_finsem_error_from_a_command_exits_1(monkeypatch, capsys, cls) -> None
     monkeypatch.setattr(cli, "cmd_check_rel", handler)
     assert cli.main(["check-rel", EXTENSIONAL]) == 1
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_two_main_calls_build_one_parser(capsys) -> None:
+    cli.build_parser.cache_clear()
+    assert cli.main(["check-rel", EXTENSIONAL]) == 0
+    assert cli.main(["diagram", EXTENSIONAL]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def _modules_after(statement: str) -> set[str]:
+    """The finsem modules a fresh interpreter holds after running statement."""
+    code = f"{statement}; import sys; print(*sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        check=True,
+    ).stdout
+    return {name for name in out.split() if name.startswith("finsem.")}
+
+
+def test_importing_the_package_loads_no_module() -> None:
+    assert _modules_after("import finsem") == set()
+    loaded = _modules_after("import finsem.cli")
+    assert "finsem.cli" in loaded
+    assert "finsem.generators" not in loaded

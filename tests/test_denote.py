@@ -37,7 +37,8 @@ from finsem.denote import (
     typecheck,
 )
 from finsem.kripke import Frame
-from finsem.morphisms import trivialize_all
+from finsem.modelfile import load_model_file
+from finsem.morphisms import default_checks, extensionalize, trivialize_all
 from finsem.relalg import FinSet, Relation
 from finsem.semmodel import (
     EMPTY_INDEX,
@@ -60,9 +61,10 @@ from finsem.semmodel import (
     UnknownIndex,
     fn_type,
     index_space,
+    the_index,
 )
 
-from helpers import build_extensional, build_modal, rel_value, w_index
+from helpers import MODELS_DIR, build_extensional, build_modal, rel_value, w_index
 
 EXT = build_extensional()
 MODAL = build_modal()
@@ -420,6 +422,39 @@ def test_modal_operator_has_no_extensional_clause() -> None:
     flat = trivialize_all(MODAL)
     with pytest.raises(ModeError):
         eval_ext(Diamond("W", PredApp("student", (THE_STUDENT,))), flat)
+
+
+def _outcome(thunk) -> tuple:
+    try:
+        return ("value", thunk())
+    except Exception as err:
+        return ("error", type(err), str(err))
+
+
+@pytest.mark.parametrize("name", ["modal.json", "modal_tense.json", "modal_tense_location.json"])
+def test_eval_ext_on_a_collapsed_model_matches_both_other_routes(name) -> None:
+    flat = trivialize_all(load_model_file(str(MODELS_DIR / name)).model)
+    assert flat.frames
+    bare, s0 = extensionalize(flat), the_index(flat)
+    terms, gs = default_checks(flat)
+    for t in terms:
+        for g in gs + [Assignment()]:
+            got = _outcome(lambda: eval_ext(t, flat, g))
+            assert got == _outcome(lambda: eval_int(t, flat, g, s0)), render_term(t)
+            assert got == _outcome(lambda: eval_ext(t, bare, g)), render_term(t)
+
+
+def test_eval_ext_refuses_a_modal_term_before_evaluating() -> None:
+    # the iota fails before the Diamond is reached; the refusal comes first
+    flat = trivialize_all(load_model_file(str(MODELS_DIR / "modal.json")).model)
+    nothing = "(iota x (not (eq x x)))"
+    term = parse_term(
+        f"(and (eq {nothing} (iota y (not (eq y y)))) (might W (eq {nothing} {nothing})))"
+    )
+    with pytest.raises(PresuppositionFailure):
+        eval_int(term, flat, s=the_index(flat))
+    with pytest.raises(ModeError, match="modal operator has no extensional clause"):
+        eval_ext(term, flat)
 
 
 def test_diamond_rebinds_only_its_own_frame() -> None:

@@ -13,6 +13,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import astuple
@@ -70,10 +71,26 @@ def test_seeded_corpus_has_only_finsem_errors_and_a_pinned_digest() -> None:
 
 
 def test_error_kinds_are_finsem_exceptions_and_value_error() -> None:
+    importlib.import_module("finsem.modelfile")  # the walk sees loaded classes only
     kinds = sweep.finsem_error_kinds()
     assert {"ValueError", "TermTypeError", "UnboundVariable", "UnknownEntity",
             "PresuppositionFailure", "ModelFileError"} <= kinds
     assert not kinds & {"TypeError", "KeyError", "AttributeError", "RecursionError"}
+
+
+SWEEP_STDOUT = """\
+composites: 0 mismatches / 20 checks
+functions: 0 mismatches / 2 checks
+predicates: 0 mismatches / 6 checks
+variables: 0 mismatches / 2 checks
+total: 0 mismatches / 30 checks (ELAPSED)
+"""
+
+
+def test_sweep_table_is_the_report_summary(capsys) -> None:
+    assert sweep.run_sweep(sweep.SweepConfig(seed=1, models=3, terms_per_model=10)) == 0
+    out = re.sub(r"\(\d+\.\d\ds\)\n\Z", "(ELAPSED)\n", capsys.readouterr().out)
+    assert out == SWEEP_STDOUT
 
 
 def test_sweep_fails_on_an_error_both_routes_share(monkeypatch, capsys) -> None:
@@ -82,7 +99,7 @@ def test_sweep_fails_on_an_error_both_routes_share(monkeypatch, capsys) -> None:
     clean = capsys.readouterr().out
     assert "internal error" not in clean
 
-    def broken(term, m, env, p, modal):
+    def broken(term, m, env, p):
         raise TypeError("a bug both routes share")
 
     monkeypatch.setitem(denote._CLAUSES, Eq, broken)

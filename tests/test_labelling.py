@@ -50,7 +50,7 @@ def oracle(term: Term, m: Model, g: Assignment) -> tuple:
     typecheck(term, m, denote.assignment_types(g))
     env = denote._env_of(g, m)
     try:
-        return ("value", {s: denote._eval(term, m, env, p, modal=True) for s, p in m.positions.items()})
+        return ("value", {s: denote._eval(term, m, env, p) for s, p in m.positions.items()})
     except Exception as err:
         return ("error", type(err), str(err))
 

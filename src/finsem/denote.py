@@ -3,28 +3,36 @@
 eval_ext interprets a term against an extensional-mode model (no frames, or
 every frame collapsed); eval_int interprets against an arbitrary model at an
 index. All evaluators share one entry sequence, _prepare (validity check,
-typecheck error, assignment), and one clause table, _CLAUSES, which picks a
-term's clause by its class in one dict lookup; they differ only in the index
-they evaluate at, and eval_ext refuses a modal term before any clause runs.
-Clauses work at the index's canonical position in Model.positions (0 on an
-extensional model): constants read Model.columns, which the validity check
-makes safe, and Diamond walks Model.successor_positions, the table the
-labelling pass reads too. Boolean clauses return the shared TRUE and FALSE,
-lambda and iota range over the model's cached entity values, and lambda
-stores its rows straight in the model's entity key order, without FnV's sort
-and check.
+typecheck error, environment error), and one clause table, _CLAUSES, which
+picks a term's clause by its class in one dict lookup; they differ only in
+the index they evaluate at, and eval_ext refuses a modal term before any
+clause runs. Clauses work at the index's canonical position in
+Model.positions (0 on an extensional model): constants read Model.columns,
+which the validity check makes safe, and Diamond walks
+Model.successor_positions, the table the labelling pass reads too. Boolean
+clauses return the shared TRUE and FALSE, lambda and iota range over the
+model's cached entity values, and lambda stores its rows straight in the
+model's entity key order, without FnV's sort and check. Predication tests the
+plain tuple of its argument values against the relation value's cached item
+tuples (SetV.item_tuples), without building a TupleV.
 
-The typechecker passes each subterm its path as a (parent path, step) pair
-and renders it as text only when it raises, so located messages cost nothing
-on a term that typechecks. Every subterm whose type its context fixes goes
-through _expect, the one place that compares and raises. render_term, like
-the evaluator, picks its case by the term's class.
+The typechecker, like the evaluator and render_term, picks a term's rule by
+its class, from _TYPES. It passes each subterm its path as a (parent path,
+step) pair and renders it as text only when it raises, so located messages
+cost nothing on a term that typechecks. Every subterm whose type its context
+fixes goes through _expect, the one place that compares and raises; it tests
+identity before structure, and parse_type returns shared ground types
+(ENT_TYPE, TRUTH_TYPE, which _E and _T are), so a comparison of parsed
+types mostly ends there. A type built elsewhere, such as a fresh EntType(),
+still compares by structure.
 
 Each evaluator typechecks before it evaluates. morphisms.verify_equivalence
 runs the entry sequence and the clauses on both models for one term, and
 typechecks on the collapsed model only when the term fails on the frame-free
 one: a term that typechecks there has no Diamond, so it typechecks alike on
-the collapsed model.
+the collapsed model. It builds each assignment's environment once per call,
+since both models share the entity domain; no clause mutates an environment
+it is given.
 
 Lambda abstraction evaluates by extending the environment over the bound
 variable's finite domain; no textual substitution ever happens, so capture
@@ -49,10 +57,11 @@ from typing import Iterable, Mapping, Optional
 
 from .relalg import FinsemError
 from .semmodel import (
+    ENT_TYPE,
     MAX_DOMAIN_SIZE,
+    TRUTH_TYPE,
     Assignment,
     DomainTooLarge,
-    EntType,
     Entity,
     FnType,
     FnV,
@@ -62,7 +71,6 @@ from .semmodel import (
     SemType,
     SetV,
     Truth,
-    TruthType,
     TupleV,
     UngroundedType,
     UnknownEntity,
@@ -216,7 +224,7 @@ def typecheck(
     return _type_of(term, m, dict(gtypes or {}), "root")
 
 
-_E, _T = EntType(), TruthType()
+_E, _T = ENT_TYPE, TRUTH_TYPE
 
 
 def _at(path: object) -> str:
@@ -229,91 +237,139 @@ def _at(path: object) -> str:
     return path + "".join(reversed(steps))
 
 
+def _type_of(term: Term, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    rule = _TYPES.get(type(term))
+    if rule is None:
+        raise ValueError(f"unknown term {term!r}")
+    return rule(term, m, env, path)
+
+
 def _expect(term: Term, m: Model, env: dict[str, SemType], path: object, want: SemType) -> None:
     """Typecheck a subterm at path and refuse it unless its type is want."""
     got = _type_of(term, m, env, path)
-    if got != want:
+    if got is not want and got != want:
         raise TermTypeError(_at(path), render_type(want), render_type(got))
 
 
-def _type_of(term: Term, m: Model, env: dict[str, SemType], path: object) -> SemType:
-    match term:
-        case Const(name):
-            c = m.constant(name)
-            if c is None:
-                raise UnboundVariable(f"at {_at(path)}: unknown constant {name!r}")
-            return c.semtype
-        case Var(name):
-            if name not in env:
-                raise UnboundVariable(f"at {_at(path)}: variable {name!r} is not in scope")
-            return env[name]
-        case PredApp(pred, args):
-            c = m.constant(pred)
-            if c is None:
-                raise UnboundVariable(f"at {_at(path)}: unknown predicate {pred!r}")
-            if not isinstance(c.semtype, RelType):
-                raise TermTypeError(_at(path), "a relation-typed constant", render_type(c.semtype))
-            comps = c.semtype.components
-            if len(args) != len(comps):
-                raise TermTypeError(
-                    _at(path), f"{len(comps)} arguments to {pred!r}", f"{len(args)} arguments"
-                )
-            for i, (a, want) in enumerate(zip(args, comps)):
-                _expect(a, m, env, (path, i), want)
-            return _T
-        case FuncApp(fn, args):
-            c = m.constant(fn)
-            if c is None:
-                raise UnboundVariable(f"at {_at(path)}: unknown function {fn!r}")
-            if not isinstance(c.semtype, FnType):
-                raise TermTypeError(_at(path), "a function-typed constant", render_type(c.semtype))
-            try:
-                wants = arg_types(c.semtype, len(args))
-            except ValueError:
-                raise TermTypeError(
-                    _at(path),
-                    f"arguments matching {render_type(c.semtype)}",
-                    f"{len(args)} arguments",
-                ) from None
-            for i, (a, want) in enumerate(zip(args, wants)):
-                _expect(a, m, env, (path, i), want)
-            return c.semtype.codomain
-        case Lam(var, var_type, body):
-            if var_type != _E:
-                raise TermTypeError(
-                    _at(path), "e (bound variables are entity-typed)", render_type(var_type)
-                )
-            inner = dict(env)
-            inner[var] = var_type
-            return FnType(var_type, _type_of(body, m, inner, (path, ".body")))
-        case App(func, arg):
-            ft = _type_of(func, m, env, (path, ".func"))
-            if not isinstance(ft, FnType):
-                raise TermTypeError(_at((path, ".func")), "a function type", render_type(ft))
-            _expect(arg, m, env, (path, ".arg"), ft.domain)
-            return ft.codomain
-        case Iota(var, body):
-            inner = dict(env)
-            inner[var] = _E
-            _expect(body, m, inner, (path, ".body"), _T)
-            return _E
-        case Diamond(label, body):
-            if m.frame(label) is None:
-                raise UngroundedType(f"at {_at(path)}: no frame {label!r} in this model")
-            _expect(body, m, env, (path, ".body"), _T)
-            return _T
-        case And(left, right):
-            _expect(left, m, env, (path, ".left"), _T)
-            _expect(right, m, env, (path, ".right"), _T)
-            return _T
-        case Not(body):
-            _expect(body, m, env, (path, ".body"), _T)
-            return _T
-        case Eq(left, right):
-            lt = _type_of(left, m, env, (path, ".left"))
-            _expect(right, m, env, (path, ".right"), lt)
-            return _T
-    raise ValueError(f"unknown term {term!r}")
+# One typing rule per term class, chosen from _TYPES by type(term), as the
+# clauses are from _CLAUSES: each takes the term, the model, the variables'
+# types and the term's path, and returns the term's type or raises a located
+# error.
+
+
+def _type_const(term: Const, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    c = m.constant(term.name)
+    if c is None:
+        raise UnboundVariable(f"at {_at(path)}: unknown constant {term.name!r}")
+    return c.semtype
+
+
+def _type_var(term: Var, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    if term.name not in env:
+        raise UnboundVariable(f"at {_at(path)}: variable {term.name!r} is not in scope")
+    return env[term.name]
+
+
+def _type_pred_app(term: PredApp, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    pred, args = term.pred, term.args
+    c = m.constant(pred)
+    if c is None:
+        raise UnboundVariable(f"at {_at(path)}: unknown predicate {pred!r}")
+    if not isinstance(c.semtype, RelType):
+        raise TermTypeError(_at(path), "a relation-typed constant", render_type(c.semtype))
+    comps = c.semtype.components
+    if len(args) != len(comps):
+        raise TermTypeError(
+            _at(path), f"{len(comps)} arguments to {pred!r}", f"{len(args)} arguments"
+        )
+    for i, (a, want) in enumerate(zip(args, comps)):
+        _expect(a, m, env, (path, i), want)
+    return _T
+
+
+def _type_func_app(term: FuncApp, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    args = term.args
+    c = m.constant(term.fn)
+    if c is None:
+        raise UnboundVariable(f"at {_at(path)}: unknown function {term.fn!r}")
+    if not isinstance(c.semtype, FnType):
+        raise TermTypeError(_at(path), "a function-typed constant", render_type(c.semtype))
+    try:
+        wants = arg_types(c.semtype, len(args))
+    except ValueError:
+        raise TermTypeError(
+            _at(path),
+            f"arguments matching {render_type(c.semtype)}",
+            f"{len(args)} arguments",
+        ) from None
+    for i, (a, want) in enumerate(zip(args, wants)):
+        _expect(a, m, env, (path, i), want)
+    return c.semtype.codomain
+
+
+def _type_lam(term: Lam, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    var_type = term.var_type
+    if var_type is not _E and var_type != _E:
+        raise TermTypeError(
+            _at(path), "e (bound variables are entity-typed)", render_type(var_type)
+        )
+    inner = dict(env)
+    inner[term.var] = var_type
+    return FnType(var_type, _type_of(term.body, m, inner, (path, ".body")))
+
+
+def _type_app(term: App, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    ft = _type_of(term.func, m, env, (path, ".func"))
+    if not isinstance(ft, FnType):
+        raise TermTypeError(_at((path, ".func")), "a function type", render_type(ft))
+    _expect(term.arg, m, env, (path, ".arg"), ft.domain)
+    return ft.codomain
+
+
+def _type_iota(term: Iota, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    inner = dict(env)
+    inner[term.var] = _E
+    _expect(term.body, m, inner, (path, ".body"), _T)
+    return _E
+
+
+def _type_diamond(term: Diamond, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    if m.frame(term.label) is None:
+        raise UngroundedType(f"at {_at(path)}: no frame {term.label!r} in this model")
+    _expect(term.body, m, env, (path, ".body"), _T)
+    return _T
+
+
+def _type_and(term: And, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    _expect(term.left, m, env, (path, ".left"), _T)
+    _expect(term.right, m, env, (path, ".right"), _T)
+    return _T
+
+
+def _type_not(term: Not, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    _expect(term.body, m, env, (path, ".body"), _T)
+    return _T
+
+
+def _type_eq(term: Eq, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    lt = _type_of(term.left, m, env, (path, ".left"))
+    _expect(term.right, m, env, (path, ".right"), lt)
+    return _T
+
+
+_TYPES = {
+    Const: _type_const,
+    Var: _type_var,
+    PredApp: _type_pred_app,
+    FuncApp: _type_func_app,
+    Lam: _type_lam,
+    App: _type_app,
+    Iota: _type_iota,
+    Diamond: _type_diamond,
+    And: _type_and,
+    Not: _type_not,
+    Eq: _type_eq,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +381,7 @@ def eval_ext(term: Term, m: Model, g: Optional[Assignment] = None) -> Value:
     g = g if g is not None else Assignment()
     if not m.is_extensional:
         raise ModeError("model has a nontrivial frame; evaluate at an index instead")
-    env = _prepare(m, g, _type_error(term, m, g))
+    env = _prepare(m, _type_error(term, m, g), _env_of(g, m))
     if m.frames and has_modal(term):
         raise ModeError("modal operator has no extensional clause")
     return _eval(term, m, env, 0)
@@ -340,7 +396,8 @@ def eval_int(
         raise UnknownIndex("eval_int needs an index")
     if s not in m.positions:
         raise UnknownIndex(f"{s.render()} is not in the index space")
-    return _eval(term, m, _prepare(m, g, _type_error(term, m, g)), m.positions[s])
+    env = _prepare(m, _type_error(term, m, g), _env_of(g, m))
+    return _eval(term, m, env, m.positions[s])
 
 
 def eval_all_indices(
@@ -348,7 +405,7 @@ def eval_all_indices(
 ) -> dict[Index, Value]:
     """Evaluate at every index, keyed in canonical index order."""
     g = g if g is not None else Assignment()
-    env = _prepare(m, g, _type_error(term, m, g))
+    env = _prepare(m, _type_error(term, m, g), _env_of(g, m))
     outcomes = _label(term, m, env, range(len(m.positions)))
     values: dict[Index, Value] = {}
     for s, p in m.positions.items():
@@ -378,11 +435,13 @@ def assignment_types(g: Assignment) -> dict[str, SemType]:
     return {x: _E for x, _ in g.bindings}
 
 
-def _env_of(g: Assignment, m: Model) -> dict[str, Value]:
+def _env_of(g: Assignment, m: Model) -> dict[str, Value] | UnknownEntity:
+    """The assignment as an environment over m's entity domain, or the error
+    for an entity outside it, kept for _prepare to raise in its turn."""
     env: dict[str, Value] = {}
     for x, k in g.bindings:
         if k not in m.entity_domain:
-            raise UnknownEntity(f"assignment sends {x!r} to unknown entity {k!r}")
+            return UnknownEntity(f"assignment sends {x!r} to unknown entity {k!r}")
         env[x] = Entity(k)
     return env
 
@@ -397,14 +456,20 @@ def _type_error(term: Term, m: Model, g: Assignment) -> Optional[Exception]:
     return None
 
 
-def _prepare(m: Model, g: Assignment, type_error: Optional[Exception]) -> dict[str, Value]:
+def _prepare(
+    m: Model, type_error: Optional[Exception], env: dict[str, Value] | UnknownEntity
+) -> dict[str, Value]:
     """Every evaluator's steps before its clauses, once the term's typecheck
-    on m has run: the validity check, then the typecheck's error if it had
-    one, then the assignment as an environment."""
+    on m has run and the assignment's environment is built: the validity
+    check, then the typecheck's error if it had one, then the environment's
+    error if it had one. An environment error may be shared by many checks,
+    so each raise starts a fresh traceback."""
     _require_valid(m)
     if type_error is not None:
         raise type_error
-    return _env_of(g, m)
+    if isinstance(env, UnknownEntity):
+        raise env.with_traceback(None)
+    return env
 
 
 def _require_valid(m: Model) -> None:
@@ -448,8 +513,8 @@ def _eval_var(term: Var, m: Model, env: dict[str, Value], p: int) -> Value:
 def _eval_pred_app(term: PredApp, m: Model, env: dict[str, Value], p: int) -> Value:
     table = m.columns[term.pred][p]
     assert isinstance(table, SetV)
-    got = TupleV(tuple([_CLAUSES[type(a)](a, m, env, p) for a in term.args]))
-    return TRUE if got in table.members else FALSE
+    got = tuple([_CLAUSES[type(a)](a, m, env, p) for a in term.args])
+    return TRUE if got in table.item_tuples else FALSE
 
 
 def _eval_func_app(term: FuncApp, m: Model, env: dict[str, Value], p: int) -> Value:

@@ -24,6 +24,7 @@ from .denote import (
     PredApp,
     Term,
     Var,
+    _env_of,
     _eval,
     _prepare,
     _type_error,
@@ -234,18 +235,24 @@ def verify_equivalence(
     collapsed model, as eval_int would. Each route then takes the evaluators'
     one entry sequence, denote._prepare, with its own model and typecheck
     error; both models have one index, so both evaluate at position 0.
+
+    An environment depends only on the assignment and the entity domain, which
+    both models share, so each assignment's environment (or its UnknownEntity
+    error) is built once per call and serves every check and both routes; the
+    clauses copy it before they bind a variable.
     """
     if not m.is_extensional:
         raise NotFullyTrivial("verify_equivalence needs a fully trivial model")
     ext = extensionalize(m)
     gs = list(assignments) if assignments else [Assignment()]
+    envs = [(g, _env_of(g, m)) for g in gs]
     records = []
     for term in terms:
-        for g in gs:
+        for g, env in envs:
             type_error = _type_error(term, ext, g)
             int_error = type_error and _type_error(term, m, g)
-            val_i, err_i = _outcome(lambda: _eval(term, m, _prepare(m, g, int_error), 0))
-            val_e, err_e = _outcome(lambda: _eval(term, ext, _prepare(ext, g, type_error), 0))
+            val_i, err_i = _outcome(lambda: _eval(term, m, _prepare(m, int_error, env), 0))
+            val_e, err_e = _outcome(lambda: _eval(term, ext, _prepare(ext, type_error, env), 0))
             if err_i is None and err_e is None:
                 agree = val_i == val_e
                 left, right = render_value(val_i, m), render_value(val_e, ext)

@@ -14,6 +14,12 @@ position from `columns` (only once the model is valid, when each constant has
 exactly one row per index), a frame's successors from `successor_positions`,
 and builds a lambda's function value directly in `entity_key_order`.
 
+Values keep their lookups outside their fields as well: a set value builds
+`item_tuples`, the items of its tuple members, on first use, and predication
+tests membership on it. parse_type returns one shared instance of each ground
+type (ENT_TYPE, TRUTH_TYPE), so a typecheck can compare types by identity
+first.
+
 Validation builds one membership checker per constant from its type and runs
 it on every table row: entity ids are looked up in a frozenset, and a
 function type's domain keys are enumerated once per constant, on the first
@@ -73,6 +79,11 @@ class EntType(SemType):
 @dataclass(frozen=True)
 class TruthType(SemType):
     pass
+
+
+# The ground types parse_type returns: one shared instance each, so a type
+# comparison can test identity before it compares structure.
+ENT_TYPE, TRUTH_TYPE = EntType(), TruthType()
 
 
 @dataclass(frozen=True)
@@ -218,9 +229,9 @@ def _type_at(s: str, i: int) -> tuple[SemType, int]:
 
 def _ground_type(name: str) -> SemType:
     if name == "e":
-        return EntType()
+        return ENT_TYPE
     if name == "t":
-        return TruthType()
+        return TRUTH_TYPE
     raise ValueError(f"unknown ground type {name!r}")
 
 
@@ -279,6 +290,13 @@ class SetV(Value):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(self.members))
+
+    @cached_property
+    def item_tuples(self) -> frozenset[tuple[Value, ...]]:
+        """The items of the TupleV members, built on first use and kept
+        outside the fields. A TupleV equals only a TupleV with equal items, so
+        `items in s.item_tuples` exactly when `TupleV(items) in s.members`."""
+        return frozenset(w.items for w in self.members if isinstance(w, TupleV))
 
 
 @dataclass(frozen=True)

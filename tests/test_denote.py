@@ -7,6 +7,9 @@ so the bare clause is false at w0 while the possibility claim is true there.
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 from finsem import denote, semmodel
@@ -36,12 +39,14 @@ from finsem.denote import (
     render_term,
     typecheck,
 )
+from finsem.generators import random_model
 from finsem.kripke import Frame
-from finsem.modelfile import load_model_file
+from finsem.modelfile import ModelFile, dump_model_file, load_model_file, model_file_from_doc
 from finsem.morphisms import default_checks, extensionalize, trivialize_all
 from finsem.relalg import FinSet, Relation
 from finsem.semmodel import (
     EMPTY_INDEX,
+    ENT_TYPE,
     Assignment,
     Constant,
     EntType,
@@ -289,6 +294,70 @@ def test_nested_typecheck_errors_are_located_exactly(term, m, kind, message) -> 
         assert message.startswith(f"at {e.value.path}: expected {e.value.expected}, found ")
 
 
+def _typing(term, m: Model, gtypes=None):
+    """The type term gets on m, or the class and message of its error."""
+    try:
+        return typecheck(term, m, gtypes)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _reloaded(m: Model) -> Model:
+    """m written as a model file and read back, so its types come from parse_type."""
+    return model_file_from_doc(json.loads(dump_model_file(ModelFile(m, {}, {})))).model
+
+
+def _entity_components(m: Model) -> list:
+    return [t for c in m.constants if isinstance(c.semtype, RelType) for t in c.semtype.components]
+
+
+def test_typing_does_not_depend_on_type_identity() -> None:
+    # generated models build a fresh EntType() per constant; their reloaded
+    # copies share parse_type's instances, so _expect takes both comparisons
+    rng = random.Random(31)
+    for _ in range(12):
+        built = random_model(rng, max_entities=3, max_frames=2)
+        copy = _reloaded(built)
+        assert copy == built
+        assert all(t is ENT_TYPE for t in _entity_components(copy))
+        assert not any(t is ENT_TYPE for t in _entity_components(built))
+        terms, gs = default_checks(built)
+        gtypes = denote.assignment_types(gs[0])
+        for term in terms:
+            assert _typing(term, copy, gtypes) == _typing(term, built, gtypes)
+    for case in NESTED_TYPE_ERRORS:
+        term, m, kind, message = case.values
+        assert _typing(term, m) == _typing(term, _reloaded(m)) == (kind, message)
+
+
+def _term_classes() -> set:
+    """The Term subclasses denote defines; a test's own stray class is not one."""
+    return {c for c in denote.Term.__subclasses__() if c.__module__ == denote.__name__}
+
+
+def test_typing_evaluation_and_rendering_dispatch_on_every_term_class() -> None:
+    assert len(_term_classes()) == 11
+    assert set(denote._TYPES) == set(denote._CLAUSES) == set(denote._RENDER) == _term_classes()
+
+
+def test_an_unknown_term_class_is_refused_by_every_dispatch() -> None:
+    class Stray(denote.Term):
+        pass
+
+    stray = Stray()
+    for term in (stray, Not(And(READS, stray))):
+        with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
+            typecheck(term, EXT)
+        with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
+            eval_ext(term, EXT)
+        with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
+            eval_int(term, MODAL, s=w_index("w0"))
+    with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
+        denote._eval(stray, EXT, {}, 0)
+    with pytest.raises(ValueError, match=r"^unrenderable term .*Stray\(\)$"):
+        render_term(stray)
+
+
 def test_has_modal() -> None:
     assert has_modal(MIGHT_READ)
     assert has_modal(Not(And(READS, MIGHT_READ)))
@@ -382,6 +451,26 @@ def test_eval_rejects_invalid_models() -> None:
     )
     with pytest.raises(ValueError, match="fails validation"):
         eval_ext(PredApp("p", (Var("x"),)), gappy, Assignment((("x", "s1"),)))
+
+
+def test_entry_errors_come_in_order_validity_typecheck_environment() -> None:
+    unknown = Assignment((("x", "zz"),))
+    ill_typed = Not(Var("x"))
+    frame_free = Model(EXT.entity_domain, (), (Constant("p", RelType((EntType(),)), ()),))
+    first, *rest = MODAL.constants
+    modal = Model(MODAL.entity_domain, MODAL.frames, (Constant(first.name, first.semtype, ()), *rest))
+    assert frame_free.violations and modal.violations
+    for route in (
+        lambda: eval_ext(ill_typed, frame_free, unknown),
+        lambda: eval_int(ill_typed, modal, unknown, w_index("w0")),
+        lambda: eval_all_indices(ill_typed, modal, unknown),
+    ):
+        with pytest.raises(ValueError, match="fails validation"):
+            route()
+    with pytest.raises(TermTypeError):
+        eval_int(ill_typed, MODAL, unknown, w_index("w0"))
+    with pytest.raises(UnknownEntity):
+        eval_all_indices(Var("x"), MODAL, unknown)
 
 
 # ---------------------------------------------------------------------------

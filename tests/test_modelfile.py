@@ -75,6 +75,15 @@ def test_bundled_files_are_canonical() -> None:
         assert dump_model_file(mf) == raw
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_filled_item_caches_leave_the_dump_unchanged(name: str) -> None:
+    fresh = dump_model_file(load_model_file(str(MODELS_DIR / name)))
+    mf = load_model_file(str(MODELS_DIR / name))
+    filled = [v.item_tuples for c in mf.model.constants for _, v in c.table if isinstance(v, SetV)]
+    assert any(filled)
+    assert dump_model_file(mf) == fresh
+
+
 def test_minimal_document() -> None:
     mf = model_file_from_doc({"entities": ["a"]})
     assert mf.model.entity_domain.elements == ("a",)

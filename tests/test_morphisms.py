@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finsem import denote, semmodel
+from finsem import denote, morphisms, semmodel
 from finsem.denote import (
     App,
     Const,
@@ -398,6 +398,41 @@ def test_each_check_typechecks_once_unless_modal(monkeypatch) -> None:
     modal = [Diamond(m.frames[0].label, t) for t in terms]
     verify_equivalence(m, modal, gs)
     assert len(roots) == 2 * len(modal) * len(gs)
+
+
+def test_each_assignment_environment_is_built_once_per_call(monkeypatch) -> None:
+    rng = random.Random(12)
+    m = trivialize_all(random_model(rng, max_entities=3, min_frames=1, max_frames=2))
+    terms = [random_term(rng, m) for _ in range(10)]
+    ents = m.entity_domain.elements
+    gs = [Assignment(tuple((v, ents[i % len(ents)]) for v in ("x", "y", "z"))) for i in range(3)]
+    built = []
+    real = denote._env_of
+
+    def counting(g, model):
+        built.append(g)
+        return real(g, model)
+
+    for module in (denote, morphisms):
+        monkeypatch.setattr(module, "_env_of", counting)
+    report = verify_equivalence(m, terms, gs)
+    assert report.total == 30 and not report.mismatches
+    assert built == gs
+
+
+def test_a_check_records_the_first_entry_error_on_both_routes() -> None:
+    flat = trivialize_all(MODAL)
+    first, *rest = flat.constants
+    invalid = Model(flat.entity_domain, flat.frames, (Constant(first.name, first.semtype, ()), *rest))
+    unknown = Assignment((("x", "zz"),))
+    # validity check, then the typecheck error, then the unknown entity
+    for m, term, kind in (
+        (invalid, Not(Var("x")), "ValueError"),
+        (flat, Not(Var("x")), "TermTypeError"),
+        (flat, Var("x"), "UnknownEntity"),
+    ):
+        (check,) = verify_equivalence(m, [term], [unknown]).checks
+        assert check.intensional == check.extensional == f"error:{kind}"
 
 
 def test_lam_does_not_enumerate_type_domains(monkeypatch) -> None:

@@ -8,6 +8,7 @@ in ascending bitmask order over the member enumeration.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -17,10 +18,13 @@ from hypothesis import strategies as st
 
 from finsem import generators
 from finsem.kripke import Frame
+from finsem.modelfile import load_model_file
 from finsem.relalg import FinSet, Relation
 from finsem.semmodel import (
     EMPTY_INDEX,
+    ENT_TYPE,
     MAX_TYPE_DEPTH,
+    TRUTH_TYPE,
     Assignment,
     Constant,
     DomainTooLarge,
@@ -58,6 +62,8 @@ from finsem.semmodel import (
     type_domain,
     validate,
 )
+
+from helpers import MODELS_DIR
 
 
 def small_frame(label: str, elements: tuple[str, ...], pairs: set) -> Frame:
@@ -503,3 +509,49 @@ def test_validate_empty_entity_domain() -> None:
 def test_violation_is_plain_data() -> None:
     v = Violation("MissingIndexEntry", "p", "index w0")
     assert (v.kind, v.constant, v.detail) == ("MissingIndexEntry", "p", "index w0")
+
+
+# ---------------------------------------------------------------------------
+# cached lookups on values
+
+
+def test_parse_type_shares_its_ground_types() -> None:
+    parsed = parse_type("fn(e,rel(e,t),t)")
+    assert parsed.domain.first is ENT_TYPE and parsed.codomain is TRUTH_TYPE
+    assert parsed.domain.second.components == (ENT_TYPE, TRUTH_TYPE)
+    assert parse_type("e") is ENT_TYPE and parse_type("t") is TRUTH_TYPE
+    # fresh instances are different objects, but equal
+    assert EntType() is not ENT_TYPE and EntType() == ENT_TYPE
+
+
+def test_item_tuples_decide_membership_like_the_members() -> None:
+    rng = random.Random(41)
+    models = [generators.random_model(rng, max_entities=4, max_frames=2) for _ in range(30)]
+    models += [load_model_file(str(path)).model for path in sorted(MODELS_DIR.glob("*.json"))]
+    outcomes = []
+    for m in models:
+        assert m.violations == ()
+        for c in m.constants:
+            if not isinstance(c.semtype, RelType):
+                continue
+            arity = len(c.semtype.components)
+            for value in m.columns[c.name]:
+                for args in itertools.product(m.entities, repeat=arity):
+                    hit = args in value.item_tuples
+                    assert hit == (TupleV(args) in value.members)
+                    outcomes.append(hit)
+    assert len(outcomes) > 500 and 0 < sum(outcomes) < len(outcomes)
+
+
+def test_a_filled_item_cache_leaves_a_set_value_as_it_was() -> None:
+    def build() -> SetV:
+        return SetV(frozenset({TupleV((A, B)), TupleV((B,)), A}))
+
+    filled = build()
+    assert filled.item_tuples == {(A, B), (B,)}
+    assert "item_tuples" in vars(filled)
+    fresh = build()
+    assert filled == fresh
+    assert hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)
+    assert render_value(filled) == render_value(fresh)

@@ -1,53 +1,20 @@
 """Term language with a typechecker and two evaluators.
 
 eval_ext interprets a term against an extensional-mode model (no frames, or
-every frame collapsed); eval_int interprets against an arbitrary model at an
-index. All evaluators share one entry sequence, _prepare (validity check,
-typecheck error, environment error), and one clause table, _CLAUSES, which
-picks a term's clause by its class in one dict lookup; they differ only in
-the index they evaluate at, and eval_ext refuses a modal term before any
-clause runs. Clauses work at the index's canonical position in
-Model.positions (0 on an extensional model): constants read Model.columns,
-which the validity check makes safe, and Diamond walks
-Model.successor_positions, the table the labelling pass reads too. Boolean
-clauses return the shared TRUE and FALSE, lambda and iota range over the
-model's cached entity values, and lambda stores its rows straight in the
-model's entity key order, without FnV's sort and check. Predication tests the
-plain tuple of its argument values against the relation value's cached item
-tuples (SetV.item_tuples), without building a TupleV.
-
-The typechecker, like the evaluator and render_term, picks a term's rule by
-its class, from _TYPES. It passes each subterm its path as a (parent path,
-step) pair and renders it as text only when it raises, so located messages
-cost nothing on a term that typechecks. Every subterm whose type its context
-fixes goes through _expect, the one place that compares and raises; it tests
-identity before structure, and parse_type returns shared ground types
-(ENT_TYPE, TRUTH_TYPE, which _E and _T are), so a comparison of parsed
-types mostly ends there. A type built elsewhere, such as a fresh EntType(),
-still compares by structure.
-
-Each evaluator typechecks before it evaluates. morphisms.verify_equivalence
-runs the entry sequence and the clauses on both models for one term, and
-typechecks on the collapsed model only when the term fails on the frame-free
-one: a term that typechecks there has no Diamond, so it typechecks alike on
-the collapsed model. It builds each assignment's environment once per call,
-since both models share the entity domain; no clause mutates an environment
-it is given.
+every frame collapsed); eval_int interprets it at an index of any model, and
+eval_all_indices at every index; evaluate picks between them. They share one
+entry sequence, _prepare, and one clause table, _CLAUSES, keyed by term
+class, as the typing rules are in _TYPES and the renderers in _RENDER.
+Clauses evaluate at an index position of Model.positions, and no clause
+mutates an environment it is given, so one environment may serve many checks.
 
 Lambda abstraction evaluates by extending the environment over the bound
 variable's finite domain; no textual substitution ever happens, so capture
 is a non-issue and every result is a finite first-class value.
 
 eval_all_indices labels a term a set of indices at a time, as CTL model
-checking labels states: a Diamond body is evaluated once per index some needed
-index sees, not once per edge, and And, Not and Eq over modal subterms combine
-the outcomes index by index. Every other subterm goes through the per-index
-clauses, and eval_int remains the per-index oracle the labelling must match,
-errors included.
-
-evaluate is the one dispatch between the two evaluators; the command line and
-the sentence fragment both use it. The parser refuses terms nested deeper than
-MAX_TERM_DEPTH, which keeps every recursion over a parsed term shallow.
+checking labels states; eval_int is the per-index oracle the labelling must
+match, errors included.
 """
 
 from __future__ import annotations
@@ -76,6 +43,7 @@ from .semmodel import (
     UnknownEntity,
     UnknownIndex,
     Value,
+    _refuse_nesting,
     arg_types,
     parse_type,
     render_type,
@@ -182,35 +150,28 @@ class Eq(Term):
     right: Term
 
 
-def has_modal(term: Term) -> bool:
+def _children(term: Term) -> tuple[Term, ...]:
+    """The immediate subterms of a term, left to right."""
     match term:
-        case Diamond(_, _):
-            return True
         case PredApp(_, args) | FuncApp(_, args):
-            return any(has_modal(a) for a in args)
-        case Lam(_, _, body) | Iota(_, body) | Not(body):
-            return has_modal(body)
-        case App(f, a):
-            return has_modal(f) or has_modal(a)
-        case And(left, right) | Eq(left, right):
-            return has_modal(left) or has_modal(right)
-    return False
+            return args
+        case Lam(_, _, body) | Iota(_, body) | Diamond(_, body) | Not(body):
+            return (body,)
+        case App(left, right) | And(left, right) | Eq(left, right):
+            return (left, right)
+    return ()
+
+
+def has_modal(term: Term) -> bool:
+    return isinstance(term, Diamond) or any(map(has_modal, _children(term)))
 
 
 def free_vars(term: Term) -> frozenset[str]:
     """The variables term uses outside every lam and iota that binds them."""
-    match term:
-        case Var(name):
-            return frozenset((name,))
-        case PredApp(_, args) | FuncApp(_, args):
-            return frozenset().union(*map(free_vars, args))
-        case Lam(var, _, body) | Iota(var, body):
-            return free_vars(body) - {var}
-        case Diamond(_, body) | Not(body):
-            return free_vars(body)
-        case App(left, right) | And(left, right) | Eq(left, right):
-            return free_vars(left) | free_vars(right)
-    return frozenset()
+    if isinstance(term, Var):
+        return frozenset((term.name,))
+    free = frozenset().union(*map(free_vars, _children(term)))
+    return free - {term.var} if isinstance(term, (Lam, Iota)) else free
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +189,12 @@ _E, _T = ENT_TYPE, TRUTH_TYPE
 
 
 def _at(path: object) -> str:
-    """The text of a path "root" or (parent path, step), step ".body" and so
-    on or i for .args[i]; built only for an error, never while typechecking."""
+    """The text of a location: a string, or a (parent location, step) pair
+    whose step is text or an int i, rendered "[i]". Built only for an error."""
     steps = []
     while isinstance(path, tuple):
         path, step = path
-        steps.append(f".args[{step}]" if isinstance(step, int) else step)
+        steps.append(f"[{step}]" if isinstance(step, int) else step)
     return path + "".join(reversed(steps))
 
 
@@ -249,12 +210,6 @@ def _expect(term: Term, m: Model, env: dict[str, SemType], path: object, want: S
     got = _type_of(term, m, env, path)
     if got is not want and got != want:
         raise TermTypeError(_at(path), render_type(want), render_type(got))
-
-
-# One typing rule per term class, chosen from _TYPES by type(term), as the
-# clauses are from _CLAUSES: each takes the term, the model, the variables'
-# types and the term's path, and returns the term's type or raises a located
-# error.
 
 
 def _type_const(term: Const, m: Model, env: dict[str, SemType], path: object) -> SemType:
@@ -283,7 +238,7 @@ def _type_pred_app(term: PredApp, m: Model, env: dict[str, SemType], path: objec
             _at(path), f"{len(comps)} arguments to {pred!r}", f"{len(args)} arguments"
         )
     for i, (a, want) in enumerate(zip(args, comps)):
-        _expect(a, m, env, (path, i), want)
+        _expect(a, m, env, ((path, ".args"), i), want)
     return _T
 
 
@@ -303,7 +258,7 @@ def _type_func_app(term: FuncApp, m: Model, env: dict[str, SemType], path: objec
             f"{len(args)} arguments",
         ) from None
     for i, (a, want) in enumerate(zip(args, wants)):
-        _expect(a, m, env, (path, i), want)
+        _expect(a, m, env, ((path, ".args"), i), want)
     return c.semtype.codomain
 
 
@@ -459,11 +414,10 @@ def _type_error(term: Term, m: Model, g: Assignment) -> Optional[Exception]:
 def _prepare(
     m: Model, type_error: Optional[Exception], env: dict[str, Value] | UnknownEntity
 ) -> dict[str, Value]:
-    """Every evaluator's steps before its clauses, once the term's typecheck
-    on m has run and the assignment's environment is built: the validity
-    check, then the typecheck's error if it had one, then the environment's
-    error if it had one. An environment error may be shared by many checks,
-    so each raise starts a fresh traceback."""
+    """The steps every evaluator takes before its clauses: the validity check,
+    then the term's typecheck error, then the environment's error. An
+    environment error may be shared by many checks, so each raise starts a
+    fresh traceback."""
     _require_valid(m)
     if type_error is not None:
         raise type_error
@@ -497,8 +451,7 @@ def _eval(term: Term, m: Model, env: dict[str, Value], p: int) -> Value:
     return clause(term, m, env, p)
 
 
-# One clause per term class, chosen from _CLAUSES by type(term), evaluates at
-# index position p of a valid model. Clauses evaluate subterms through the table
+# Clauses evaluate at index position p of a valid model and index _CLAUSES
 # directly: a term reaching a clause has typechecked, so each subterm has one.
 
 
@@ -701,11 +654,7 @@ def parse_term(text: str, constant_names: frozenset[str] = frozenset()) -> Term:
     deeper than MAX_TERM_DEPTH forms raises ValueError.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    depth = 0
-    for tok in tokens:
-        depth += 1 if tok == "(" else -1 if tok == ")" else 0
-        if depth > MAX_TERM_DEPTH:
-            raise ValueError(f"term nested deeper than {MAX_TERM_DEPTH} levels")
+    _refuse_nesting(tokens, MAX_TERM_DEPTH, "term")
     term, rest = _term_at(tokens, 0, constant_names, frozenset())
     if rest != len(tokens):
         raise ValueError(f"trailing input after term in {text!r}")

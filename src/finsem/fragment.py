@@ -8,6 +8,7 @@ Diamond over its frame, scoping over the fully saturated clause.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -143,72 +144,38 @@ def translate_with_nodes(
 ) -> tuple[Term, dict[int, Term]]:
     """Translation plus a map from node identity to that node's closed term.
 
-    Subject-awaiting nodes (VP, V') record their term once saturated at S.
+    A subject-awaiting node (VP, V') is translated with its subject's term.
     Bound variables are issued in surface order: subject first.
     """
     node_terms: dict[int, Term] = {}
-    counter = [0]
+    names = ("xyz"[n] if n < 3 else f"x{n}" for n in itertools.count())
 
-    def fresh() -> str:
-        n = counter[0]
-        counter[0] += 1
-        return "xyz"[n] if n < 3 else f"x{n}"
-
-    def go(node: ParseTree) -> Union[Term, str, object]:
-        if node.word is not None:
-            entry = lexicon[node.word]
-            if node.label in ("N", "V"):
-                node_terms[id(node)] = Const(entry.pred)
-                return entry.pred
-            return entry
-        shape = (node.label, tuple(c.label for c in node.children))
+    def go(node: ParseTree, subj: Optional[Term] = None) -> Term:
+        kids = node.children
+        shape = (node.label, tuple(c.label for c in kids))
         match shape:
+            case ("N", ()) | ("V", ()):
+                term: Term = Const(lexicon[node.word].pred)
             case ("NP", ("N",)):
-                pred = go(node.children[0])
-                node_terms[id(node)] = Const(pred)
-                return pred
+                term = go(kids[0])
             case ("DP", ("D", "NP")):
-                go(node.children[0])
-                var = fresh()
-                pred = go(node.children[1])
-                term = Iota(var, PredApp(pred, (Var(var),)))
-                node_terms[id(node)] = term
-                return term
+                var = next(names)
+                term = Iota(var, PredApp(go(kids[1]).name, (Var(var),)))
             case ("VP", ("V", "DP")) | ("V'", ("V", "DP")):
-                vpred = go(node.children[0])
-                obj = go(node.children[1])
-
-                def clause(subj: Term, node=node, vpred=vpred, obj=obj) -> Term:
-                    t = PredApp(vpred, (subj, obj))
-                    node_terms[id(node)] = t
-                    return t
-
-                return clause
+                term = PredApp(go(kids[0]).name, (subj, go(kids[1])))
             case ("VP", ("Mod", "V'")):
-                entry = lexicon[node.children[0].word]
+                entry = lexicon[kids[0].word]
                 if mode != "intensional":
-                    raise ModeError(
-                        f"{entry.word!r} needs an intensional model"
-                    )
-                inner = go(node.children[1])
-
-                def modal(subj: Term, node=node, entry=entry, inner=inner) -> Term:
-                    t = Diamond(entry.frame, inner(subj))
-                    node_terms[id(node)] = t
-                    return t
-
-                return modal
+                    raise ModeError(f"{entry.word!r} needs an intensional model")
+                term = Diamond(entry.frame, go(kids[1], subj))
             case ("S", ("DP", "VP")):
-                subj = go(node.children[0])
-                vp = go(node.children[1])
-                term = vp(subj)
-                node_terms[id(node)] = term
-                return term
-        raise ValueError(f"no translation for node shape {shape!r}")
+                term = go(kids[1], go(kids[0]))
+            case _:
+                raise ValueError(f"no translation for node shape {shape!r}")
+        node_terms[id(node)] = term
+        return term
 
-    term = go(tree)
-    assert isinstance(term, Term)
-    return term, node_terms
+    return go(tree), node_terms
 
 
 # ---------------------------------------------------------------------------

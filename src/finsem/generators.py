@@ -27,8 +27,8 @@ from .denote import (
 from .kripke import Frame, FrameMap
 from .relalg import FinSet, FnGraph, Relation
 from .semmodel import (
+    ENT_TYPE,
     Constant,
-    EntType,
     Entity,
     FnType,
     FnV,
@@ -140,10 +140,10 @@ def random_model(
     constants: list[Constant] = []
     for i in range(rng.randint(1, 2)):
         rows = tuple((s, Entity(rng.choice(ents.elements))) for s in space)
-        constants.append(Constant(f"c{i}", EntType(), rows))
+        constants.append(Constant(f"c{i}", ENT_TYPE, rows))
     for i in range(rng.randint(1, 2)):
         arity = rng.randint(1, 2)
-        ty = RelType(tuple(EntType() for _ in range(arity)))
+        ty = RelType((ENT_TYPE,) * arity)
         rows = []
         for s in space:
             members = frozenset(
@@ -154,7 +154,7 @@ def random_model(
             rows.append((s, SetV(members)))
         constants.append(Constant(f"p{i}", ty, tuple(rows)))
     arity = rng.randint(1, 2)
-    fty = fn_type([EntType()] * arity, EntType())
+    fty = fn_type([ENT_TYPE] * arity, ENT_TYPE)
     keys = type_domain(skeleton, fty.domain)
     rows = []
     for s in space:
@@ -175,7 +175,7 @@ def random_model(
 
 
 def _entity_constants(m: Model) -> list[str]:
-    return [c.name for c in m.constants if c.semtype == EntType()]
+    return [c.name for c in m.constants if c.semtype == ENT_TYPE]
 
 
 def _predicates(m: Model) -> list[Constant]:
@@ -196,7 +196,7 @@ def random_term(rng: random.Random, m: Model, max_depth: int = 4) -> Term:
     if roll < 0.9:
         return _e_term(rng, m, max_depth, (), fresh)
     v = f"v{next(fresh)}"
-    return Lam(v, EntType(), _t_term(rng, m, max_depth - 1, (v,), fresh))
+    return Lam(v, ENT_TYPE, _t_term(rng, m, max_depth - 1, (v,), fresh))
 
 
 def _e_term(
@@ -233,7 +233,7 @@ def _e_term(
             v = f"v{next(fresh)}"
             body = _e_term(rng, m, depth - 1, scope + (v,), fresh)
             arg = _e_term(rng, m, depth - 1, scope, fresh)
-            return App(Lam(v, EntType(), body), arg)
+            return App(Lam(v, ENT_TYPE, body), arg)
 
 
 def _t_term(
@@ -279,4 +279,4 @@ def _t_term(
             v = f"v{next(fresh)}"
             body = _t_term(rng, m, depth - 1, scope + (v,), fresh)
             arg = _e_term(rng, m, depth - 1, scope, fresh)
-            return App(Lam(v, EntType(), body), arg)
+            return App(Lam(v, ENT_TYPE, body), arg)

@@ -32,11 +32,6 @@ every lexicon entry whose pred is not a constant of the type its category
 needs (rel(e) for N, rel(e,e) for V) and every named term that does not
 typecheck on the model (free variables typed e, as every assignment binds
 entities) before failing, so one pass reports all defects.
-
-Each constant's values are read by one decoder, built once from the
-constant's type and run on every table row. A value's location, as in
-"constant 'p' table[0].value[1][0]", is kept as a (parent, step) chain and
-rendered as text only when a problem is reported there.
 """
 
 from __future__ import annotations
@@ -45,11 +40,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .denote import Term, free_vars, parse_term, render_term, typecheck
+from .denote import Term, _at, free_vars, parse_term, render_term, typecheck
 from .fragment import LexEntry
 from .kripke import Frame
 from .relalg import FinSet, FinsemError, Relation
 from .semmodel import (
+    ENT_TYPE,
     Constant,
     EntType,
     Entity,
@@ -75,7 +71,7 @@ from .semmodel import (
 
 TOP_KEYS = ("entities", "frames", "constants", "lexicon", "terms")
 LEXICAL_KEYS = {"cat", "pred", "frame", "sem"}
-LEXICAL_PRED_TYPES = {"N": RelType((EntType(),)), "V": RelType((EntType(), EntType()))}
+LEXICAL_PRED_TYPES = {"N": RelType((ENT_TYPE,)), "V": RelType((ENT_TYPE, ENT_TYPE))}
 
 
 class ModelFileError(FinsemError):
@@ -145,10 +141,10 @@ def _str_list(
 ) -> Optional[list[str]]:
     if j is None:
         if required:
-            errs.append(f"missing required key {_text(where)!r}")
+            errs.append(f"missing required key {_at(where)!r}")
         return None
     if not isinstance(j, list) or not all(isinstance(x, str) for x in j):
-        errs.append(f"{_text(where)} must be a list of strings")
+        errs.append(f"{_at(where)} must be a list of strings")
         return None
     return j
 
@@ -334,7 +330,7 @@ def _load_terms(
         try:
             term = parse_term(tj, names)
             if model is not None:  # free variables are typed e: assignments bind entities
-                typecheck(term, model, dict.fromkeys(free_vars(term), EntType()))
+                typecheck(term, model, dict.fromkeys(free_vars(term), ENT_TYPE))
             out[name] = term
         except (ValueError, FinsemError) as err:
             errs.append(f"terms[{name!r}]: {err}")
@@ -347,23 +343,8 @@ def _load_terms(
 Decoder = Callable[[Any, list[str], Any], Optional[Value]]
 
 
-def decode_value(
-    j: Any, t: SemType, errs: list[str], where: str
-) -> Optional[Value]:
-    return _decoder(t)(j, errs, where)
-
-
-def _text(at: Any) -> str:
-    """The text of a location; built only for an error, never while decoding."""
-    steps = []
-    while isinstance(at, tuple):
-        at, step = at
-        steps.append(f"[{step}]" if isinstance(step, int) else step)
-    return at + "".join(reversed(steps))
-
-
 def _bad(errs: list[str], at: Any, problem: str) -> None:
-    errs.append(f"{_text(at)}: {problem}")
+    errs.append(f"{_at(at)}: {problem}")
 
 
 def _row(decoders: tuple[Decoder, ...], j: Any, errs: list[str], at: Any, problem: str) -> Any:
@@ -377,9 +358,8 @@ def _row(decoders: tuple[Decoder, ...], j: Any, errs: list[str], at: Any, proble
 
 def _decoder(t: SemType) -> Decoder:
     """The decoder of values of type t, built once per type. It takes the JSON,
-    the error list and the value's location: a string, or a (location, step)
-    pair whose step is an int (rendered "[i]") or text. It returns None exactly
-    when it has appended at least one error."""
+    the error list and the value's location (see denote._at), and returns None
+    exactly when it has appended at least one error."""
     match t:
         case EntType():
             entities: dict[str, Entity] = {}  # one shared Entity per id

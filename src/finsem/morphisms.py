@@ -35,9 +35,9 @@ from .kripke import trivialize as trivialize_frame
 from .relalg import FinsemError
 from .semmodel import (
     EMPTY_INDEX,
+    ENT_TYPE,
     Assignment,
     Constant,
-    EntType,
     FnType,
     Model,
     RelType,
@@ -228,18 +228,11 @@ def verify_equivalence(
     The model must be fully trivial. Two outcomes agree when both produce the
     same value or both fail with the same kind of error.
 
-    Each check typechecks once, on the frame-free model, where eval_ext would.
-    A term that typechecks there has no Diamond, and the collapsed model has the
-    same constants with the same types, so it typechecks alike on both. Only a
-    term that fails there (modal or ill-typed) is typechecked again, on the
-    collapsed model, as eval_int would. Each route then takes the evaluators'
-    one entry sequence, denote._prepare, with its own model and typecheck
-    error; both models have one index, so both evaluate at position 0.
-
-    An environment depends only on the assignment and the entity domain, which
-    both models share, so each assignment's environment (or its UnknownEntity
-    error) is built once per call and serves every check and both routes; the
-    clauses copy it before they bind a variable.
+    A term that typechecks on the frame-free model has no Diamond and so
+    typechecks alike on the collapsed one, which has the same constants with
+    the same types: only a term that fails there is typechecked again. Both
+    models share the entity domain, so each assignment's environment is built
+    once per call.
     """
     if not m.is_extensional:
         raise NotFullyTrivial("verify_equivalence needs a fully trivial model")
@@ -285,7 +278,7 @@ def default_checks(m: Model) -> tuple[list[Term], list[Assignment]]:
     if ents:
         terms.append(Var("x"))
     pool: list[Term] = [
-        Const(c.name) for c in m.constants if c.semtype == EntType()
+        Const(c.name) for c in m.constants if c.semtype == ENT_TYPE
     ] or ([Var("x")] if ents else [])
     unary_preds = [
         c.name
@@ -307,9 +300,9 @@ def default_checks(m: Model) -> tuple[list[Term], list[Assignment]]:
         if pool:
             atom = PredApp(p, (pool[0],))
             terms.append(And(atom, Not(atom)))
-        terms.append(Lam("v", EntType(), PredApp(p, (Var("v"),))))
+        terms.append(Lam("v", ENT_TYPE, PredApp(p, (Var("v"),))))
         if pool:
-            terms.append(App(Lam("v", EntType(), PredApp(p, (Var("v"),))), pool[0]))
+            terms.append(App(Lam("v", ENT_TYPE, PredApp(p, (Var("v"),))), pool[0]))
         terms.append(Iota("v", PredApp(p, (Var("v"),))))
     return terms, gs
 

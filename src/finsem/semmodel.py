@@ -6,25 +6,10 @@ space (the product of the frame domains) to values of the constant's type.
 Everything is finite and enumerable, so validation and evaluation are
 exhaustive rather than symbolic.
 
-A model computes its index order (`positions`), its lookup tables and its
-validation report (`violations`) once, on first use, and keeps them outside
-its dataclass fields, so equality and hashing stay structural. The evaluator
-works at index positions, not Index values: it reads a constant's value at a
-position from `columns` (only once the model is valid, when each constant has
-exactly one row per index), a frame's successors from `successor_positions`,
-and builds a lambda's function value directly in `entity_key_order`.
-
-Values keep their lookups outside their fields as well: a set value builds
-`item_tuples`, the items of its tuple members, on first use, and predication
-tests membership on it. parse_type returns one shared instance of each ground
-type (ENT_TYPE, TRUTH_TYPE), so a typecheck can compare types by identity
-first.
-
-Validation builds one membership checker per constant from its type and runs
-it on every table row: entity ids are looked up in a frozenset, and a
-function type's domain keys are enumerated once per constant, on the first
-function value checked. A missing frame or an oversized domain raises when a
-value is checked, so each such row is still reported on its own.
+Models and values build their lookup tables once, on first use, and keep
+them outside their dataclass fields, so equality and hashing stay
+structural. parse_type returns one shared instance of each ground type
+(ENT_TYPE, TRUTH_TYPE), so a typecheck can compare types by identity first.
 """
 
 from __future__ import annotations
@@ -184,15 +169,20 @@ def parse_type(text: str) -> SemType:
     Nesting deeper than MAX_TYPE_DEPTH constructors raises ValueError.
     """
     compact = text.replace(" ", "")
-    depth = 0
-    for ch in compact:
-        depth += 1 if ch == "(" else -1 if ch == ")" else 0
-        if depth > MAX_TYPE_DEPTH:
-            raise ValueError(f"type nested deeper than {MAX_TYPE_DEPTH} levels")
+    _refuse_nesting(compact, MAX_TYPE_DEPTH, "type")
     ty, pos = _type_at(compact, 0)
     if pos != len(compact):
         raise ValueError(f"trailing input after type in {text!r}")
     return ty
+
+
+def _refuse_nesting(tokens: Iterable[str], limit: int, what: str) -> None:
+    """Raise ValueError when the parentheses among tokens nest deeper than limit."""
+    depth = 0
+    for tok in tokens:
+        depth += 1 if tok == "(" else -1 if tok == ")" else 0
+        if depth > limit:
+            raise ValueError(f"{what} nested deeper than {limit} levels")
 
 
 def _type_at(s: str, i: int) -> tuple[SemType, int]:
@@ -399,17 +389,6 @@ class Assignment:
         return None
 
 
-def assignment_variant(
-    g: Assignment, x: str, k: str, entity_domain: FinSet
-) -> Assignment:
-    """g with x rebound to k; k must name an entity."""
-    if k not in entity_domain:
-        raise UnknownEntity(f"{k!r} is not in the entity domain")
-    updated = {var: e for var, e in g.bindings}
-    updated[x] = k
-    return Assignment(tuple(updated.items()))
-
-
 # ---------------------------------------------------------------------------
 # constants and models
 
@@ -585,12 +564,8 @@ def the_index(m: Model) -> Index:
 # enumeration
 
 
-def type_cardinality(m: Model, t: SemType, limit: int = MAX_DOMAIN_SIZE) -> int:
-    """Size of the domain of t, refusing early when any layer exceeds limit."""
-    return _card(m, t, limit)
-
-
 def _card(m: Model, t: SemType, limit: int) -> int:
+    """Size of the domain of t, refusing early when any layer exceeds limit."""
     match t:
         case EntType():
             n = len(m.entity_domain)
@@ -685,8 +660,8 @@ def inhabits(m: Model, value: Value, t: SemType) -> bool:
 
 def _checker(m: Model, t: SemType) -> Callable[[Value], bool]:
     """The membership test of type t in m, built once per type. A missing
-    frame or an oversized function domain raises when a value is checked,
-    never here; a function domain's key set is computed on the first check."""
+    frame or an oversized function domain raises when a value is checked, not
+    here, so validate reports each such row; a function's keys are built once."""
     match t:
         case EntType():
             ids = frozenset(m.entity_domain.elements)

@@ -120,6 +120,57 @@ def test_sentence_modal_trace_shows_displacement() -> None:
     assert len(vprime) == 1 and vprime[0].endswith("= 0")
 
 
+SENTENCE_OUTPUTS = {
+    "extensional": (
+        (EXTENSIONAL, "--text", "the student read the book"),
+        """\
+tree: (S (DP (D the) (NP (N student))) (VP (V read) (DP (D the) (NP (N book)))))
+term: (pred read (iota x (pred student x)) (iota y (pred book y)))
+S 'the student read the book' := (pred read (iota x (pred student x)) (iota y (pred book y))) = 1
+  DP 'the student' := (iota x (pred student x)) = s1
+    D 'the'
+    NP 'student' := student = {(s1)}
+      N 'student' := student = {(s1)}
+  VP 'read the book' := (pred read (iota x (pred student x)) (iota y (pred book y))) = 1
+    V 'read' := read = {(s1,b1)}
+    DP 'the book' := (iota y (pred book y)) = b1
+      D 'the'
+      NP 'book' := book = {(b1)}
+        N 'book' := book = {(b1)}
+value: 1
+""",
+    ),
+    "modal": (
+        (THREE_FRAME, "--text", "the student might read the book", "--index", "w0,t0,l0"),
+        """\
+tree: (S (DP (D the) (NP (N student))) (VP (Mod might) (V' (V read) (DP (D the) (NP (N book))))))
+term: (might W (pred read (iota x (pred student x)) (iota y (pred book y))))
+S 'the student might read the book' := (might W (pred read (iota x (pred student x)) (iota y (pred book y)))) = 1
+  DP 'the student' := (iota x (pred student x)) = s1
+    D 'the'
+    NP 'student' := student = {(s1)}
+      N 'student' := student = {(s1)}
+  VP 'might read the book' := (might W (pred read (iota x (pred student x)) (iota y (pred book y)))) = 1
+    Mod 'might'
+    V' 'read the book' := (pred read (iota x (pred student x)) (iota y (pred book y))) = 0
+      V 'read' := read = {}
+      DP 'the book' := (iota y (pred book y)) = b1
+        D 'the'
+        NP 'book' := book = {(b1)}
+          N 'book' := book = {(b1)}
+value: 1
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SENTENCE_OUTPUTS))
+def test_sentence_prints_tree_term_every_trace_line_and_value(case) -> None:
+    args, want = SENTENCE_OUTPUTS[case]
+    got = run_deterministic("sentence", *args)
+    assert (got.returncode, got.stdout, got.stderr) == (0, want, "")
+
+
 def test_trivialize_writes_canonical_model(tmp_path) -> None:
     out = tmp_path / "flat.json"
     got = run_deterministic("trivialize", MODAL, "--frame", "W", "--out", str(out))

@@ -7,6 +7,7 @@ so the bare clause is false at w0 while the possibility claim is true there.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 
@@ -34,6 +35,7 @@ from finsem.denote import (
     eval_ext,
     eval_int,
     evaluate,
+    free_vars,
     has_modal,
     parse_term,
     render_term,
@@ -312,19 +314,20 @@ def _entity_components(m: Model) -> list:
 
 
 def test_typing_does_not_depend_on_type_identity() -> None:
-    # generated models build a fresh EntType() per constant; their reloaded
-    # copies share parse_type's instances, so _expect takes both comparisons
+    # a deep copy of a generated model holds a fresh EntType() per constant;
+    # its reloaded copy shares parse_type's instances, so _expect takes both
+    # comparisons
     rng = random.Random(31)
     for _ in range(12):
-        built = random_model(rng, max_entities=3, max_frames=2)
-        copy = _reloaded(built)
-        assert copy == built
-        assert all(t is ENT_TYPE for t in _entity_components(copy))
+        built = copy.deepcopy(random_model(rng, max_entities=3, max_frames=2))
+        reloaded = _reloaded(built)
+        assert reloaded == built
+        assert all(t is ENT_TYPE for t in _entity_components(reloaded))
         assert not any(t is ENT_TYPE for t in _entity_components(built))
         terms, gs = default_checks(built)
         gtypes = denote.assignment_types(gs[0])
         for term in terms:
-            assert _typing(term, copy, gtypes) == _typing(term, built, gtypes)
+            assert _typing(term, reloaded, gtypes) == _typing(term, built, gtypes)
     for case in NESTED_TYPE_ERRORS:
         term, m, kind, message = case.values
         assert _typing(term, m) == _typing(term, _reloaded(m)) == (kind, message)
@@ -363,6 +366,22 @@ def test_has_modal() -> None:
     assert has_modal(Not(And(READS, MIGHT_READ)))
     assert has_modal(Lam("x", EntType(), Diamond("W", PredApp("student", (Var("x"),)))))
     assert not has_modal(READS)
+
+
+@pytest.mark.parametrize(
+    "text, free",
+    [
+        ("(lam x e (pred p x y))", {"y"}),
+        ("(iota x (pred p x a z))", {"z"}),
+        ("(lam x e (and (iota x (pred p x y)) (pred q x)))", {"y"}),
+        ("(and (pred p x) (lam x e (pred p x)))", {"x"}),
+        ("(might W (pred p x a))", {"x"}),
+        ("(app (lam x e (pred p x y)) z)", {"y", "z"}),
+        ("(func f x (func g a y) (not (eq w w)))", {"x", "y", "w"}),
+    ],
+)
+def test_free_vars(text: str, free: set) -> None:
+    assert free_vars(parse_term(text, frozenset({"a"}))) == free
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from finsem.modelfile import (
     ModelFile,
     ModelFileError,
-    decode_value,
+    _decoder,
     dump_model_file,
     encode_value,
     load_model_file,
@@ -254,20 +254,20 @@ def test_value_codec_round_trips() -> None:
     for text, encoded, value in cases:
         ty = parse_type(text)
         errs: list[str] = []
-        assert decode_value(encoded, ty, errs, "v") == value
+        assert _decoder(ty)(encoded, errs, "v") == value
         assert errs == []
         assert encode_value(value, ty) == encoded
 
 
 def test_value_codec_reports_location() -> None:
     errs: list[str] = []
-    assert decode_value([["s1"]], parse_type("rel(e,e)"), errs, "row") is None
+    assert _decoder(parse_type("rel(e,e)"))([["s1"]], errs, "row") is None
     assert errs == ["row[0]: expected a 2-list"]
     errs = []
-    assert decode_value(True, parse_type("t"), errs, "v") is None
+    assert _decoder(parse_type("t"))(True, errs, "v") is None
     assert errs == ["v: expected 0 or 1"]
     errs = []
-    assert decode_value(["s1", "s1"], parse_type("set(e)"), errs, "v") is None
+    assert _decoder(parse_type("set(e)"))(["s1", "s1"], errs, "v") is None
     assert errs == ["v: duplicate set member"]
 
 

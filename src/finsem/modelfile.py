@@ -213,6 +213,7 @@ def _load_constants(
         return out
     labels = [f.label for f in frames]
     indices: dict[tuple[str, ...], Index] = {}  # one shared Index per row key
+    decoders: dict[SemType, Decoder] = {}  # one per type, so equal values are shared
     for i, cj in enumerate(j):
         where = f"constants[{i}]"
         if not isinstance(cj, dict):
@@ -240,20 +241,24 @@ def _load_constants(
         if not isinstance(rows, list):
             errs.append(f"{where}: table must be a list")
             continue
-        decode = _decoder(semtype)
+        decode = decoders.get(semtype) or decoders.setdefault(semtype, _decoder(semtype))
         for k, row in enumerate(rows):
             rw = ((where, " table"), k)
-            if not isinstance(row, dict) or set(row) - {"index", "value"}:
+            if not isinstance(row, dict) or not row.keys() <= {"index", "value"}:
                 _bad(errs, rw, "rows are objects with index and value")
                 continue
-            idx_j = _str_list(row.get("index"), (rw, ".index"), errs, True)
-            if idx_j is None:
-                continue
-            if len(idx_j) != len(labels):
-                _bad(errs, rw, f"index has {len(idx_j)} components, model has {len(labels)} frames")
-                continue
-            key = tuple(idx_j)
-            idx = indices.get(key) or indices.setdefault(key, Index(tuple(zip(labels, key))))
+            idx_j = row.get("index")
+            try:  # a key accepted before: a tuple of strings equals only the same strings
+                idx = indices[tuple(idx_j)] if type(idx_j) is list else None
+            except (KeyError, TypeError):  # a new key, or one holding a list
+                idx = None
+            if idx is None:
+                if _str_list(idx_j, (rw, ".index"), errs, True) is None:
+                    continue
+                if len(idx_j) != len(labels):
+                    _bad(errs, rw, f"index has {len(idx_j)} components, model has {len(labels)} frames")
+                    continue
+                idx = indices[tuple(idx_j)] = Index(tuple(zip(labels, idx_j)))
             val = decode(row.get("value"), errs, (rw, ".value"))
             if val is None:
                 continue
@@ -347,13 +352,32 @@ def _bad(errs: list[str], at: Any, problem: str) -> None:
     errs.append(f"{_at(at)}: {problem}")
 
 
-def _row(decoders: tuple[Decoder, ...], j: Any, errs: list[str], at: Any, problem: str) -> Any:
-    """A list of one item per decoder, decoded item by item, or None."""
-    if not isinstance(j, list) or len(j) != len(decoders):
-        return _bad(errs, at, problem)
-    start = len(errs)
-    items = tuple([decode(x, errs, (at, k)) for k, (decode, x) in enumerate(zip(decoders, j))])
-    return None if len(errs) > start else items
+def _row(types: tuple[SemType, ...], problem: str, build: Callable[[tuple], Any]) -> Decoder:
+    """The decoder of a list of one item per type, decoded item by item and
+    passed to build. When every item is an id string, equal rows share one
+    result, found by the row itself: a tuple of strings equals only the same
+    strings. Any other row is decoded again at its own location."""
+    decoders = tuple(_decoder(t) for t in types)
+    shared: Optional[dict] = {} if all(isinstance(t, (EntType, IdxType)) for t in types) else None
+
+    def row(j: Any, errs: list[str], at: Any) -> Any:
+        if shared is not None and type(j) is list:
+            try:
+                return shared[tuple(j)]
+            except (KeyError, TypeError):  # a new row, or one holding a list
+                pass
+        if not isinstance(j, list) or len(j) != len(decoders):
+            return _bad(errs, at, problem)
+        start = len(errs)
+        items = tuple([decode(x, errs, (at, k)) for k, (decode, x) in enumerate(zip(decoders, j))])
+        if len(errs) > start:
+            return None
+        value = build(items)
+        if shared is not None:
+            shared[tuple(j)] = value
+        return value
+
+    return row
 
 
 def _decoder(t: SemType) -> Decoder:
@@ -381,13 +405,7 @@ def _decoder(t: SemType) -> Decoder:
                 else _bad(errs, at, "expected an element id string")
             )
         case PairType(a, b):
-            both = (_decoder(a), _decoder(b))
-
-            def pair(j: Any, errs: list[str], at: Any) -> Optional[Value]:
-                items = _row(both, j, errs, at, "expected a 2-list")
-                return None if items is None else TupleV(items)
-
-            return pair
+            return _row((a, b), "expected a 2-list", TupleV)
         case SetType(member):
             each = _decoder(member)
 
@@ -401,33 +419,30 @@ def _decoder(t: SemType) -> Decoder:
 
             return members
         case RelType(components):
-            items = tuple(_decoder(c) for c in components)
-            arity = f"expected a {len(items)}-list"
+            row = _row(components, f"expected a {len(components)}-list", TupleV)
 
             def tuples(j: Any, errs: list[str], at: Any) -> Optional[Value]:
                 if not isinstance(j, list):
                     return _bad(errs, at, "expected a list of tuples")
-                rows = [_row(items, x, errs, (at, i), arity) for i, x in enumerate(j)]
-                if None in rows:
+                start = len(errs)
+                vals = frozenset([row(x, errs, (at, i)) for i, x in enumerate(j)])
+                if len(errs) > start:
                     return None
-                vals = frozenset(map(TupleV, rows))
-                return SetV(vals) if len(vals) == len(rows) else _bad(errs, at, "duplicate tuple")
+                return SetV(vals) if len(vals) == len(j) else _bad(errs, at, "duplicate tuple")
 
             return tuples
         case FnType(domain, codomain):
-            both = (_decoder(domain), _decoder(codomain))
+            entry = _row((domain, codomain), "expected a [key, value] 2-list", tuple)
 
             def entries(j: Any, errs: list[str], at: Any) -> Optional[Value]:
                 if not isinstance(j, list):
                     return _bad(errs, at, "expected a list of [key, value] 2-lists")
-                rows = [
-                    _row(both, x, errs, (at, i), "expected a [key, value] 2-list")
-                    for i, x in enumerate(j)
-                ]
-                if None in rows:
+                start = len(errs)
+                rows = tuple([entry(x, errs, (at, i)) for i, x in enumerate(j)])
+                if len(errs) > start:
                     return None
                 try:
-                    return FnV(tuple(rows))
+                    return FnV(rows)
                 except ValueError as err:
                     return _bad(errs, at, str(err))
 

@@ -39,13 +39,13 @@ from .semmodel import (
     Assignment,
     Constant,
     FnType,
+    Index,
     Model,
     RelType,
     UnknownFrame,
     Value,
     fn_arity,
     render_value,
-    the_index,
 )
 
 
@@ -87,17 +87,20 @@ def apply(m: Model, morphism: Morphism) -> Model:
                 raise UnknownElement(f"{chosen!r} is not in frame {label!r}")
             collapsed = trivialize_frame(frame, chosen).frame
             frames = tuple(collapsed if f.label == label else f for f in m.frames)
+
+            def move(idx: Index) -> Optional[Index]:
+                """A kept row's new index, or None for a row left out."""
+                return idx.replace(label, TRIVIAL_ELEMENT) if idx.component(label) == chosen else None
+
+            # decided once per position, for every constant; a row off the space by its Index
+            moved = [move(idx) for idx in m.positions]
             constants = tuple(
-                Constant(
-                    c.name,
-                    c.semtype,
-                    tuple(
-                        (idx.replace(label, TRIVIAL_ELEMENT), v)
-                        for idx, v in c.table
-                        if idx.component(label) == chosen
-                    ),
-                )
-                for c in m.constants
+                Constant(c.name, c.semtype, tuple(
+                    (to, v)
+                    for (idx, v), p in zip(c.table, positions)
+                    if (to := moved[p] if p is not None else move(idx)) is not None
+                ))
+                for c, positions in zip(m.constants, m.row_positions)
             )
             designated_left = tuple((l, e) for l, e in m.designated if l != label)
             return Model(m.entity_domain, frames, constants, designated_left)
@@ -138,14 +141,9 @@ def extensionalize(m: Model) -> Model:
         raise NotFullyTrivial("model still has a nontrivial frame")
     if not m.frames:
         return m
-    s0 = the_index(m)
-    constants = tuple(
-        Constant(
-            c.name,
-            c.semtype,
-            tuple((EMPTY_INDEX, v) for idx, v in c.table if idx == s0),
-        )
-        for c in m.constants
+    constants = tuple(  # the single index is position 0
+        Constant(c.name, c.semtype, tuple((EMPTY_INDEX, v) for (_, v), p in zip(c.table, ps) if p == 0))
+        for c, ps in zip(m.constants, m.row_positions)
     )
     return Model(m.entity_domain, (), constants, ())
 

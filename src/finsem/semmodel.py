@@ -8,8 +8,12 @@ exhaustive rather than symbolic.
 
 Models and values build their lookup tables once, on first use, and keep
 them outside their dataclass fields, so equality and hashing stay
-structural. parse_type returns one shared instance of each ground type
-(ENT_TYPE, TRUTH_TYPE), so a typecheck can compare types by identity first.
+structural. A model's row_positions live there too, set once as the model
+sorts its tables: per constant, in constants order, the index position of
+each table row, or None for a row off the index space. validate and the
+collapse read them instead of looking each row's Index up again. EntType() and
+TruthType() return one shared instance each (ENT_TYPE, TRUTH_TYPE), so a
+typecheck can compare types by identity first.
 """
 
 from __future__ import annotations
@@ -57,18 +61,29 @@ class SemType:
 
 
 @dataclass(frozen=True)
-class EntType(SemType):
+class _GroundType(SemType):
+    """A type with one shared instance, which construction, pickle and copy
+    all return, so a type comparison can test identity before structure."""
+
+    def __new__(cls) -> _GroundType:
+        return _GROUND[cls]
+
+    def __reduce__(self) -> tuple:
+        return type(self), ()
+
+
+@dataclass(frozen=True)
+class EntType(_GroundType):
     pass
 
 
 @dataclass(frozen=True)
-class TruthType(SemType):
+class TruthType(_GroundType):
     pass
 
 
-# The ground types parse_type returns: one shared instance each, so a type
-# comparison can test identity before it compares structure.
-ENT_TYPE, TRUTH_TYPE = EntType(), TruthType()
+_GROUND = {cls: object.__new__(cls) for cls in (EntType, TruthType)}
+ENT_TYPE, TRUTH_TYPE = _GROUND[EntType], _GROUND[TruthType]
 
 
 @dataclass(frozen=True)
@@ -345,7 +360,7 @@ class Index:
     components: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
+        object.__setattr__(self, "components", tuple(map(tuple, self.components)))
 
     def component(self, label: str) -> str:
         for l, e in self.components:
@@ -400,7 +415,7 @@ class Constant:
     table: tuple[tuple[Index, Value], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tuple(tuple(e) for e in self.table))
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
 
     @cached_property
     def _rows(self) -> dict[Index, Value]:
@@ -443,23 +458,20 @@ class Model:
                 raise ValueError(f"designated element for unknown frame {l!r}")
             if e not in fr.domain:
                 raise ValueError(f"designated element {e!r} not in frame {l!r}")
-        position = self.positions
-        normalized = tuple(
-            Constant(
-                c.name,
-                c.semtype,
-                tuple(
-                    sorted(
-                        c.table,
-                        key=lambda e: (p, "")
-                        if (p := position.get(e[0])) is not None
-                        else (len(position), e[0].render()),
-                    )
-                ),
-            )
-            for c in sorted(self.constants, key=lambda c: c.name)
-        )
-        object.__setattr__(self, "constants", normalized)
+        # keyed by components, as equal Index rows have equal components: a
+        # lookup then hashes and compares plain tuples, not dataclasses
+        position = {idx.components: p for idx, p in self.positions.items()}
+        normalized, row_positions = [], []
+        for c in sorted(self.constants, key=lambda c: c.name):
+            at = [position.get(idx.components) for idx, _ in c.table]  # one lookup per row
+            # rows by position, then rows off the space by rendering; the sort is stable
+            key = at.__getitem__ if None not in at else lambda k: (
+                (at[k], "") if at[k] is not None else (len(position), c.table[k][0].render()))
+            order = sorted(range(len(at)), key=key)
+            normalized.append(Constant(c.name, c.semtype, tuple(c.table[k] for k in order)))
+            row_positions.append(tuple(at[k] for k in order))
+        object.__setattr__(self, "constants", tuple(normalized))
+        object.__setattr__(self, "row_positions", tuple(row_positions))
         object.__setattr__(
             self, "designated", tuple(sorted(tuple(d) for d in self.designated))
         )
@@ -686,14 +698,17 @@ def _checker(m: Model, t: SemType) -> Callable[[Value], bool]:
             each = _checker(m, member)
             return lambda v: isinstance(v, SetV) and all(map(each, v.members))
         case RelType(components):
-            checks = tuple(_checker(m, c) for c in components)
+            checks, inhabiting = tuple(_checker(m, c) for c in components), {}
 
             def row(w: Value) -> bool:
+                if id(w) in inhabiting:  # a row shared by many sets is checked once
+                    return True
                 if not isinstance(w, TupleV) or len(w.items) != len(checks):
                     return False
                 for check, x in zip(checks, w.items):
                     if not check(x):
                         return False
+                inhabiting[id(w)] = w  # held, so no other row can take its id
                 return True
 
             return lambda v: isinstance(v, SetV) and all(map(row, v.members))
@@ -718,22 +733,22 @@ def validate(m: Model) -> list[Violation]:
     out: list[Violation] = []
     if len(m.entity_domain) == 0:
         out.append(Violation("EmptyEntityDomain", "", "entity domain is empty"))
-    space = m.positions
-    for c in m.constants:
+    for c, positions in zip(m.constants, m.row_positions):
         check = _checker(m, c.semtype)
-        seen: set[Index] = set()
-        for idx, v in c.table:
-            if idx in seen:
+        seen, seen_off = bytearray(len(m.positions)), set()  # by position; off the space by Index
+        for (idx, v), p in zip(c.table, positions):
+            if seen[p] if p is not None else idx in seen_off:
                 out.append(
                     Violation("DuplicateIndexEntry", c.name, f"index {idx.render()}")
                 )
                 continue
-            seen.add(idx)
-            if idx not in space:
+            if p is None:
+                seen_off.add(idx)
                 out.append(
                     Violation("UnexpectedIndexEntry", c.name, f"index {idx.render()}")
                 )
                 continue
+            seen[p] = 1
             try:
                 ok = check(v)
             except UngroundedType as err:
@@ -751,8 +766,8 @@ def validate(m: Model) -> list[Violation]:
                         f"{render_type(c.semtype)}",
                     )
                 )
-        for idx in space:
-            if idx not in seen:
+        for idx, hit in zip(m.positions, seen):
+            if not hit:
                 out.append(
                     Violation("MissingIndexEntry", c.name, f"index {idx.render()}")
                 )

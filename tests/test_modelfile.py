@@ -369,6 +369,47 @@ LOCATED_DECODE_PROBLEMS = [
         "constant 'p' table[0].value[0][0][1]: expected an entity id string",
         "constant 'p' table[1].value: expected a list of [key, value] 2-lists",
     ]),
+    # rows equal to an accepted row once made a tuple, each still refused at its location:
+    # an index holding a list, and the string "ab" after the index ["a", "b"]
+    (
+        {**one_constant_doc("e"), "frames": [
+            {"label": "W", "elements": ["a", "w0"], "pairs": []},
+            {"label": "T", "elements": ["b", "t0"], "pairs": []},
+        ], "constants": [{"name": "p", "type": "e", "table": [
+            {"index": ["a", "b"], "value": "a"},
+            {"index": [["w0"], "t0"], "value": "a"},
+            {"index": "ab", "value": "a"},
+            {"index": ["w0", ["t0"]], "value": "a"},
+        ]}]},
+        [
+            "constant 'p' table[1].index must be a list of strings",
+            "constant 'p' table[2].index must be a list of strings",
+            "constant 'p' table[3].index must be a list of strings",
+        ],
+    ),
+    # the relation row "ab" after ["a", "b"], and a row holding a list
+    (one_constant_doc("rel(e,e)", [["a", "b"], "ab", [["a"], "b"]], [["a", "b"], ["a", "b", "a"]]), [
+        "constant 'p' table[0].value[1]: expected a 2-list",
+        "constant 'p' table[0].value[2][0]: expected an entity id string",
+        "constant 'p' table[1].value[1]: expected a 2-list",
+    ]),
+    (one_constant_doc("fn(e,e)", [["a", "b"], ["b", "a"]], [["a", "b"], "bb"]), [
+        "constant 'p' table[1].value[1]: expected a [key, value] 2-list",
+    ]),
+    (one_constant_doc("pair(e,e)", ["a", "b"], "ab"), [
+        "constant 'p' table[1].value: expected a 2-list",
+    ]),
+    # true and 1.0 equal 1, but only 1 is a truth value
+    (one_constant_doc("rel(t)", [[1], [True], [1.0]], [[0], [False], [0.0], [1]]), [
+        "constant 'p' table[0].value[1][0]: expected 0 or 1",
+        "constant 'p' table[0].value[2][0]: expected 0 or 1",
+        "constant 'p' table[1].value[1][0]: expected 0 or 1",
+        "constant 'p' table[1].value[2][0]: expected 0 or 1",
+    ]),
+    (one_constant_doc("rel(e,t)", [["a", 1]], [["a", True], ["b", 1.0]]), [
+        "constant 'p' table[1].value[0][1]: expected 0 or 1",
+        "constant 'p' table[1].value[1][1]: expected 0 or 1",
+    ]),
 ]
 
 
@@ -398,6 +439,16 @@ def test_validation_raises_per_row_not_per_type() -> None:
             "validation: constant 'p': MissingIndexEntry (index w1)",
         ]
     assert model_file_from_doc(one_constant_doc("set(fn(set(e),t))", [], [], entities=many))
+
+
+def test_a_shared_row_is_refused_in_every_value_that_holds_it() -> None:
+    # equal relation rows of one load are one object, checked once per constant
+    doc = one_constant_doc("rel(e,e)", [["a", "zz"], ["a", "b"]], [["a", "b"], ["a", "zz"]])
+    doc["constants"].append({**doc["constants"][0], "name": "q"})
+    assert problems_of(doc) == [
+        f"validation: constant {name!r}: IllTypedValue (index {w}: value does not inhabit rel(e,e))"
+        for name in "pq" for w in ("w0", "w1")
+    ]
 
 
 def test_validation_reports_a_partial_function() -> None:

@@ -24,7 +24,8 @@ from finsem.denote import (
     render_term,
 )
 from finsem.generators import random_model, random_term
-from finsem.kripke import Frame, UnknownElement
+from finsem.modelfile import load_model_file
+from finsem.kripke import TRIVIAL_ELEMENT, Frame, UnknownElement, trivialize
 from finsem.morphisms import (
     AlreadyTrivial,
     CheckRecord,
@@ -61,7 +62,7 @@ from finsem.semmodel import (
 
 import random
 
-from helpers import build_extensional, build_modal, rel_value
+from helpers import MODELS_DIR, build_extensional, build_modal, rel_value
 
 MODAL = build_modal()
 EXT = build_extensional()
@@ -184,6 +185,120 @@ def test_random_two_frame_squares_commute(seed: int) -> None:
     )
     assert check_square(square)
     assert compose_path(m, square.path1).is_extensional
+
+
+# ---------------------------------------------------------------------------
+# the collapse against a row-by-row reference
+
+
+def _outcome_of(build):
+    try:
+        return build()
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _collapsed_by_rows(m: Model, label: str, chosen: str) -> Model:
+    """TrivializeFrame(label, chosen) one row at a time: keep each row whose
+    label component is chosen, then move it with Index.replace."""
+    constants = tuple(
+        Constant(c.name, c.semtype, tuple(
+            (idx.replace(label, TRIVIAL_ELEMENT), v) for idx, v in c.table if idx.component(label) == chosen
+        ))
+        for c in m.constants
+    )
+    frames = tuple(trivialize(f, chosen).frame if f.label == label else f for f in m.frames)
+    return Model(m.entity_domain, frames, constants, tuple(d for d in m.designated if d[0] != label))
+
+
+def _extensionalized_by_rows(m: Model) -> Model:
+    s0 = the_index(m)
+    constants = tuple(
+        Constant(c.name, c.semtype, tuple((EMPTY_INDEX, v) for idx, v in c.table if idx == s0))
+        for c in m.constants
+    )
+    return Model(m.entity_domain, (), constants, ())
+
+
+def _assert_collapses_like_the_rows(m: Model) -> int:
+    """Every collapse of m, at every element, against the reference; returns
+    the number compared."""
+    compared = 0
+    for f in m.frames:
+        if f.trivial:
+            continue
+        for chosen in f.domain.elements:
+            got = _outcome_of(lambda: apply(m, TrivializeFrame(f.label, chosen)))
+            want = _outcome_of(lambda: _collapsed_by_rows(m, f.label, chosen))
+            assert got == want
+            if isinstance(got, Model):
+                assert got.violations == want.violations
+                assert got.row_positions == want.row_positions
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in MODELS_DIR.glob("*.json")))
+def test_collapse_matches_the_row_by_row_reference_on_bundled_models(name: str) -> None:
+    m = load_model_file(str(MODELS_DIR / name)).model
+    assert _assert_collapses_like_the_rows(m) == sum(len(f.domain) for f in m.frames if not f.trivial)
+    flat = trivialize_all(m)
+    assert extensionalize(flat) == _extensionalized_by_rows(flat)
+
+
+def test_collapse_matches_the_row_by_row_reference_on_random_models() -> None:
+    rng = random.Random(12)
+    compared = 0
+    for _ in range(50):
+        m = random_model(rng, max_entities=3, max_frames=3)
+        compared += _assert_collapses_like_the_rows(m)
+        flat = trivialize_all(m)
+        assert extensionalize(flat) == _extensionalized_by_rows(flat)
+    assert compared > 100
+
+
+def test_collapse_matches_the_row_by_row_reference_on_invalid_models() -> None:
+    m = two_frame_model()
+    (p,) = m.constants
+    rows = list(p.table)
+    off_space = [
+        (Index((("W", "w0"), ("T", "t9"))), rel_value()),  # kept at w0, still off the space
+        (Index((("T", "t0"), ("W", "w1"))), rel_value(("e0",))),  # out of order: kept to the end
+        (Index((("W", "w1"), ("T", "t9"))), rel_value()),  # kept at w1, left out at t0
+        (Index((("W", "w0"), ("T", "t9"))), rel_value(("e0",))),  # off the space, twice
+    ]
+    no_t = [(Index((("W", "w1"),)), rel_value())]  # no T component: collapsing T raises
+    tables = {
+        "duplicate": rows + [(rows[0][0], rel_value(("e0",))), rows[-1]],
+        "off the space": rows[:1] + off_space + rows[1:],
+        "missing": rows[1:],
+        "all three": rows[2:] + off_space + [rows[2]],
+        "no T component": rows + no_t,
+    }
+    kinds, flattened = set(), 0
+    for name, table in tables.items():
+        bad = Model(m.entity_domain, m.frames, (Constant("p", p.semtype, tuple(table)),), m.designated)
+        assert bad.violations, name
+        kinds |= {v.kind for v in bad.violations}
+        assert _assert_collapses_like_the_rows(bad) == 4
+        flat = _outcome_of(lambda: trivialize_all(bad))
+        if isinstance(flat, Model):
+            assert extensionalize(flat) == _extensionalized_by_rows(flat)
+            flattened += 1
+    assert kinds == {"DuplicateIndexEntry", "UnexpectedIndexEntry", "MissingIndexEntry"}
+    assert flattened == 4
+    with pytest.raises(UnknownFrame, match="^index has no component for frame 'T'$"):
+        apply(Model(m.entity_domain, m.frames, (Constant("p", p.semtype, tuple(rows + no_t)),)),
+              TrivializeFrame("T", "t0"))
+    # a fully collapsed model whose rows repeat and leave the space
+    flat = trivialize_all(m)
+    (s0,) = index_space(flat)
+    odd = Index((("T", "k0"), ("W", "k0")))
+    table = ((odd, rel_value()), (s0, rel_value()), (s0, rel_value(("e0",))), (odd, rel_value()))
+    bad = Model(flat.entity_domain, flat.frames, (Constant("p", p.semtype, table),))
+    assert [v.kind for v in bad.violations] == ["DuplicateIndexEntry", "UnexpectedIndexEntry", "DuplicateIndexEntry"]
+    assert extensionalize(bad) == _extensionalized_by_rows(bad)
+    assert extensionalize(bad).constant("p").table == ((EMPTY_INDEX, rel_value()), (EMPTY_INDEX, rel_value(("e0",))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ in ascending bitmask order over the member enumeration.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 import time
 
@@ -495,6 +498,60 @@ def test_violation_is_plain_data() -> None:
     assert (v.kind, v.constant, v.detail) == ("MissingIndexEntry", "p", "index w0")
 
 
+def _violations_by_rows(m: Model) -> list[tuple[str, str, str]]:
+    """validate's table tests one row at a time, on sets of Index rows."""
+    out, space = [], index_space(m)
+    for c in m.constants:
+        seen = set()
+        for idx, v in c.table:
+            if idx in seen or idx not in space or not inhabits(m, v, c.semtype):
+                kind = "DuplicateIndexEntry" if idx in seen else "UnexpectedIndexEntry" if idx not in space else "IllTypedValue"
+                tail = f": value does not inhabit {render_type(c.semtype)}" if kind == "IllTypedValue" else ""
+                out.append((kind, c.name, f"index {idx.render()}{tail}"))
+            seen.add(idx)
+        out += [("MissingIndexEntry", c.name, f"index {idx.render()}") for idx in space if idx not in seen]
+    return out
+
+
+def _spoiled(rng: random.Random, m: Model) -> Model:
+    """m with rows repeated, dropped, moved off the index space and given
+    values that do not inhabit their type; a refused relation row is one
+    object shared by several values."""
+    constants = []
+    for c in m.constants:
+        rows = list(c.table)
+        if isinstance(c.semtype, RelType):
+            stray = TupleV((Entity("zz"),) * len(c.semtype.components))
+            rows = [(idx, SetV(v.members | {stray})) if rng.random() < 0.3 else (idx, v) for idx, v in rows]
+        elif rng.random() < 0.5:
+            rows[rng.randrange(len(rows))] = (rows[0][0], Entity("zz"))
+        for _ in range(rng.randint(0, 3)):
+            idx, v = rng.choice(rows)
+            move = rng.randrange(4)
+            if move == 0:
+                rows.insert(rng.randrange(len(rows) + 1), (idx, v))
+            elif move == 1 and len(rows) > 1:
+                rows.remove((idx, v))
+            elif move == 2:
+                rows.append((Index(idx.components[::-1] + (("X", "x0"),)), v))
+            else:
+                rows.insert(0, (Index(idx.components[:-1]), v))
+        rng.shuffle(rows)
+        constants.append(Constant(c.name, c.semtype, tuple(rows)))
+    return Model(m.entity_domain, m.frames, tuple(constants), m.designated)
+
+
+def test_validate_matches_the_row_by_row_reference() -> None:
+    rng = random.Random(23)
+    kinds: set = set()
+    for _ in range(60):
+        m = _spoiled(rng, generators.random_model(rng, max_entities=3, min_frames=0, max_frames=3))
+        got = [(v.kind, v.constant, v.detail) for v in validate(m)]
+        assert got == _violations_by_rows(m)
+        kinds |= {v[0] for v in got}
+    assert kinds == {"DuplicateIndexEntry", "UnexpectedIndexEntry", "MissingIndexEntry", "IllTypedValue"}
+
+
 # ---------------------------------------------------------------------------
 # cached lookups on values
 
@@ -504,8 +561,35 @@ def test_parse_type_shares_its_ground_types() -> None:
     assert parsed.domain.first is ENT_TYPE and parsed.codomain is TRUTH_TYPE
     assert parsed.domain.second.components == (ENT_TYPE, TRUTH_TYPE)
     assert parse_type("e") is ENT_TYPE and parse_type("t") is TRUTH_TYPE
-    # fresh instances are different objects, but equal
-    assert EntType() is not ENT_TYPE and EntType() == ENT_TYPE
+    # an instance made without the constructor is another object, but equal
+    assert object.__new__(EntType) is not ENT_TYPE and object.__new__(EntType) == ENT_TYPE
+
+
+def test_ground_types_have_one_instance() -> None:
+    assert EntType() is ENT_TYPE and TruthType() is TRUTH_TYPE
+    assert EntType() != TruthType()
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    for t in (ENT_TYPE, TRUTH_TYPE):
+        assert copy.copy(t) is t and copy.deepcopy(t) is t
+        assert all(pickle.loads(pickle.dumps(t, protocol)) is t for protocol in protocols)
+    nested = fn_type([ENT_TYPE, RelType((ENT_TYPE, TRUTH_TYPE))], TRUTH_TYPE)
+    for twin in [copy.deepcopy(nested)] + [pickle.loads(pickle.dumps(nested, p)) for p in protocols]:
+        assert twin == nested
+        assert [id(g) for g in _ground_leaves(twin)] == [id(g) for g in _ground_leaves(nested)]
+    # a generated model's constants share them through a deep copy too
+    m = copy.deepcopy(generators.random_model(random.Random(3), max_entities=3, max_frames=2))
+    grounds = [t for c in m.constants for t in _ground_leaves(c.semtype)]
+    assert grounds and all(t is ENT_TYPE or t is TRUTH_TYPE for t in grounds)
+
+
+def _ground_leaves(t) -> list:
+    if isinstance(t, (EntType, TruthType)):
+        return [t]
+    if isinstance(t, RelType):
+        return [g for c in t.components for g in _ground_leaves(c)]
+    if dataclasses.is_dataclass(t):
+        return [g for f in dataclasses.fields(t) for g in _ground_leaves(getattr(t, f.name))]
+    return []
 
 
 def test_item_tuples_decide_membership_like_the_members() -> None:

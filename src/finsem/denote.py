@@ -12,15 +12,17 @@ Lambda abstraction evaluates by extending the environment over the bound
 variable's finite domain; no textual substitution ever happens, so capture
 is a non-issue and every result is a finite first-class value.
 
-eval_all_indices labels a term a set of indices at a time, as CTL model
-checking labels states; eval_int is the per-index oracle the labelling must
+eval_all_indices labels every subterm with a column of values over a list
+of index positions, as CTL model checking labels states with subformulas: a
+second clause table, _COLUMNS, interprets each node once per column, not once
+per position. eval_int and _CLAUSES are the per-index oracle the columns must
 match, errors included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .relalg import FinsemError
 from .semmodel import (
@@ -361,14 +363,10 @@ def eval_all_indices(
     """Evaluate at every index, keyed in canonical index order."""
     g = g if g is not None else Assignment()
     env = _prepare(m, _type_error(term, m, g), _env_of(g, m))
-    outcomes = _label(term, m, env, range(len(m.positions)))
-    values: dict[Index, Value] = {}
-    for s, p in m.positions.items():
-        outcome = outcomes[p]
-        if isinstance(outcome, Exception):
-            raise outcome
-        values[s] = outcome
-    return values
+    values, errors = _COLUMNS[type(term)](term, m, env, list(range(len(m.positions))))
+    if errors:
+        raise errors[min(errors)]
+    return dict(zip(m.positions, values))
 
 
 def evaluate(
@@ -435,7 +433,7 @@ def _require_valid(m: Model) -> None:
         )
 
 
-def _nest_tuple(values: list[Value]) -> Value:
+def _nest_tuple(values: Sequence[Value]) -> Value:
     if len(values) == 2:
         return TupleV((values[0], values[1]))
     return TupleV((values[0], _nest_tuple(values[1:])))
@@ -554,63 +552,153 @@ _CLAUSES = {
 }
 
 
-# Each position's outcome: the value _eval returns there, or the exception it raises.
-Outcome = Value | Exception
+# _COLUMNS holds one column clause per term class. A clause evaluates a
+# typechecked term of a valid model at a list ps of index positions at once:
+# it returns the term's values in the order of ps, and its errors keyed by
+# slot, a slot being a place in ps. At each slot the outcome is _eval's, value
+# or exception: where subterms fail, the first to fail in _eval's order
+# supplies the error (argument order, entity domain order for a binder, frame
+# order for Diamond). A failed slot holds FALSE, which every clause may read;
+# what it computes from it is discarded, as evaluation is pure.
+
+Column = tuple[list[Value], dict[int, Exception]]
 
 
-def _label(
-    term: Term, m: Model, env: dict[str, Value], needed: Iterable[int]
-) -> dict[int, Outcome]:
-    """The outcome of term at each needed index position, a set at a time.
+def _column_const(term: Const, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    col = m.columns[term.name]
+    return [col[p] for p in ps], {}
 
-    Diamond is a preimage: its body is evaluated once per distinct successor
-    position, then each needed position reads its successors in frame order,
-    so the first failing successor supplies the error, as in _eval. And, Not
-    and Eq over modal subterms combine outcomes position by position; every
-    other term is evaluated by _eval at each needed position.
-    """
-    match term:
-        case Diamond(label, body):
-            succ = m.successor_positions(label)
-            needed = list(needed)
-            inner = _label(body, m, env, dict.fromkeys(t for p in needed for t in succ[p]))
-            out: dict[int, Outcome] = {}
-            for p in needed:
-                outcome: Outcome = FALSE
-                for t in succ[p]:
-                    o = inner[t]
-                    if isinstance(o, Exception):
-                        outcome = o
-                        break
-                    if o == TRUE:
-                        outcome = TRUE
-                out[p] = outcome
-            return out
-        case Not(body) if has_modal(body):
-            return {
-                p: o if isinstance(o, Exception) else TRUE if o == FALSE else FALSE
-                for p, o in _label(body, m, env, needed).items()
-            }
-        case And(left, right) | Eq(left, right) if has_modal(term):
-            out = _label(left, m, env, needed)
-            ok = [p for p, o in out.items() if not isinstance(o, Exception)]
-            rights = _label(right, m, env, ok)
-            for p in ok:
-                lv, rv = out[p], rights[p]
-                if isinstance(rv, Exception):
-                    out[p] = rv
-                elif isinstance(term, And):
-                    out[p] = TRUE if lv == TRUE and rv == TRUE else FALSE
-                else:
-                    out[p] = TRUE if lv == rv else FALSE
-            return out
-    out = {}
-    for p in needed:
+
+def _column_var(term: Var, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    return [env[term.name]] * len(ps), {}
+
+
+def _arg_columns(args: tuple[Term, ...], m: Model, env: dict[str, Value], ps: list[int]) -> tuple:
+    """Each argument's values, and the leftmost failing argument's errors."""
+    cols, errors = [], {}
+    for a in args:
+        values, errs = _COLUMNS[type(a)](a, m, env, ps)
+        cols.append(values)
+        errors = errs | errors
+    return cols, errors
+
+
+def _column_pred_app(term: PredApp, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    col = m.columns[term.pred]
+    cols, errors = _arg_columns(term.args, m, env, ps)
+    return [TRUE if got in col[p].item_tuples else FALSE for p, got in zip(ps, zip(*cols))], errors
+
+
+def _apply_each(fns: Iterable, args: Iterable, errors: dict[int, Exception]) -> list[Value]:
+    """f.apply(a) at each slot not failed yet, recording the new failures."""
+    out: list[Value] = []
+    for slot, (f, a) in enumerate(zip(fns, args)):
         try:
-            out[p] = _eval(term, m, env, p)
-        except Exception as err:
-            out[p] = err
+            out.append(FALSE if slot in errors else f.apply(a))
+        except KeyError as err:
+            errors[slot] = err
+            out.append(FALSE)
     return out
+
+
+def _column_func_app(term: FuncApp, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    col = m.columns[term.fn]
+    cols, errors = _arg_columns(term.args, m, env, ps)
+    args = cols[0] if len(cols) == 1 else map(_nest_tuple, zip(*cols))
+    return _apply_each([col[p] for p in ps], args, errors), errors
+
+
+def _per_entity(term: Lam | Iota, m: Model, env: dict[str, Value], ps: list[int]) -> tuple:
+    """The body's values at each slot, one per entity in domain order, and the
+    first failing entity's errors. The bound variable does not vary by
+    position, so the body runs once per entity, under one environment each."""
+    body, var = term.body, term.var
+    clause = _COLUMNS[type(body)]
+    cols, errors = [], {}
+    for k in m.entities:
+        values, errs = clause(body, m, {**env, var: k}, ps)
+        cols.append(values)
+        errors = errs | errors
+    return list(zip(*cols)), errors
+
+
+def _column_lam(term: Lam, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    entities, order = m.entities, m.entity_key_order
+    if len(entities) > MAX_DOMAIN_SIZE:
+        err = DomainTooLarge(f"{render_type(term.var_type)} exceeds {MAX_DOMAIN_SIZE} values")
+        return [FALSE] * len(ps), dict.fromkeys(range(len(ps)), err)
+    rows, errors = _per_entity(term, m, env, ps)
+    keys = [entities[i] for i in order]
+    return [FnV._ordered(tuple(zip(keys, [row[i] for i in order]))) for row in rows], errors
+
+
+def _column_app(term: App, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    fns, errors = _COLUMNS[type(term.func)](term.func, m, env, ps)
+    args, errs = _COLUMNS[type(term.arg)](term.arg, m, env, ps)
+    errors = errs | errors
+    return _apply_each(fns, args, errors), errors
+
+
+def _column_iota(term: Iota, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    rows, errors = _per_entity(term, m, env, ps)
+    out: list[Value] = []
+    for slot, row in enumerate(rows):
+        hits = [k for k, v in zip(m.entities, row) if v.flag]
+        out.append(hits[0] if len(hits) == 1 else FALSE)
+        if len(hits) != 1 and slot not in errors:
+            errors[slot] = PresuppositionFailure(
+                f"iota over {term.var!r} needs exactly one witness, found {len(hits)}"
+            )
+    return out, errors
+
+
+def _column_diamond(term: Diamond, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    """A preimage: the body runs once over the distinct successors of ps,
+    then each slot reads its successors in frame order."""
+    succ = m.successor_positions(term.label)
+    targets = list(dict.fromkeys(t for p in ps for t in succ[p]))
+    values, errs = _COLUMNS[type(term.body)](term.body, m, env, targets)
+    flag = dict(zip(targets, [v.flag for v in values])).__getitem__
+    errors = {}
+    if errs:
+        failed = {targets[slot]: err for slot, err in errs.items()}
+        for slot, p in enumerate(ps):
+            first = next((t for t in succ[p] if t in failed), None)
+            if first is not None:
+                errors[slot] = failed[first]
+    return [TRUE if any(map(flag, succ[p])) else FALSE for p in ps], errors
+
+
+def _column_and(term: And, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    left, errors = _COLUMNS[type(term.left)](term.left, m, env, ps)
+    right, errs = _COLUMNS[type(term.right)](term.right, m, env, ps)
+    return [TRUE if l.flag and r.flag else FALSE for l, r in zip(left, right)], errs | errors
+
+
+def _column_not(term: Not, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    values, errors = _COLUMNS[type(term.body)](term.body, m, env, ps)
+    return [FALSE if v.flag else TRUE for v in values], errors
+
+
+def _column_eq(term: Eq, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+    left, errors = _COLUMNS[type(term.left)](term.left, m, env, ps)
+    right, errs = _COLUMNS[type(term.right)](term.right, m, env, ps)
+    return [TRUE if l == r else FALSE for l, r in zip(left, right)], errs | errors
+
+
+_COLUMNS = {
+    Const: _column_const,
+    Var: _column_var,
+    PredApp: _column_pred_app,
+    FuncApp: _column_func_app,
+    Lam: _column_lam,
+    App: _column_app,
+    Iota: _column_iota,
+    Diamond: _column_diamond,
+    And: _column_and,
+    Not: _column_not,
+    Eq: _column_eq,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +727,10 @@ _RENDER = {
 }
 
 
-# The recursive parser, typechecker, per-index evaluator, labelling pass and
-# renderer take at most two stack frames per level (the labelling pass one per
-# modal or pointwise level, then the per-index evaluator below it), well within
-# the default recursion limit of 1000.
+# The recursive parser, typechecker, per-index evaluator, column clauses and
+# renderer take at most two stack frames per level (a clause, and the loop or
+# comprehension over an argument list), well within the default recursion
+# limit of 1000.
 MAX_TERM_DEPTH = 256
 
 

@@ -716,7 +716,8 @@ def _checker(m: Model, t: SemType) -> Callable[[Value], bool]:
             value_ok, keys = _checker(m, codomain), []
 
             def fn(v: Value) -> bool:
-                if not isinstance(v, FnV):
+                # _card raises where type_domain would; a wrong size needs no keys
+                if not isinstance(v, FnV) or len(v.entries) != _card(m, domain, MAX_DOMAIN_SIZE):
                     return False
                 if not keys:
                     keys.append({value_key(k) for k in type_domain(m, domain)})

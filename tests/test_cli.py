@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import finsem
-from finsem import cli
+from finsem import cli, semmodel
 from finsem.denote import TermTypeError
 from finsem.modelfile import ModelFileError
 from finsem.relalg import FinsemError
@@ -410,6 +410,28 @@ def test_ill_typed_named_term_is_malformed_input(tmp_path, capsys) -> None:
     path.write_text(json.dumps(ILL_TYPED_TERM_DOC))
     assert cli.main(["check-rel", str(path)]) == 2
     assert capsys.readouterr().err == "error: terms['odd']: at root.body: expected t, found e\n"
+
+
+def test_a_wrongly_sized_function_value_is_refused_without_enumerating_its_domain(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    # 30 entities give the argument type 810000 values: listing them took 21 s
+    ty = "fn(pair(pair(e,e),pair(e,e)),pair(pair(e,e),pair(e,e)))"
+    doc = {
+        "entities": [f"e{i}" for i in range(30)],
+        "constants": [{"name": "f", "type": ty, "table": [{"index": [], "value": []}]}],
+    }
+    path = tmp_path / "empty_function.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    domain = semmodel.type_domain
+    monkeypatch.setattr(semmodel, "type_domain", lambda *args: calls.append(args) or domain(*args))
+    assert cli.main(["check-rel", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: validation: constant 'f': IllTypedValue (index (): value does not inhabit "
+        "fn(pair(e,e),e,e,pair(pair(e,e),pair(e,e))))\n"
+    )
+    assert calls == []
 
 
 def _finsem_exception_classes() -> list[type]:

@@ -1,5 +1,5 @@
-"""eval_all_indices labels a term a set of indices at a time; the per-index
-clause of _eval is its oracle.
+"""eval_all_indices labels every subterm a column of index positions at a
+time through denote._COLUMNS; the per-index clauses of _eval are its oracle.
 
 Outcomes compare by value, or by exception type and message, so the two
 routes must agree on errors as well as on values. Both routes read
@@ -9,8 +9,12 @@ those tables against the Index route.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import Counter
+
+import pytest
 
 from finsem import denote, generators
 from finsem.denote import (
@@ -36,13 +40,19 @@ from finsem.semmodel import (
     Constant,
     EntType,
     Entity,
+    FnType,
+    FnV,
     Index,
     Model,
     Truth,
     TruthType,
+    SetV,
+    TupleV,
+    fn_type,
+    render_value,
 )
 
-from helpers import UNARY, build_modal, rel_value
+from helpers import BINARY, UNARY, build_modal, rel_value
 
 
 def oracle(term: Term, m: Model, g: Assignment) -> tuple:
@@ -75,29 +85,72 @@ def _truth_term(rng: random.Random, m: Model) -> Term:
             return term
 
 
+def _wrapped_term(rng: random.Random, m: Model) -> Term:
+    """A random truth term wrapped one to four times in might, not or and."""
+    term = _truth_term(rng, m)
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.5:
+            term = Diamond(rng.choice([f.label for f in m.frames]), term)
+        elif roll < 0.7:
+            term = Not(term)
+        else:
+            other = _truth_term(rng, m)
+            term = And(term, other) if rng.random() < 0.5 else And(other, term)
+    return term
+
+
+def _full_assignment(rng: random.Random, m: Model) -> Assignment:
+    return Assignment(
+        tuple((x, rng.choice(m.entity_domain.elements)) for x in generators.ASSIGNMENT_VARS)
+    )
+
+
 def test_seeded_agreement_with_the_per_index_oracle() -> None:
     rng = random.Random(20240)
     kinds: Counter = Counter()
     for _ in range(80):
         m = generators.random_model(rng, max_frames=3)
-        labels = [f.label for f in m.frames]
-        g = Assignment(
-            tuple((x, rng.choice(m.entity_domain.elements)) for x in generators.ASSIGNMENT_VARS)
-        )
+        g = _full_assignment(rng, m)
         for _ in range(4):
-            term = _truth_term(rng, m)
-            for _ in range(rng.randint(1, 4)):
-                roll = rng.random()
-                if roll < 0.5:
-                    term = Diamond(rng.choice(labels), term)
-                elif roll < 0.7:
-                    term = Not(term)
-                else:
-                    other = _truth_term(rng, m)
-                    term = And(term, other) if rng.random() < 0.5 else And(other, term)
-            kinds[assert_routes_agree(term, m, g)[0]] += 1
+            kinds[assert_routes_agree(_wrapped_term(rng, m), m, g)[0]] += 1
     # both values and errors are exercised
     assert kinds["value"] >= 100 and kinds["error"] >= 30, kinds
+
+
+# sha256 of the outcomes of the seeded corpus below; regenerate it only for an
+# output change that is meant and declared
+LABELLING_CORPUS_SHA256 = "c1724c6e6e3621e41622b6b4761b9ab78e0c583b72402298a3f090ec184bc354"
+
+
+def corpus_outcomes() -> list:
+    """60 random models, each with four wrapped truth terms and two bare random
+    terms (entity, truth or function valued): each term's rendering and its
+    outcome, every index's rendered value or the error's type and message."""
+    rng = random.Random(1986)
+    records = []
+    for _ in range(60):
+        m = generators.random_model(rng, max_frames=3)
+        g = _full_assignment(rng, m)
+        terms = [_wrapped_term(rng, m) for _ in range(4)]
+        terms += [generators.random_term(rng, m, max_depth=3) for _ in range(2)]
+        for term in terms:
+            try:
+                values = eval_all_indices(term, m, g)
+            except Exception as err:
+                outcome = [type(err).__name__, str(err)]
+            else:
+                outcome = [[s.render(), render_value(v, m)] for s, v in values.items()]
+            records.append([denote.render_term(term), outcome])
+    return records
+
+
+def test_seeded_corpus_outcomes_are_pinned() -> None:
+    records = corpus_outcomes()
+    errors = Counter(outcome[0] for _, outcome in records if isinstance(outcome[0], str))
+    assert len(records) - sum(errors.values()) >= 200 and errors["PresuppositionFailure"] >= 20, errors
+    text = json.dumps(records)
+    assert hashlib.sha256(text.encode()).hexdigest() == LABELLING_CORPUS_SHA256
 
 
 def _w(w: str) -> Index:
@@ -140,27 +193,132 @@ def test_failure_at_one_successor_propagates_the_first_in_frame_order() -> None:
     assert assert_routes_agree(wrapped, m)[2].endswith("found 2")
 
 
-def test_diamond_under_a_binder_takes_the_per_index_route(monkeypatch) -> None:
+def test_diamond_under_a_binder_takes_the_column_route(monkeypatch) -> None:
     m = build_modal()
     g = Assignment((("z", "s1"),))
     under_lam = App(Lam("x", EntType(), Diamond("W", PredApp("student", (Var("x"),)))), Var("z"))
     under_iota = Iota("y", Diamond("W", PredApp("book", (Var("y"),))))
     in_an_argument = Eq(under_iota, Iota("y", PredApp("book", (Var("y"),))))
     calls: list = []
-    per_index = denote._CLAUSES[Diamond]
-    monkeypatch.setitem(
-        denote._CLAUSES, Diamond, lambda *args: calls.append(args[3]) or per_index(*args)
-    )
+    for cls, clause in list(denote._CLAUSES.items()):
+        monkeypatch.setitem(
+            denote._CLAUSES, cls, lambda *args, clause=clause: calls.append(args[0]) or clause(*args)
+        )
     assert labelled(Diamond("W", PredApp("student", (Var("z"),))), m, g)[0] == "value"
-    assert calls == []  # a Diamond at the top is labelled, not evaluated per index
     assert labelled(under_lam, m, g)[0] == "value"
     # w1 sees nothing, so the iota finds no witness there
     assert labelled(in_an_argument, m, g)[0] == "error"
-    # each term ran the per-index clause at both positions, once per entity bound
-    assert calls == [0, 0, 1, 1] * 2
-    calls.clear()
+    assert calls == []  # no subterm is evaluated one index at a time
     assert_routes_agree(under_lam, m, g)
     assert_routes_agree(in_an_argument, m)
+    assert calls  # the oracle is
+
+
+def fn_model() -> Model:
+    """Frame W over w0..w2 (w0 sees w1 then w2, w1 and w2 see w2) and entities
+    a, b, c, with tables that vary by world. An iota over `the` fails at w1
+    (two witnesses) and w2 (none), one over `one` at w1 (none) and w2 (two);
+    `r` relates a to two entities, b to one and c to none."""
+    carrier = FinSet("W", ("w0", "w1", "w2"))
+    pairs = frozenset({("w0", "w1"), ("w0", "w2"), ("w1", "w2"), ("w2", "w2")})
+    ents = ("a", "b", "c")
+    keys = [TupleV((Entity(x), Entity(y))) for x in ents for y in ents]
+
+    def per_world(*values) -> tuple:
+        return tuple((_w(f"w{i}"), v) for i, v in enumerate(values))
+
+    def unary(*rows: str) -> SetV:
+        return rel_value(*((e,) for e in rows))
+
+    def shift(i: int) -> FnV:
+        return FnV(tuple((Entity(x), Entity(ents[(k + i + 1) % 3])) for k, x in enumerate(ents)))
+
+    def pick(i: int) -> FnV:
+        return FnV(tuple((k, k.items[i % 2]) for k in keys))
+
+    return Model(
+        FinSet("E", ents),
+        (Frame("W", carrier, Relation(carrier, carrier, pairs)),),
+        (
+            Constant("c", EntType(), per_world(Entity("a"), Entity("b"), Entity("c"))),
+            Constant("mentor", FnType(EntType(), EntType()), per_world(shift(0), shift(1), shift(2))),
+            Constant("pick", fn_type([EntType(), EntType()], EntType()), per_world(pick(0), pick(1), pick(2))),
+            Constant("the", UNARY, per_world(unary("a"), unary("a", "b"), unary())),
+            Constant("one", UNARY, per_world(unary("a"), unary(), unary("a", "b"))),
+            Constant("p", UNARY, per_world(unary("a"), unary("a", "b"), unary("b"))),
+            Constant("r", BINARY, per_world(*[rel_value(("a", "a"), ("a", "b"), ("b", "c"))] * 3)),
+        ),
+    )
+
+
+FN_NAMES = frozenset({"c", "mentor", "pick", "the", "one", "p", "r"})
+
+
+def fn_term(text: str) -> Term:
+    return parse_term(text, FN_NAMES)
+
+
+@pytest.mark.parametrize(
+    "text, kind",
+    [
+        # entity-valued and function-valued terms at the top
+        ("(func mentor (func mentor c))", "e"),
+        ("(func pick (func mentor c) c)", "e"),
+        ("(app (lam x e (func pick x (func mentor x))) c)", "e"),
+        ("(lam x e (func pick x (func mentor x)))", "fn"),
+        ("(lam x e (lam y e (pred r x y)))", "fn"),
+        ("(eq (lam x e (pred p x)) (lam y e (pred the y)))", "t"),
+        # Diamond under lam, under iota and in an argument position
+        ("(lam x e (might W (pred p x)))", "fn"),
+        ("(app (lam x e (might W (pred p x))) c)", "t"),
+        ("(iota x (might W (and (pred p x) (not (pred the x)))))", "e"),
+        ("(func pick (iota x (and (pred p x) (might W (pred p x)))) c)", "e"),
+        ("(pred r c (func mentor (iota x (and (pred p x) (might W (pred p x))))))", "t"),
+    ],
+)
+def test_terms_of_every_type_agree_with_the_oracle(text: str, kind: str) -> None:
+    m = fn_model()
+    got = assert_routes_agree(fn_term(text), m)
+    assert got[0] == "value", got
+    expected = {"e": Entity, "t": Truth, "fn": FnV}[kind]
+    assert {type(v) for v in got[1].values()} == {expected}
+
+
+@pytest.mark.parametrize(
+    "text, found",
+    [
+        # an iota failing at some worlds only: the first world's error is raised
+        ("(iota x (pred one x))", 0),
+        ("(func mentor (iota x (pred the x)))", 2),
+        # across arguments the leftmost failing argument wins
+        ("(func pick (iota x (pred the x)) (iota y (pred one y)))", 2),
+        ("(func pick (iota x (pred one x)) (iota y (pred the y)))", 0),
+        ("(pred r (iota x (pred the x)) (iota y (pred one y)))", 2),
+        ("(eq (iota x (pred one x)) (iota y (pred the y)))", 0),
+        ("(and (pred p (iota x (pred the x))) (pred p (iota y (pred one y))))", 2),
+        ("(app (lam x e (pred p x)) (iota y (pred one y)))", 0),
+        ("(app (lam x e (pred p (iota y (pred the y)))) (iota z (pred one z)))", 2),
+        # across entities the first in domain order wins: a has two r-successors, c none
+        ("(lam x e (pred p (iota y (pred r x y))))", 2),
+        ("(iota x (pred p (iota y (pred r x y))))", 2),
+        ("(lam x e (iota y (and (pred r x y) (not (eq x y)))))", 0),
+        # across successors the first in frame order wins: w0 sees w1, then w2
+        ("(might W (pred p (iota x (pred the x))))", 2),
+        ("(might W (pred p (iota x (pred one x))))", 0),
+        ("(not (might W (eq c (iota x (pred the x)))))", 2),
+    ],
+)
+def test_the_first_error_in_evaluation_order_wins(text: str, found: int) -> None:
+    kind, err_type, message = assert_routes_agree(fn_term(text), fn_model())
+    assert (kind, err_type) == ("error", denote.PresuppositionFailure)
+    assert message.endswith(f"found {found}")
+
+
+def test_deepest_function_chain_labels_without_recursion_error() -> None:
+    chain = "(func mentor " * MAX_TERM_DEPTH + "c" + ")" * MAX_TERM_DEPTH
+    got = assert_routes_agree(fn_term(chain), fn_model())
+    # the shift at w_i is by i + 1, and 256 steps return to where they started
+    assert got == ("value", {_w(f"w{i}"): Entity("abc"[(i + 256 * (i + 1)) % 3]) for i in range(3)})
 
 
 def grid_model() -> Model:

@@ -356,6 +356,11 @@ def test_inhabits() -> None:
     partial = FnV(((A, B),))
     assert inhabits(M, total, FnType(EntType(), EntType()))
     assert not inhabits(M, partial, FnType(EntType(), EntType()))
+    # as many entries as the domain has values, but one key outside it
+    assert not inhabits(M, FnV(((A, B), (Entity("zz"), B))), FnType(EntType(), EntType()))
+    # an oversized domain still raises before any size is compared
+    with pytest.raises(DomainTooLarge):
+        inhabits(M, partial, FnType(parse_type("rel(e,e,e,e,e)"), EntType()))
 
 
 def test_inhabits_index_elements() -> None:

@@ -15,14 +15,16 @@ is a non-issue and every result is a finite first-class value.
 eval_all_indices labels every subterm with a column of values over a list
 of index positions, as CTL model checking labels states with subformulas: a
 second clause table, _COLUMNS, interprets each node once per column, not once
-per position. eval_int and _CLAUSES are the per-index oracle the columns must
-match, errors included.
+per position. Column clauses compute values only and raise where evaluation
+fails; errors are named by _CLAUSES alone, as eval_all_indices then evaluates
+index by index and raises the first index's error. eval_int and _CLAUSES are
+the per-index oracle the columns must match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .relalg import FinsemError
 from .semmodel import (
@@ -363,9 +365,15 @@ def eval_all_indices(
     """Evaluate at every index, keyed in canonical index order."""
     g = g if g is not None else Assignment()
     env = _prepare(m, _type_error(term, m, g), _env_of(g, m))
-    values, errors = _COLUMNS[type(term)](term, m, env, list(range(len(m.positions))))
-    if errors:
-        raise errors[min(errors)]
+    ps = list(range(len(m.positions)))
+    try:
+        values = _COLUMNS[type(term)](term, m, env, ps)
+    except Exception:
+        # the columns only tell that evaluation fails; the first index where
+        # _eval fails names the error, and if none does, the routes disagree
+        for p in ps:
+            _eval(term, m, env, p)
+        raise
     return dict(zip(m.positions, values))
 
 
@@ -553,137 +561,97 @@ _CLAUSES = {
 
 
 # _COLUMNS holds one column clause per term class. A clause evaluates a
-# typechecked term of a valid model at a list ps of index positions at once:
-# it returns the term's values in the order of ps, and its errors keyed by
-# slot, a slot being a place in ps. At each slot the outcome is _eval's, value
-# or exception: where subterms fail, the first to fail in _eval's order
-# supplies the error (argument order, entity domain order for a binder, frame
-# order for Diamond). A failed slot holds FALSE, which every clause may read;
-# what it computes from it is discarded, as evaluation is pure.
-
-Column = tuple[list[Value], dict[int, Exception]]
+# typechecked term of a valid model at a list ps of index positions at once
+# and returns its values in the order of ps. It evaluates each subterm at the
+# positions and bindings where _eval does, so it raises exactly when _eval
+# fails at some position of ps; which error that is, only _CLAUSES says, and
+# eval_all_indices asks them.
 
 
-def _column_const(term: Const, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+def _column_const(term: Const, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
     col = m.columns[term.name]
-    return [col[p] for p in ps], {}
+    return [col[p] for p in ps]
 
 
-def _column_var(term: Var, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
-    return [env[term.name]] * len(ps), {}
+def _column_var(term: Var, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
+    return [env[term.name]] * len(ps)
 
 
-def _arg_columns(args: tuple[Term, ...], m: Model, env: dict[str, Value], ps: list[int]) -> tuple:
-    """Each argument's values, and the leftmost failing argument's errors."""
-    cols, errors = [], {}
-    for a in args:
-        values, errs = _COLUMNS[type(a)](a, m, env, ps)
-        cols.append(values)
-        errors = errs | errors
-    return cols, errors
-
-
-def _column_pred_app(term: PredApp, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
+def _column_pred_app(term: PredApp, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
     col = m.columns[term.pred]
-    cols, errors = _arg_columns(term.args, m, env, ps)
-    return [TRUE if got in col[p].item_tuples else FALSE for p, got in zip(ps, zip(*cols))], errors
+    cols = [_COLUMNS[type(a)](a, m, env, ps) for a in term.args]
+    return [TRUE if got in col[p].item_tuples else FALSE for p, got in zip(ps, zip(*cols))]
 
 
-def _apply_each(fns: Iterable, args: Iterable, errors: dict[int, Exception]) -> list[Value]:
-    """f.apply(a) at each slot not failed yet, recording the new failures."""
+def _column_func_app(term: FuncApp, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
+    col = m.columns[term.fn]
+    cols = [_COLUMNS[type(a)](a, m, env, ps) for a in term.args]
+    args = cols[0] if len(cols) == 1 else map(_nest_tuple, zip(*cols))
+    return [col[p].apply(a) for p, a in zip(ps, args)]
+
+
+def _per_entity(term: Lam | Iota, m: Model, env: dict[str, Value], ps: list[int]) -> list[tuple]:
+    """The body's values at each position of ps, one per entity in domain
+    order. The bound variable does not vary by position, so the body runs once
+    per entity, under one environment each."""
+    body, var = term.body, term.var
+    clause = _COLUMNS[type(body)]
+    cols = []
+    for k in m.entities:
+        cols.append(clause(body, m, {**env, var: k}, ps))
+    return list(zip(*cols))
+
+
+def _column_lam(term: Lam, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
+    entities, order = m.entities, m.entity_key_order
+    if len(entities) > MAX_DOMAIN_SIZE and ps:  # where no position is asked for, nothing fails
+        raise DomainTooLarge(f"{render_type(term.var_type)} exceeds {MAX_DOMAIN_SIZE} values")
+    keys = [entities[i] for i in order]
+    rows = _per_entity(term, m, env, ps)
+    return [FnV._ordered(tuple(zip(keys, [row[i] for i in order]))) for row in rows]
+
+
+def _column_app(term: App, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
+    fns = _COLUMNS[type(term.func)](term.func, m, env, ps)
+    args = _COLUMNS[type(term.arg)](term.arg, m, env, ps)
+    return [f.apply(a) for f, a in zip(fns, args)]
+
+
+def _column_iota(term: Iota, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
     out: list[Value] = []
-    for slot, (f, a) in enumerate(zip(fns, args)):
-        try:
-            out.append(FALSE if slot in errors else f.apply(a))
-        except KeyError as err:
-            errors[slot] = err
-            out.append(FALSE)
+    for row in _per_entity(term, m, env, ps):
+        hits = [k for k, v in zip(m.entities, row) if v.flag]
+        if len(hits) != 1:
+            raise PresuppositionFailure(
+                f"iota over {term.var!r} needs exactly one witness, found {len(hits)}"
+            )
+        out.append(hits[0])
     return out
 
 
-def _column_func_app(term: FuncApp, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
-    col = m.columns[term.fn]
-    cols, errors = _arg_columns(term.args, m, env, ps)
-    args = cols[0] if len(cols) == 1 else map(_nest_tuple, zip(*cols))
-    return _apply_each([col[p] for p in ps], args, errors), errors
-
-
-def _per_entity(term: Lam | Iota, m: Model, env: dict[str, Value], ps: list[int]) -> tuple:
-    """The body's values at each slot, one per entity in domain order, and the
-    first failing entity's errors. The bound variable does not vary by
-    position, so the body runs once per entity, under one environment each."""
-    body, var = term.body, term.var
-    clause = _COLUMNS[type(body)]
-    cols, errors = [], {}
-    for k in m.entities:
-        values, errs = clause(body, m, {**env, var: k}, ps)
-        cols.append(values)
-        errors = errs | errors
-    return list(zip(*cols)), errors
-
-
-def _column_lam(term: Lam, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
-    entities, order = m.entities, m.entity_key_order
-    if len(entities) > MAX_DOMAIN_SIZE:
-        err = DomainTooLarge(f"{render_type(term.var_type)} exceeds {MAX_DOMAIN_SIZE} values")
-        return [FALSE] * len(ps), dict.fromkeys(range(len(ps)), err)
-    rows, errors = _per_entity(term, m, env, ps)
-    keys = [entities[i] for i in order]
-    return [FnV._ordered(tuple(zip(keys, [row[i] for i in order]))) for row in rows], errors
-
-
-def _column_app(term: App, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
-    fns, errors = _COLUMNS[type(term.func)](term.func, m, env, ps)
-    args, errs = _COLUMNS[type(term.arg)](term.arg, m, env, ps)
-    errors = errs | errors
-    return _apply_each(fns, args, errors), errors
-
-
-def _column_iota(term: Iota, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
-    rows, errors = _per_entity(term, m, env, ps)
-    out: list[Value] = []
-    for slot, row in enumerate(rows):
-        hits = [k for k, v in zip(m.entities, row) if v.flag]
-        out.append(hits[0] if len(hits) == 1 else FALSE)
-        if len(hits) != 1 and slot not in errors:
-            errors[slot] = PresuppositionFailure(
-                f"iota over {term.var!r} needs exactly one witness, found {len(hits)}"
-            )
-    return out, errors
-
-
-def _column_diamond(term: Diamond, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
-    """A preimage: the body runs once over the distinct successors of ps,
-    then each slot reads its successors in frame order."""
+def _column_diamond(term: Diamond, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
+    """A preimage: the body runs once over the distinct successors of ps."""
     succ = m.successor_positions(term.label)
     targets = list(dict.fromkeys(t for p in ps for t in succ[p]))
-    values, errs = _COLUMNS[type(term.body)](term.body, m, env, targets)
+    values = _COLUMNS[type(term.body)](term.body, m, env, targets)
     flag = dict(zip(targets, [v.flag for v in values])).__getitem__
-    errors = {}
-    if errs:
-        failed = {targets[slot]: err for slot, err in errs.items()}
-        for slot, p in enumerate(ps):
-            first = next((t for t in succ[p] if t in failed), None)
-            if first is not None:
-                errors[slot] = failed[first]
-    return [TRUE if any(map(flag, succ[p])) else FALSE for p in ps], errors
+    return [TRUE if any(map(flag, succ[p])) else FALSE for p in ps]
 
 
-def _column_and(term: And, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
-    left, errors = _COLUMNS[type(term.left)](term.left, m, env, ps)
-    right, errs = _COLUMNS[type(term.right)](term.right, m, env, ps)
-    return [TRUE if l.flag and r.flag else FALSE for l, r in zip(left, right)], errs | errors
+def _column_and(term: And, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
+    left = _COLUMNS[type(term.left)](term.left, m, env, ps)
+    right = _COLUMNS[type(term.right)](term.right, m, env, ps)
+    return [TRUE if l.flag and r.flag else FALSE for l, r in zip(left, right)]
 
 
-def _column_not(term: Not, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
-    values, errors = _COLUMNS[type(term.body)](term.body, m, env, ps)
-    return [FALSE if v.flag else TRUE for v in values], errors
+def _column_not(term: Not, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
+    return [FALSE if v.flag else TRUE for v in _COLUMNS[type(term.body)](term.body, m, env, ps)]
 
 
-def _column_eq(term: Eq, m: Model, env: dict[str, Value], ps: list[int]) -> Column:
-    left, errors = _COLUMNS[type(term.left)](term.left, m, env, ps)
-    right, errs = _COLUMNS[type(term.right)](term.right, m, env, ps)
-    return [TRUE if l == r else FALSE for l, r in zip(left, right)], errs | errors
+def _column_eq(term: Eq, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
+    left = _COLUMNS[type(term.left)](term.left, m, env, ps)
+    right = _COLUMNS[type(term.right)](term.right, m, env, ps)
+    return [TRUE if l == r else FALSE for l, r in zip(left, right)]
 
 
 _COLUMNS = {

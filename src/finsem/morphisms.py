@@ -10,7 +10,7 @@ verify_equivalence checks the latter claim exhaustively, term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .denote import (
     And,
@@ -30,7 +30,7 @@ from .denote import (
     _type_error,
     render_term,
 )
-from .kripke import TRIVIAL_ELEMENT, UnknownElement
+from .kripke import TRIVIAL_ELEMENT, Frame, UnknownElement
 from .kripke import trivialize as trivialize_frame
 from .relalg import FinsemError
 from .semmodel import (
@@ -87,24 +87,32 @@ def apply(m: Model, morphism: Morphism) -> Model:
                 raise UnknownElement(f"{chosen!r} is not in frame {label!r}")
             collapsed = trivialize_frame(frame, chosen).frame
             frames = tuple(collapsed if f.label == label else f for f in m.frames)
+            designated_left = tuple((l, e) for l, e in m.designated if l != label)
 
             def move(idx: Index) -> Optional[Index]:
                 """A kept row's new index, or None for a row left out."""
                 return idx.replace(label, TRIVIAL_ELEMENT) if idx.component(label) == chosen else None
 
-            # decided once per position, for every constant; a row off the space by its Index
-            moved = [move(idx) for idx in m.positions]
-            constants = tuple(
-                Constant(c.name, c.semtype, tuple(
-                    (to, v)
-                    for (idx, v), p in zip(c.table, positions)
-                    if (to := moved[p] if p is not None else move(idx)) is not None
-                ))
-                for c, positions in zip(m.constants, m.row_positions)
-            )
-            designated_left = tuple((l, e) for l, e in m.designated if l != label)
-            return Model(m.entity_domain, frames, constants, designated_left)
+            return _reindex(m, frames, designated_left, move)
     raise ValueError(f"unknown morphism {morphism!r}")
+
+
+def _reindex(
+    m: Model, frames: tuple[Frame, ...], designated: tuple, move: Callable[[Index], Optional[Index]]
+) -> Model:
+    """m over new frames, each table row moved to move(its index), or left out
+    where that is None. move is decided once per position, for every constant,
+    and once per row off the space, by its Index."""
+    moved = [move(idx) for idx in m.positions]
+    constants = tuple(
+        Constant(c.name, c.semtype, tuple(
+            (to, v)
+            for (idx, v), p in zip(c.table, positions)
+            if (to := moved[p] if p is not None else move(idx)) is not None
+        ))
+        for c, positions in zip(m.constants, m.row_positions)
+    )
+    return Model(m.entity_domain, frames, constants, designated)
 
 
 def compose_path(m: Model, path: Sequence[Morphism]) -> Model:
@@ -141,11 +149,7 @@ def extensionalize(m: Model) -> Model:
         raise NotFullyTrivial("model still has a nontrivial frame")
     if not m.frames:
         return m
-    constants = tuple(  # the single index is position 0
-        Constant(c.name, c.semtype, tuple((EMPTY_INDEX, v) for (_, v), p in zip(c.table, ps) if p == 0))
-        for c, ps in zip(m.constants, m.row_positions)
-    )
-    return Model(m.entity_domain, (), constants, ())
+    return _reindex(m, (), (), lambda idx: EMPTY_INDEX if idx in m.positions else None)
 
 
 # ---------------------------------------------------------------------------

@@ -312,8 +312,7 @@ class FnV(Value):
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.entries, key=lambda e: value_key(e[0])))
-        keys = [value_key(k) for k, _ in ordered]
-        if len(set(keys)) != len(keys):
+        if len({k for k, _ in ordered}) != len(ordered):
             raise ValueError("duplicate keys in function value")
         object.__setattr__(self, "entries", ordered)
 
@@ -615,7 +614,7 @@ def _card(m: Model, t: SemType, limit: int) -> int:
 def type_domain(m: Model, t: SemType, limit: int = MAX_DOMAIN_SIZE) -> list[Value]:
     """Canonical enumeration of every value of type t in the model."""
     _card(m, t, limit)
-    return _enumerate(m, t, limit)
+    return _enumerate(m, t)
 
 
 def _subsets(base: list[Value]) -> list[Value]:
@@ -628,7 +627,7 @@ def _subsets(base: list[Value]) -> list[Value]:
     return out
 
 
-def _enumerate(m: Model, t: SemType, limit: int) -> list[Value]:
+def _enumerate(m: Model, t: SemType) -> list[Value]:
     match t:
         case EntType():
             return [Entity(e) for e in m.entity_domain.elements]
@@ -640,20 +639,16 @@ def _enumerate(m: Model, t: SemType, limit: int) -> list[Value]:
                 raise UngroundedType(f"no frame {label!r} in this model")
             return [IndexElem(label, k) for k in fr.domain.elements]
         case PairType(a, b):
-            return [
-                TupleV((x, y))
-                for x in _enumerate(m, a, limit)
-                for y in _enumerate(m, b, limit)
-            ]
+            return [TupleV((x, y)) for x in _enumerate(m, a) for y in _enumerate(m, b)]
         case SetType(member):
-            return _subsets(_enumerate(m, member, limit))
+            return _subsets(_enumerate(m, member))
         case RelType(components):
-            columns = [_enumerate(m, c, limit) for c in components]
+            columns = [_enumerate(m, c) for c in components]
             base: list[Value] = [TupleV(combo) for combo in itertools.product(*columns)]
             return _subsets(base)
         case FnType(domain, codomain):
-            keys = _enumerate(m, domain, limit)
-            vals = _enumerate(m, codomain, limit)
+            keys = _enumerate(m, domain)
+            vals = _enumerate(m, codomain)
             return [
                 FnV(tuple(zip(keys, choice)))
                 for choice in itertools.product(vals, repeat=len(keys))
@@ -720,8 +715,8 @@ def _checker(m: Model, t: SemType) -> Callable[[Value], bool]:
                 if not isinstance(v, FnV) or len(v.entries) != _card(m, domain, MAX_DOMAIN_SIZE):
                     return False
                 if not keys:
-                    keys.append({value_key(k) for k in type_domain(m, domain)})
-                return {value_key(k) for k, _ in v.entries} == keys[0] and all(
+                    keys.append(set(type_domain(m, domain)))
+                return {k for k, _ in v.entries} == keys[0] and all(
                     value_ok(w) for _, w in v.entries
                 )
 

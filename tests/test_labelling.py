@@ -206,9 +206,11 @@ def test_diamond_under_a_binder_takes_the_column_route(monkeypatch) -> None:
         )
     assert labelled(Diamond("W", PredApp("student", (Var("z"),))), m, g)[0] == "value"
     assert labelled(under_lam, m, g)[0] == "value"
-    # w1 sees nothing, so the iota finds no witness there
-    assert labelled(in_an_argument, m, g)[0] == "error"
     assert calls == []  # no subterm is evaluated one index at a time
+    # w1 sees nothing, so the iota finds no witness there; the per-index
+    # clauses, reached only once the columns fail, name the error
+    assert labelled(in_an_argument, m, g)[0] == "error"
+    assert calls
     assert_routes_agree(under_lam, m, g)
     assert_routes_agree(in_an_argument, m)
     assert calls  # the oracle is
@@ -312,6 +314,47 @@ def test_the_first_error_in_evaluation_order_wins(text: str, found: int) -> None
     kind, err_type, message = assert_routes_agree(fn_term(text), fn_model())
     assert (kind, err_type) == ("error", denote.PresuppositionFailure)
     assert message.endswith(f"found {found}")
+
+
+def test_an_earlier_index_wins_over_an_earlier_subterm() -> None:
+    # the left conjunct fails only at w2, the right one only at w1
+    left = "(pred p (iota x (and (eq x c) (pred p x))))"
+    term = fn_term(f"(and {left} (pred p (iota y (pred p y))))")
+    m = fn_model()
+    with pytest.raises(denote.PresuppositionFailure, match="'x' .* found 0"):
+        denote._COLUMNS[And](term, m, {}, [0, 1, 2])  # the columns fail left first
+    assert assert_routes_agree(term, m) == (
+        "error",
+        denote.PresuppositionFailure,
+        "iota over 'y' needs exactly one witness, found 2",
+    )
+
+
+def test_a_column_error_where_no_index_fails_propagates(monkeypatch) -> None:
+    term = fn_term("(not (pred p c))")
+    m = fn_model()
+    err = RuntimeError("columns disagree")
+
+    def failing(*args):
+        raise err
+
+    assert oracle(term, m, Assignment())[0] == "value"
+    monkeypatch.setitem(denote._COLUMNS, Not, failing)
+    with pytest.raises(RuntimeError) as info:
+        eval_all_indices(term, m)
+    assert info.value is err
+
+
+def test_a_binder_over_too_many_entities_fails_only_where_it_runs(monkeypatch) -> None:
+    monkeypatch.setattr(denote, "MAX_DOMAIN_SIZE", 1)  # the two entities are too many
+    body = parse_term("(eq (lam x e (pred p x)) (lam y e (pred the y)))", frozenset({"p", "the"}))
+    seeing = line_model({("w0", "w1")}, {"w0": ("a",), "w1": ("a",), "w2": ("a",)})
+    assert assert_routes_agree(Diamond("W", body), seeing)[1] == denote.DomainTooLarge
+    # no world sees another, so neither route ever runs the lams
+    blind = line_model(set(), {"w0": ("a",), "w1": ("a",), "w2": ("a",)})
+    assert assert_routes_agree(Diamond("W", body), blind) == (
+        "value", {_w(w): Truth(0) for w in ("w0", "w1", "w2")}
+    )
 
 
 def test_deepest_function_chain_labels_without_recursion_error() -> None:

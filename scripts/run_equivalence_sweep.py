@@ -15,7 +15,7 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from finsem.generators import random_model, random_term
 from finsem.morphisms import EquivalenceReport, trivialize_all, verify_equivalence
@@ -96,22 +96,9 @@ def run_sweep(cfg: SweepConfig) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--models", type=int, default=100)
-    parser.add_argument("--terms-per-model", type=int, default=100)
-    parser.add_argument("--max-depth", type=int, default=4)
-    parser.add_argument("--max-entities", type=int, default=3)
-    parser.add_argument("--max-frames", type=int, default=2)
-    args = parser.parse_args()
-    cfg = SweepConfig(
-        seed=args.seed,
-        models=args.models,
-        terms_per_model=args.terms_per_model,
-        max_depth=args.max_depth,
-        max_entities=args.max_entities,
-        max_frames=args.max_frames,
-    )
-    return run_sweep(cfg)
+    for f in fields(SweepConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+    return run_sweep(SweepConfig(**vars(parser.parse_args())))
 
 
 if __name__ == "__main__":

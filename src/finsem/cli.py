@@ -175,42 +175,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-rel", help="frame relation property report")
-    p.add_argument("model")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("model")
+        return p
+
+    p = command("check-rel", "frame relation property report")
     p.add_argument("--prop", choices=PROPERTY_NAMES)
 
-    p = sub.add_parser("check-map", help="collapse-map monotone/bounded report")
-    p.add_argument("model")
+    command("check-map", "collapse-map monotone/bounded report")
 
-    p = sub.add_parser("eval", help="evaluate a term")
-    p.add_argument("model")
+    p = command("eval", "evaluate a term")
     p.add_argument("--term", required=True)
     p.add_argument("--index")
     p.add_argument("--assign", action="append", metavar="VAR=ENTITY")
 
-    p = sub.add_parser("sentence", help="parse and evaluate a sentence")
-    p.add_argument("model")
+    p = command("sentence", "parse and evaluate a sentence")
     p.add_argument("--text", required=True)
     p.add_argument("--index")
 
-    p = sub.add_parser("trivialize", help="collapse one frame and write the model")
-    p.add_argument("model")
+    p = command("trivialize", "collapse one frame and write the model")
     p.add_argument("--frame", required=True)
     p.add_argument("--designate")
     p.add_argument("--out")
 
-    p = sub.add_parser(
-        "verify-theorem",
-        help="collapse all frames and check both evaluators agree on every term",
-    )
-    p.add_argument("model")
+    command("verify-theorem", "collapse all frames and check both evaluators agree on every term")
 
-    p = sub.add_parser("square", help="check collapse order does not matter")
-    p.add_argument("model")
+    p = command("square", "check collapse order does not matter")
     p.add_argument("--frames", required=True, metavar="L1,L2[,...]")
 
-    p = sub.add_parser("diagram", help="emit the collapse hypercube as node/edge lines")
-    p.add_argument("model")
+    command("diagram", "emit the collapse hypercube as node/edge lines")
 
     return parser
 

@@ -2,7 +2,8 @@
 
 eval_ext interprets a term against an extensional-mode model (no frames, or
 every frame collapsed); eval_int interprets it at an index of any model, and
-eval_all_indices at every index; evaluate picks between them. They share one
+eval_all_indices at every index. evaluate takes eval_int, at the one index of
+an extensional-mode model when no index is given. The evaluators share one
 entry sequence, _prepare, and one clause table, _CLAUSES, keyed by term
 class, as the typing rules are in _TYPES and the renderers in _RENDER.
 Clauses evaluate at an index position of Model.positions, and no clause
@@ -380,13 +381,11 @@ def eval_all_indices(
 def evaluate(
     term: Term, m: Model, g: Optional[Assignment] = None, s: Optional[Index] = None
 ) -> Value:
-    """Evaluate at s when given; otherwise extensionally on a frame-free model,
-    or at the unique index of a fully collapsed one. A model with a nontrivial
-    frame needs an index."""
+    """Evaluate at s when given; otherwise at the unique index of an
+    extensional-mode model: the empty index of a frame-free model, or k0 of
+    a fully collapsed one. A model with a nontrivial frame needs an index."""
     if s is not None:
         return eval_int(term, m, g, s)
-    if not m.frames:
-        return eval_ext(term, m, g)
     if m.is_extensional:
         return eval_int(term, m, g, the_index(m))
     raise UnknownIndex("model has a nontrivial frame; an index is required")
@@ -756,21 +755,14 @@ def _term_at(
             label = _tok(tokens, i)
             body, i = _term_at(tokens, i + 1, constants, bound)
             return Diamond(label, body), _close(tokens, i)
-        case "app":
-            func, i = _term_at(tokens, i, constants, bound)
-            arg, i = _term_at(tokens, i, constants, bound)
-            return App(func, arg), _close(tokens, i)
-        case "and":
+        case "app" | "and" | "eq":
             left, i = _term_at(tokens, i, constants, bound)
             right, i = _term_at(tokens, i, constants, bound)
-            return And(left, right), _close(tokens, i)
+            ctor = App if head == "app" else And if head == "and" else Eq
+            return ctor(left, right), _close(tokens, i)
         case "not":
             body, i = _term_at(tokens, i, constants, bound)
             return Not(body), _close(tokens, i)
-        case "eq":
-            left, i = _term_at(tokens, i, constants, bound)
-            right, i = _term_at(tokens, i, constants, bound)
-            return Eq(left, right), _close(tokens, i)
         case _:
             raise ValueError(f"unknown term form {head!r}")
 

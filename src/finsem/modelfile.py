@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .denote import Term, _at, free_vars, parse_term, render_term, typecheck
 from .fragment import LexEntry
@@ -70,7 +70,7 @@ from .semmodel import (
 )
 
 TOP_KEYS = ("entities", "frames", "constants", "lexicon", "terms")
-LEXICAL_KEYS = {"cat", "pred", "frame", "sem"}
+LEXICAL_KEYS = ("cat", "pred", "frame", "sem")  # LexEntry fields besides word, in dump order
 LEXICAL_PRED_TYPES = {"N": RelType((ENT_TYPE,)), "V": RelType((ENT_TYPE, ENT_TYPE))}
 
 
@@ -149,20 +149,30 @@ def _str_list(
     return j
 
 
+def _objects(
+    j: Any, block: str, shape: type, keys: tuple[str, ...], errs: list[str]
+) -> Iterator[tuple[Any, str, dict]]:
+    """The (key, location, entry) of each object entry of a block: a list of
+    entries keyed by position, or an object keyed by name. Each entry is
+    checked as it is reached, so its problems come before those of the next."""
+    if not isinstance(j, shape):
+        errs.append(f"{block} must be {'a list' if shape is list else 'an object'}")
+        return
+    for key, entry in enumerate(j) if shape is list else j.items():
+        where = f"{block}[{key!r}]"
+        if not isinstance(entry, dict):
+            errs.append(f"{where} must be an object")
+            continue
+        for k in entry:
+            if k not in keys:
+                errs.append(f"{where}: unknown key {k!r}")
+        yield key, where, entry
+
+
 def _load_frames(j: Any, errs: list[str]) -> tuple[list[Frame], list[tuple[str, str]]]:
     frames: list[Frame] = []
     designated: list[tuple[str, str]] = []
-    if not isinstance(j, list):
-        errs.append("frames must be a list")
-        return frames, designated
-    for i, fj in enumerate(j):
-        where = f"frames[{i}]"
-        if not isinstance(fj, dict):
-            errs.append(f"{where} must be an object")
-            continue
-        for key in fj:
-            if key not in ("label", "elements", "pairs", "designated"):
-                errs.append(f"{where}: unknown key {key!r}")
+    for _, where, fj in _objects(j, "frames", list, ("label", "elements", "pairs", "designated"), errs):
         label = fj.get("label")
         if not isinstance(label, str):
             errs.append(f"{where}: label must be a string")
@@ -170,27 +180,16 @@ def _load_frames(j: Any, errs: list[str]) -> tuple[list[Frame], list[tuple[str, 
         elements = _str_list(fj.get("elements"), f"{where}.elements", errs, True)
         if elements is None:
             continue
-        pairs_j = fj.get("pairs", [])
-        ok_pairs = True
-        if not isinstance(pairs_j, list):
+        pairs = fj.get("pairs", [])
+        if not isinstance(pairs, list):
             errs.append(f"{where}.pairs must be a list")
             continue
-        pairs = set()
-        for pj in pairs_j:
-            if (
-                not isinstance(pj, list)
-                or len(pj) != 2
-                or not all(isinstance(x, str) for x in pj)
-            ):
-                errs.append(f"{where}.pairs entries must be 2-lists of strings")
-                ok_pairs = False
-                break
-            pairs.add((pj[0], pj[1]))
-        if not ok_pairs:
+        if not all(isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p) for p in pairs):
+            errs.append(f"{where}.pairs entries must be 2-lists of strings")
             continue
         try:
             carrier = FinSet(label, tuple(elements))
-            frame = Frame(label, carrier, Relation(carrier, carrier, frozenset(pairs)))
+            frame = Frame(label, carrier, Relation(carrier, carrier, frozenset(map(tuple, pairs))))
         except ValueError as err:
             errs.append(f"{where}: {err}")
             continue
@@ -208,20 +207,10 @@ def _load_constants(
     j: Any, frames: list[Frame], errs: list[str]
 ) -> list[Constant]:
     out: list[Constant] = []
-    if not isinstance(j, list):
-        errs.append("constants must be a list")
-        return out
     labels = [f.label for f in frames]
     indices: dict[tuple[str, ...], Index] = {}  # one shared Index per row key
     decoders: dict[SemType, Decoder] = {}  # one per type, so equal values are shared
-    for i, cj in enumerate(j):
-        where = f"constants[{i}]"
-        if not isinstance(cj, dict):
-            errs.append(f"{where} must be an object")
-            continue
-        for key in cj:
-            if key not in ("name", "type", "table"):
-                errs.append(f"{where}: unknown key {key!r}")
+    for _, where, cj in _objects(j, "constants", list, ("name", "type", "table"), errs):
         name = cj.get("name")
         if not isinstance(name, str):
             errs.append(f"{where}: name must be a string")
@@ -271,18 +260,8 @@ def _load_lexicon(
     j: Any, frames: list[Frame], constants: list[Constant], errs: list[str]
 ) -> dict[str, LexEntry]:
     out: dict[str, LexEntry] = {}
-    if not isinstance(j, dict):
-        errs.append("lexicon must be an object")
-        return out
     types = {c.name: c.semtype for c in constants}
-    for word, ej in j.items():
-        where = f"lexicon[{word!r}]"
-        if not isinstance(ej, dict):
-            errs.append(f"{where} must be an object")
-            continue
-        for key in ej:
-            if key not in LEXICAL_KEYS:
-                errs.append(f"{where}: unknown key {key!r}")
+    for word, where, ej in _objects(j, "lexicon", dict, LEXICAL_KEYS, errs):
         cat = ej.get("cat")
         if cat not in ("D", "N", "V", "Mod"):
             errs.append(f"{where}: cat must be one of D, N, V, Mod")
@@ -310,13 +289,7 @@ def _load_lexicon(
         if cat == "D" and ej.get("sem") != "iota":
             errs.append(f"{where}: D entries need sem \"iota\"")
             continue
-        out[word] = LexEntry(
-            word=word,
-            cat=cat,
-            pred=ej.get("pred"),
-            frame=ej.get("frame"),
-            sem=ej.get("sem"),
-        )
+        out[word] = LexEntry(word, **{key: ej.get(key) for key in LEXICAL_KEYS})
     return out
 
 
@@ -380,6 +353,38 @@ def _row(types: tuple[SemType, ...], problem: str, build: Callable[[tuple], Any]
     return row
 
 
+def _list_of(each: Decoder, what: str, build: Callable[[list], Value]) -> Decoder:
+    """The decoder of a list whose items each decodes. When every item
+    decodes, build makes the value from them; a ValueError it raises (a
+    repeated member, tuple or key) is reported at the list's location."""
+
+    def items(j: Any, errs: list[str], at: Any) -> Optional[Value]:
+        if not isinstance(j, list):
+            return _bad(errs, at, f"expected a list of {what}")
+        start = len(errs)
+        vals = [each(x, errs, (at, i)) for i, x in enumerate(j)]
+        if len(errs) > start:
+            return None
+        try:
+            return build(vals)
+        except ValueError as err:
+            return _bad(errs, at, str(err))
+
+    return items
+
+
+def _distinct(duplicate: str) -> Callable[[list], SetV]:
+    """A build for _list_of: the set of the decoded items, refusing a repeated one."""
+
+    def build(vals: list) -> SetV:
+        members = frozenset(vals)
+        if len(members) != len(vals):
+            raise ValueError(duplicate)
+        return SetV(members)
+
+    return build
+
+
 def _decoder(t: SemType) -> Decoder:
     """The decoder of values of type t, built once per type. It takes the JSON,
     the error list and the value's location (see denote._at), and returns None
@@ -407,46 +412,13 @@ def _decoder(t: SemType) -> Decoder:
         case PairType(a, b):
             return _row((a, b), "expected a 2-list", TupleV)
         case SetType(member):
-            each = _decoder(member)
-
-            def members(j: Any, errs: list[str], at: Any) -> Optional[Value]:
-                if not isinstance(j, list):
-                    return _bad(errs, at, "expected a list of members")
-                vals = frozenset([each(x, errs, (at, i)) for i, x in enumerate(j)])
-                if None in vals:
-                    return None
-                return SetV(vals) if len(vals) == len(j) else _bad(errs, at, "duplicate set member")
-
-            return members
+            return _list_of(_decoder(member), "members", _distinct("duplicate set member"))
         case RelType(components):
             row = _row(components, f"expected a {len(components)}-list", TupleV)
-
-            def tuples(j: Any, errs: list[str], at: Any) -> Optional[Value]:
-                if not isinstance(j, list):
-                    return _bad(errs, at, "expected a list of tuples")
-                start = len(errs)
-                vals = frozenset([row(x, errs, (at, i)) for i, x in enumerate(j)])
-                if len(errs) > start:
-                    return None
-                return SetV(vals) if len(vals) == len(j) else _bad(errs, at, "duplicate tuple")
-
-            return tuples
+            return _list_of(row, "tuples", _distinct("duplicate tuple"))
         case FnType(domain, codomain):
             entry = _row((domain, codomain), "expected a [key, value] 2-list", tuple)
-
-            def entries(j: Any, errs: list[str], at: Any) -> Optional[Value]:
-                if not isinstance(j, list):
-                    return _bad(errs, at, "expected a list of [key, value] 2-lists")
-                start = len(errs)
-                rows = tuple([entry(x, errs, (at, i)) for i, x in enumerate(j)])
-                if len(errs) > start:
-                    return None
-                try:
-                    return FnV(rows)
-                except ValueError as err:
-                    return _bad(errs, at, str(err))
-
-            return entries
+            return _list_of(entry, "[key, value] 2-lists", FnV)
     return lambda j, errs, at: _bad(errs, at, f"cannot decode type {render_type(t)}")
 
 
@@ -512,15 +484,8 @@ def dump_model_file(mf: ModelFile) -> str:
     if mf.lexicon:
         doc["lexicon"] = {}
         for word in sorted(mf.lexicon):
-            e = mf.lexicon[word]
-            ej: dict[str, Any] = {"cat": e.cat}
-            if e.pred is not None:
-                ej["pred"] = e.pred
-            if e.frame is not None:
-                ej["frame"] = e.frame
-            if e.sem is not None:
-                ej["sem"] = e.sem
-            doc["lexicon"][word] = ej
+            fields = {key: getattr(mf.lexicon[word], key) for key in LEXICAL_KEYS}
+            doc["lexicon"][word] = {key: v for key, v in fields.items() if v is not None}
     if mf.terms:
         doc["terms"] = {name: render_term(mf.terms[name]) for name in sorted(mf.terms)}
     return json.dumps(doc, indent=2) + "\n"

@@ -30,7 +30,7 @@ from .denote import (
     _type_error,
     render_term,
 )
-from .kripke import TRIVIAL_ELEMENT, Frame, UnknownElement
+from .kripke import TRIVIAL_ELEMENT, Frame
 from .kripke import trivialize as trivialize_frame
 from .relalg import FinsemError
 from .semmodel import (
@@ -83,8 +83,6 @@ def apply(m: Model, morphism: Morphism) -> Model:
             if frame.trivial:
                 raise AlreadyTrivial(f"frame {label!r} is already trivial")
             chosen = designated if designated is not None else m.designated_for(label)
-            if chosen not in frame.domain:
-                raise UnknownElement(f"{chosen!r} is not in frame {label!r}")
             collapsed = trivialize_frame(frame, chosen).frame
             frames = tuple(collapsed if f.label == label else f for f in m.frames)
             designated_left = tuple((l, e) for l, e in m.designated if l != label)
@@ -313,22 +311,14 @@ def default_checks(m: Model) -> tuple[list[Term], list[Assignment]]:
 # diagrams
 
 
-def diagram_export(m: Model, frame_order: Optional[Sequence[str]] = None) -> str:
+def diagram_export(m: Model) -> str:
     """Describe the hypercube of collapse stages as node/edge lines.
 
-    Node names list the frame labels in the given order, priming collapsed
-    ones; each edge collapses one more frame and carries its label. Both
-    blocks come out sorted, nodes before edges.
+    Node names list the nontrivial frames' labels in frame order, priming
+    collapsed ones; each edge collapses one more frame and carries its label.
+    Both blocks come out sorted, nodes before edges.
     """
-    if frame_order is None:
-        labels = [f.label for f in m.frames if not f.trivial]
-    else:
-        labels = list(frame_order)
-    for label in labels:
-        if m.frame(label) is None:
-            raise UnknownFrame(f"model has no frame {label!r}")
-    if len(set(labels)) != len(labels):
-        raise ValueError("repeated frame label in diagram order")
+    labels = [f.label for f in m.frames if not f.trivial]
 
     def node_name(mask: int) -> str:
         if not labels:

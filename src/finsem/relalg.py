@@ -57,11 +57,10 @@ class Relation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", frozenset(self.pairs))
-        for x, y in self.pairs:
-            if x not in self.source or y not in self.target:
-                raise ValueError(
-                    f"pair ({x!r}, {y!r}) escapes {self.source.name} -> {self.target.name}"
-                )
+        escaping = [(x, y) for x, y in self.pairs if x not in self.source or y not in self.target]
+        if escaping:  # name the least, so the message does not depend on set order
+            x, y = min(escaping)
+            raise ValueError(f"pair ({x!r}, {y!r}) escapes {self.source.name} -> {self.target.name}")
 
     @property
     def is_endo(self) -> bool:

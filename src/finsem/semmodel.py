@@ -396,12 +396,6 @@ class Assignment:
             raise ValueError("duplicate variable in assignment")
         object.__setattr__(self, "bindings", ordered)
 
-    def lookup(self, var: str) -> Optional[str]:
-        for x, k in self.bindings:
-            if x == var:
-                return k
-        return None
-
 
 # ---------------------------------------------------------------------------
 # constants and models
@@ -575,8 +569,8 @@ def the_index(m: Model) -> Index:
 # enumeration
 
 
-def _card(m: Model, t: SemType, limit: int) -> int:
-    """Size of the domain of t, refusing early when any layer exceeds limit."""
+def _card(m: Model, t: SemType) -> int:
+    """Size of the domain of t, refusing early when any layer exceeds MAX_DOMAIN_SIZE."""
     match t:
         case EntType():
             n = len(m.entity_domain)
@@ -588,32 +582,32 @@ def _card(m: Model, t: SemType, limit: int) -> int:
                 raise UngroundedType(f"no frame {label!r} in this model")
             n = len(fr.domain)
         case PairType(a, b):
-            n = _card(m, a, limit) * _card(m, b, limit)
+            n = _card(m, a) * _card(m, b)
         case SetType(member):
-            n = 2 ** _card(m, member, limit)
+            n = 2 ** _card(m, member)
         case RelType(components):
             base = 1
             for c in components:
-                base *= _card(m, c, limit)
-                if base > limit:
-                    raise DomainTooLarge(f"{render_type(t)} exceeds {limit} values")
+                base *= _card(m, c)
+                if base > MAX_DOMAIN_SIZE:
+                    raise DomainTooLarge(f"{render_type(t)} exceeds {MAX_DOMAIN_SIZE} values")
             n = 2**base
         case FnType(domain, codomain):
-            base, exponent = _card(m, codomain, limit), _card(m, domain, limit)
-            # then base ** exponent >= 2 ** limit.bit_length() > limit: skip the power
-            if base >= 2 and exponent >= limit.bit_length():
-                raise DomainTooLarge(f"{render_type(t)} exceeds {limit} values")
+            base, exponent = _card(m, codomain), _card(m, domain)
+            # then base ** exponent >= 2 ** bit_length > MAX_DOMAIN_SIZE: skip the power
+            if base >= 2 and exponent >= MAX_DOMAIN_SIZE.bit_length():
+                raise DomainTooLarge(f"{render_type(t)} exceeds {MAX_DOMAIN_SIZE} values")
             n = base**exponent
         case _:
             raise ValueError(f"unknown type {t!r}")
-    if n > limit:
-        raise DomainTooLarge(f"{render_type(t)} exceeds {limit} values")
+    if n > MAX_DOMAIN_SIZE:
+        raise DomainTooLarge(f"{render_type(t)} exceeds {MAX_DOMAIN_SIZE} values")
     return n
 
 
-def type_domain(m: Model, t: SemType, limit: int = MAX_DOMAIN_SIZE) -> list[Value]:
+def type_domain(m: Model, t: SemType) -> list[Value]:
     """Canonical enumeration of every value of type t in the model."""
-    _card(m, t, limit)
+    _card(m, t)
     return _enumerate(m, t)
 
 
@@ -712,7 +706,7 @@ def _checker(m: Model, t: SemType) -> Callable[[Value], bool]:
 
             def fn(v: Value) -> bool:
                 # _card raises where type_domain would; a wrong size needs no keys
-                if not isinstance(v, FnV) or len(v.entries) != _card(m, domain, MAX_DOMAIN_SIZE):
+                if not isinstance(v, FnV) or len(v.entries) != _card(m, domain):
                     return False
                 if not keys:
                     keys.append(set(type_domain(m, domain)))

@@ -622,7 +622,8 @@ def test_evaluate_picks_the_evaluator(monkeypatch) -> None:
     assert evaluate(MIGHT_READ, trivialize_all(MODAL)) == Truth(0)
     with pytest.raises(UnknownIndex, match="index is required"):
         evaluate(READS, MODAL)
-    assert seen == ["w1", "ext", "k0"]
+    # a frame-free model is evaluated at its one index, the empty one
+    assert seen == ["w1", "()", "k0"]
 
 
 def test_validation_runs_once_per_model(monkeypatch) -> None:

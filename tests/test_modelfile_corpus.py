@@ -1,15 +1,21 @@
-"""A seeded corpus of corrupted model-file documents with pinned outcomes.
+"""Seeded corpora of corrupted model-file documents with pinned outcomes.
 
-Each document is a bundled model, a hand-written document that uses every
-type constructor, or a generated model dumped with dump_model_file. One to
-three positions inside its "constants" block are replaced by junk (wrong JSON
-types, unknown ids), swapped for another id of the document, deleted,
-duplicated or given the wrong arity. The outcome of loading it (the loader's
-problem list, or the canonical dump and the validation report of a model that
-loads) is hashed, and the hash of all outcomes is pinned, so any change to a
-decode or validation message, to its order or to what loads shows here. The
-count of each problem kind is pinned too, to show where a change lies. Named terms are left out of the base
+In the first corpus each document is a bundled model, a hand-written document
+that uses every type constructor, or a generated model dumped with
+dump_model_file. One to three positions inside its "constants" block are
+replaced by junk (wrong JSON types, unknown ids), swapped for another id of
+the document, deleted, duplicated or given the wrong arity. The outcome of
+loading it (the loader's problem list, or the canonical dump and the
+validation report of a model that loads) is hashed, and the hash of all
+outcomes is pinned, so any change to a decode or validation message, to its
+order or to what loads shows here. The count of each problem kind is pinned
+too, to show where a change lies. Named terms are left out of its base
 documents: whether they typecheck is tested on its own in test_modelfile.py.
+
+The second corpus corrupts the other blocks the same way: each corruption
+picks one of the "frames", "lexicon" and "terms" blocks the document has. Its
+base documents are the bundled models with their lexicon and named terms, and
+generated models with named generated terms.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import re
 from collections import Counter
 from typing import Any
 
-from finsem.generators import random_model
+from finsem.generators import random_model, random_term
 from finsem.modelfile import ModelFile, ModelFileError, dump_model_file, model_file_from_doc
 
 from helpers import MODELS_DIR
@@ -59,6 +65,46 @@ PINNED_COUNTS = {
     "table must be a list": 95,
     "type must be a string": 86,
     "unknown ground type Q": 72,
+    "unknown key Q": 11,
+}
+
+BLOCKS = ("frames", "lexicon", "terms")
+BLOCK_DOCUMENTS = 2000
+BLOCK_SEED = 9
+BLOCK_DIGEST = "1de41c69f5d567a090a26523fb59281efe290b2860ca2811995936f823a58320"
+BLOCK_COUNTS = {
+    "D entries need sem \"iota\"": 25,
+    "MissingIndexEntry": 5811,
+    "Mod entries need a frame the model declares": 117,
+    "N entries need a pred": 28,
+    "UnexpectedIndexEntry": 53,
+    "V entries need a pred": 6,
+    "cat must be one of D, N, V, Mod": 146,
+    "designated must name one of the elements": 55,
+    "duplicate elements in carrier Q": 41,
+    "frame Q needs a non-empty domain": 9,
+    "frames must be a list": 1,
+    "frames[N] must be an object": 117,
+    "frames[N].elements must be a list of strings": 137,
+    "frames[N].pairs entries must be N-lists of strings": 274,
+    "frames[N].pairs must be a list": 54,
+    "index has N components, model has N frames": 11135,
+    "label must be a string": 91,
+    "lexicon[Q] must be an object": 99,
+    "loads": 374,
+    "missing required key Q": 21,
+    "no frame Q in this model": 95,
+    "pair (Q, Q) escapes L -> L": 9,
+    "pair (Q, Q) escapes T -> T": 61,
+    "pair (Q, Q) escapes W -> W": 83,
+    "pair (Q, Q) escapes eN -> eN": 3,
+    "pair (Q, Q) escapes sN -> sN": 1,
+    "pair (Q, Q) escapes tN -> tN": 1,
+    "pair (Q, Q) escapes wN -> wN": 2,
+    "pred Q names no constant": 26,
+    "problems": 1626,
+    "terms[Q] must be a string": 912,
+    "unexpected end of term": 64,
     "unknown key Q": 11,
 }
 
@@ -100,6 +146,15 @@ def base_documents(rng: random.Random) -> list[dict]:
     return docs
 
 
+def block_documents(rng: random.Random) -> list[dict]:
+    docs = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(MODELS_DIR.glob("*.json"))]
+    for _ in range(12):
+        m = random_model(rng, min_frames=0, max_frames=3)
+        terms = {f"t{i}": random_term(rng, m, max_depth=3) for i in range(3)}
+        docs.append(json.loads(dump_model_file(ModelFile(m, {}, terms))))
+    return docs
+
+
 def positions(node: Any, path: tuple = ()) -> list[tuple]:
     """Every path to a node below node, node itself excluded."""
     out = []
@@ -110,15 +165,15 @@ def positions(node: Any, path: tuple = ()) -> list[tuple]:
     return out
 
 
-def corrupt(rng: random.Random, doc: dict, ids: tuple[str, ...]) -> None:
-    """Change one position inside doc["constants"]; ids are the document's
-    entity and frame element ids, so a value can turn into another valid one."""
+def corrupt(rng: random.Random, doc: dict, ids: tuple[str, ...], block: str) -> None:
+    """Change one position inside doc[block]; ids are the document's entity
+    and frame element ids, so a value can turn into another valid one."""
     junk = JUNK + ids
-    path = rng.choice(positions(doc["constants"]) or [()])
+    path = rng.choice(positions(doc[block]) or [()])
     if not path:
-        doc["constants"] = rng.choice(junk)
+        doc[block] = rng.choice(junk)
         return
-    parent = doc["constants"]
+    parent = doc[block]
     for key in path[:-1]:
         parent = parent[key]
     key, node = path[-1], parent[path[-1]]
@@ -147,15 +202,17 @@ def outcome(doc: dict) -> list:
     return ["loads", dump, [[v.kind, v.constant, v.detail] for v in mf.model.violations]]
 
 
-def corpus_outcomes() -> list[list]:
-    rng = random.Random(SEED)
-    bases = base_documents(rng)
+def corpus_outcomes(seed: int, documents: int, bases, block) -> list[list]:
+    """The outcomes of documents corrupted copies of the bases(rng) documents;
+    block(rng, doc) names the block each corruption changes."""
+    rng = random.Random(seed)
+    docs = bases(rng)
     outcomes = []
-    for _ in range(DOCUMENTS):
-        doc = copy.deepcopy(rng.choice(bases))
+    for _ in range(documents):
+        doc = copy.deepcopy(rng.choice(docs))
         ids = tuple(doc["entities"]) + tuple(e for f in doc.get("frames", []) for e in f["elements"])
         for _ in range(rng.randint(1, 3)):
-            corrupt(rng, doc, ids)
+            corrupt(rng, doc, ids, block(rng, doc))
         outcomes.append(outcome(doc))
     return outcomes
 
@@ -183,6 +240,15 @@ def counts(outcomes: list[list]) -> dict[str, int]:
 
 
 def test_corrupted_corpus_outcomes_are_pinned() -> None:
-    outcomes = corpus_outcomes()
+    outcomes = corpus_outcomes(SEED, DOCUMENTS, base_documents, lambda rng, doc: "constants")
     assert counts(outcomes) == PINNED_COUNTS
     assert digest(outcomes) == PINNED_DIGEST
+
+
+def test_corrupted_blocks_corpus_outcomes_are_pinned() -> None:
+    def block(rng: random.Random, doc: dict) -> str:
+        return rng.choice([b for b in BLOCKS if b in doc])
+
+    outcomes = corpus_outcomes(BLOCK_SEED, BLOCK_DOCUMENTS, block_documents, block)
+    assert counts(outcomes) == BLOCK_COUNTS
+    assert digest(outcomes) == BLOCK_DIGEST

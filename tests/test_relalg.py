@@ -102,6 +102,9 @@ def test_sorted_pairs_canonical_order() -> None:
 def test_relation_rejects_stray_elements() -> None:
     with pytest.raises(ValueError):
         rel(X, Y, ("a", "nope"))
+    # of several stray pairs the least is named, whatever the set's order
+    with pytest.raises(ValueError, match=r"pair \('a', 'q'\) escapes X -> Y"):
+        rel(X, Y, ("z", "x"), ("b", "p"), ("a", "x"), ("a", "q"))
 
 
 def test_carrier_rejects_duplicates() -> None:

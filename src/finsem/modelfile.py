@@ -391,9 +391,8 @@ def _decoder(t: SemType) -> Decoder:
     exactly when it has appended at least one error."""
     match t:
         case EntType():
-            entities: dict[str, Entity] = {}  # one shared Entity per id
             return lambda j, errs, at: (
-                entities.get(j) or entities.setdefault(j, Entity(j))
+                Entity(j)
                 if isinstance(j, str)
                 else _bad(errs, at, "expected an entity id string")
             )

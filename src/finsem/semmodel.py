@@ -8,10 +8,13 @@ exhaustive rather than symbolic.
 
 Models and values build their lookup tables once, on first use, and keep
 them outside their dataclass fields, so equality and hashing stay
-structural. A model's row_positions live there too, set once as the model
-sorts its tables: per constant, in constants order, the index position of
-each table row, or None for a row off the index space. validate and the
-collapse read them instead of looking each row's Index up again. EntType() and
+structural; an Entity is one instance per id and compares by identity. A
+model's columns share equal values: one object per distinct value across
+its constants, so each set value builds its item lookup once. A model's
+row_positions live outside the fields too, set once as the model sorts its
+tables: per constant, in constants order, the index position of each table
+row, or None for a row off the index space. validate and the collapse read
+them instead of looking each row's Index up again. EntType() and
 TruthType() return one shared instance each (ENT_TYPE, TRUTH_TYPE), so a
 typecheck can compare types by identity first.
 """
@@ -261,9 +264,27 @@ class Value:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Entity(Value):
+    """One shared instance per id, which construction, pickle and copy all
+    return, so entities compare and hash by identity."""
+
     ident: str
+    # object's: Value's would compare an empty field tuple, and __new__ sets ident
+    __eq__, __hash__, __init__ = object.__eq__, object.__hash__, object.__init__
+
+    def __new__(cls, ident: str) -> Entity:
+        e = _ENTITIES.get(ident)
+        if e is None:
+            object.__setattr__(e := object.__new__(cls), "ident", ident)
+            e = _ENTITIES.setdefault(ident, e)  # one step: racing threads get one instance
+        return e
+
+    def __reduce__(self) -> tuple:
+        return Entity, (self.ident,)
+
+
+_ENTITIES: dict[str, Entity] = {}  # bounded by the entity ids of the inputs
 
 
 @dataclass(frozen=True)
@@ -487,9 +508,11 @@ class Model:
 
     @cached_property
     def columns(self) -> dict[str, tuple[Value, ...]]:
-        """Each constant's values in canonical position order. Only a valid
-        model has one row per index: read this only once it has passed validation."""
-        return {c.name: tuple(v for _, v in c.table) for c in self.constants}
+        """Each constant's values in canonical position order, equal values one
+        shared object across constants. Only a valid model has one row per
+        index: read this only once it has passed validation."""
+        shared: dict[Value, Value] = {}
+        return {c.name: tuple([shared.setdefault(v, v) for _, v in c.table]) for c in self.constants}
 
     @cached_property
     def _successor_tables(self) -> dict[str, tuple[tuple[int, ...], ...]]:

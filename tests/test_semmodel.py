@@ -11,8 +11,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -63,7 +66,7 @@ from finsem.semmodel import (
     validate,
 )
 
-from helpers import MODELS_DIR
+from helpers import MODELS_DIR, REPO_ROOT
 
 
 def small_frame(label: str, elements: tuple[str, ...], pairs: set) -> Frame:
@@ -597,6 +600,71 @@ def _ground_leaves(t) -> list:
     if dataclasses.is_dataclass(t):
         return [g for f in dataclasses.fields(t) for g in _ground_leaves(getattr(t, f.name))]
     return []
+
+
+def test_entities_have_one_instance_per_id() -> None:
+    assert Entity("a") is Entity("a") is A
+    # distinct ids stay distinct: Value's generated methods would make them all equal
+    assert len({Entity(x) for x in "abc"}) == 3
+    assert Entity("a") != Entity("b") and not Entity("a") == Entity("b")
+    assert copy.copy(A) is A and copy.deepcopy(A) is A
+    assert all(pickle.loads(pickle.dumps(A, p)) is A for p in range(pickle.HIGHEST_PROTOCOL + 1))
+    assert dataclasses.replace(A, ident="b") is B
+    assert copy.deepcopy(TupleV((A, B))).items[1] is B
+    match A:
+        case Entity(ident):
+            assert ident == "a"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        A.ident = "b"
+
+
+def test_columns_hold_one_object_per_distinct_value() -> None:
+    def fresh(*ids: str) -> SetV:
+        return SetV(frozenset(TupleV((Entity(e),)) for e in ids))
+
+    w0, w1 = (Index((("W", w),)) for w in ("w0", "w1"))
+    m = Model(ENTS, (FRAME_W,), (
+        unary("p", ((w0, fresh("a")), (w1, fresh("a", "b")))),
+        unary("q", ((w0, fresh("a", "b")), (w1, fresh()))),
+        unary("r", ((w0, fresh()), (w1, fresh("a")))),
+    ))
+    assert m.violations == ()
+    values = [v for column in m.columns.values() for v in column]
+    assert len(values) == 6 and len({id(v) for v in values}) == len(set(values)) == 3
+    for c in m.constants:
+        for s, p in m.positions.items():
+            assert m.columns[c.name][p] == c.value_at(s)
+
+
+# the CLI and equivalence corpora, each asserting its pinned digest
+PINNED_CORPORA = (
+    "tests/test_cli_corpus.py::test_every_command_on_the_corpus_gives_its_pinned_outcome",
+    "tests/test_equivalence_corpus.py::test_seeded_corpus_has_only_finsem_errors_and_a_pinned_digest",
+)
+
+
+@pytest.mark.parametrize("hashseed,churn", [("0", 0), ("7", 5000)])
+def test_pinned_corpora_hold_across_hash_seeds_and_allocation_histories(hashseed, churn) -> None:
+    """Entities hash by address, so set order may differ between processes;
+    outputs must not. One child first interns entities of other ids and frees
+    every other object of a list, so later objects land at other addresses."""
+    code = (
+        "import sys, pytest\n"
+        "from finsem.semmodel import Entity\n"
+        f"kept = [Entity(f'churn{{k}}') for k in range({churn})]\n"
+        f"junk = [object() for _ in range({churn})]\n"
+        "del junk[::2]\n"
+        "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n"
+    )
+    src = str(REPO_ROOT / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *PINNED_CORPORA],
+        capture_output=True, text=True, cwd=REPO_ROOT, env=env,
+    )
+    assert done.returncode == 0, done.stdout[-2000:]
+    assert "2 passed" in done.stdout
 
 
 def test_item_tuples_decide_membership_like_the_members() -> None:

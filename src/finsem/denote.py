@@ -1,12 +1,11 @@
 """Term language with a typechecker and two evaluators.
 
-eval_ext interprets a term against an extensional-mode model (no frames, or
-every frame collapsed); eval_int interprets it at an index of any model, and
-eval_all_indices at every index. evaluate takes eval_int, at the one index of
-an extensional-mode model when no index is given. The evaluators share one
-entry sequence, _prepare, and one clause table, _CLAUSES, keyed by term
-class, as the typing rules are in _TYPES and the renderers in _RENDER.
-Clauses evaluate at an index position of Model.positions, and no clause
+eval_int interprets a term at an index of any model, and eval_all_indices at
+every index. evaluate takes eval_int, at the one index of an extensional-mode
+model (no frames, or every frame collapsed) when no index is given. The
+evaluators share one entry sequence, _prepare, and one clause table, _CLAUSES,
+keyed by term class, as the typing rules are in _TYPES and the renderers in
+_RENDER. Clauses evaluate at an index position of Model.positions, and no clause
 mutates an environment it is given, so one environment may serve many checks.
 
 Lambda abstraction evaluates by extending the environment over the bound
@@ -20,11 +19,20 @@ per position. Column clauses compute values only and raise where evaluation
 fails; errors are named by _CLAUSES alone, as eval_all_indices then evaluates
 index by index and raises the first index's error. eval_int and _CLAUSES are
 the per-index oracle the columns must match.
+
+A Diamond-free term reads the model only through the columns of the constants
+it names (its support), env and the entity domain, and only the columns vary by
+position. Equal column values are one shared object per model, so positions
+whose support columns hold the same objects, a view class, give the term one
+outcome, error included. _column_by_view evaluates the whole term and each
+Diamond body once per view class and broadcasts the values back: the constant
+intension of a rigid designator is computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .relalg import FinsemError
@@ -336,17 +344,6 @@ _TYPES = {
 # evaluation
 
 
-def eval_ext(term: Term, m: Model, g: Optional[Assignment] = None) -> Value:
-    """Evaluate against an extensional-mode model, refusing a modal term."""
-    g = g if g is not None else Assignment()
-    if not m.is_extensional:
-        raise ModeError("model has a nontrivial frame; evaluate at an index instead")
-    env = _prepare(m, _type_error(term, m, g), _env_of(g, m))
-    if m.frames and has_modal(term):
-        raise ModeError("modal operator has no extensional clause")
-    return _eval(term, m, env, 0)
-
-
 def eval_int(
     term: Term, m: Model, g: Optional[Assignment] = None, s: Optional[Index] = None
 ) -> Value:
@@ -368,7 +365,7 @@ def eval_all_indices(
     env = _prepare(m, _type_error(term, m, g), _env_of(g, m))
     ps = list(range(len(m.positions)))
     try:
-        values = _COLUMNS[type(term)](term, m, env, ps)
+        values = _column_by_view(term, m, env, ps)
     except Exception:
         # the columns only tell that evaluation fails; the first index where
         # _eval fails names the error, and if none does, the routes disagree
@@ -630,11 +627,11 @@ def _column_iota(term: Iota, m: Model, env: dict[str, Value], ps: list[int]) -> 
 
 def _column_diamond(term: Diamond, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
     """A preimage: the body runs once over the distinct successors of ps."""
-    succ = m.successor_positions(term.label)
-    targets = list(dict.fromkeys(t for p in ps for t in succ[p]))
-    values = _COLUMNS[type(term.body)](term.body, m, env, targets)
-    flag = dict(zip(targets, [v.flag for v in values])).__getitem__
-    return [TRUE if any(map(flag, succ[p])) else FALSE for p in ps]
+    rows = list(map(m.successor_positions(term.label).__getitem__, ps))
+    targets = list(dict.fromkeys(chain.from_iterable(rows)))
+    values = _column_by_view(term.body, m, env, targets)
+    true = {t for t, v in zip(targets, values) if v.flag}
+    return [FALSE if true.isdisjoint(row) else TRUE for row in rows]
 
 
 def _column_and(term: And, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
@@ -651,6 +648,36 @@ def _column_eq(term: Eq, m: Model, env: dict[str, Value], ps: list[int]) -> list
     left = _COLUMNS[type(term.left)](term.left, m, env, ps)
     right = _COLUMNS[type(term.right)](term.right, m, env, ps)
     return [TRUE if l == r else FALSE for l, r in zip(left, right)]
+
+
+def _support(term: Term) -> Optional[frozenset[str]]:
+    """The names of the constants a term reads, or None if it has a Diamond."""
+    match term:
+        case Diamond():
+            return None
+        case Const(name) | PredApp(name, _) | FuncApp(name, _):
+            own = frozenset((name,))
+        case _:
+            own = frozenset()
+    parts = list(map(_support, _children(term)))
+    return None if None in parts else own.union(*parts)
+
+
+def _column_by_view(term: Term, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
+    """The column clause of term, run once per view class of ps when term is
+    Diamond-free: one position stands for the positions whose support columns
+    hold the same objects, and its value is broadcast back to them."""
+    clause = _COLUMNS[type(term)]
+    names = _support(term)
+    if names is None:
+        return clause(term, m, env, ps)
+    views = [map(id, map(m.columns[n].__getitem__, ps)) for n in names]
+    keys = list(zip(*views)) if views else [()] * len(ps)
+    reps = dict(zip(keys, ps))
+    if len(reps) == len(ps):
+        return clause(term, m, env, ps)
+    value = dict(zip(reps, clause(term, m, env, list(reps.values()))))
+    return list(map(value.__getitem__, keys))
 
 
 _COLUMNS = {

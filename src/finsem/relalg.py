@@ -162,26 +162,6 @@ def pair_id(x: str, y: str) -> str:
     return f"({x},{y})"
 
 
-def product_carrier(a: FinSet, b: FinSet) -> FinSet:
-    """Cartesian product carrier, elements listed lexicographically by position."""
-    elements = tuple(pair_id(x, y) for x in a.elements for y in b.elements)
-    return FinSet(f"({a.name}x{b.name})", elements)
-
-
-def product(r1: Relation, r2: Relation) -> Relation:
-    """Componentwise product relation on the product carriers."""
-    pairs = frozenset(
-        (pair_id(x1, x2), pair_id(y1, y2))
-        for x1, y1 in r1.pairs
-        for x2, y2 in r2.pairs
-    )
-    return Relation(
-        product_carrier(r1.source, r2.source),
-        product_carrier(r1.target, r2.target),
-        pairs,
-    )
-
-
 PROPERTY_NAMES = (
     "serial",
     "reflexive",

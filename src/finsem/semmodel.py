@@ -531,13 +531,10 @@ class Model:
         stride = math.prod(len(f.domain) for f in self.frames[axis + 1 :])
         size = len(fr.domain)
         steps = [
-            tuple((fr.domain.position(v) - here) * stride for v in fr.successors(u))
+            [(fr.domain.position(v) - here) * stride for v in fr.successors(u)]
             for here, u in enumerate(fr.domain.elements)
         ]
-        table = tuple(
-            tuple(p + d for d in steps[p // stride % size])
-            for p in range(len(self.positions))
-        )
+        table = tuple([tuple([p + d for d in steps[p // stride % size]]) for p in range(len(self.positions))])
         self._successor_tables[label] = table
         return table
 
@@ -675,11 +672,6 @@ def _enumerate(m: Model, t: SemType) -> list[Value]:
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def inhabits(m: Model, value: Value, t: SemType) -> bool:
-    """Exhaustive membership check of a value in the domain of a type."""
-    return _checker(m, t)(value)
 
 
 def _checker(m: Model, t: SemType) -> Callable[[Value], bool]:

@@ -24,7 +24,6 @@ from finsem.denote import (
     FuncApp,
     Iota,
     Lam,
-    ModeError,
     Not,
     PredApp,
     PresuppositionFailure,
@@ -32,7 +31,6 @@ from finsem.denote import (
     UnboundVariable,
     Var,
     eval_all_indices,
-    eval_ext,
     eval_int,
     evaluate,
     free_vars,
@@ -369,7 +367,7 @@ def test_an_unknown_term_class_is_refused_by_every_dispatch() -> None:
         with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
             typecheck(term, EXT)
         with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
-            eval_ext(term, EXT)
+            evaluate(term, EXT)
         with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
             eval_int(term, MODAL, s=w_index("w0"))
     with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
@@ -406,31 +404,31 @@ def test_free_vars(text: str, free: set) -> None:
 
 
 def test_eval_sentence_one() -> None:
-    assert eval_ext(READS, EXT) == Truth(1)
-    assert eval_ext(Not(READS), EXT) == Truth(0)
-    assert eval_ext(And(READS, Not(READS)), EXT) == Truth(0)
-    assert eval_ext(Eq(THE_STUDENT, THE_BOOK), EXT) == Truth(0)
-    assert eval_ext(Eq(THE_STUDENT, THE_STUDENT), EXT) == Truth(1)
+    assert evaluate(READS, EXT) == Truth(1)
+    assert evaluate(Not(READS), EXT) == Truth(0)
+    assert evaluate(And(READS, Not(READS)), EXT) == Truth(0)
+    assert evaluate(Eq(THE_STUDENT, THE_BOOK), EXT) == Truth(0)
+    assert evaluate(Eq(THE_STUDENT, THE_STUDENT), EXT) == Truth(1)
 
 
 def test_eval_iota_picks_the_witness() -> None:
-    assert eval_ext(THE_STUDENT, EXT) == Entity("s1")
-    assert eval_ext(THE_BOOK, EXT) == Entity("b1")
+    assert evaluate(THE_STUDENT, EXT) == Entity("s1")
+    assert evaluate(THE_BOOK, EXT) == Entity("b1")
 
 
 def test_eval_iota_presupposition_failures() -> None:
     nobody = Iota("x", PredApp("read", (Var("x"), Var("x"))))
     with pytest.raises(PresuppositionFailure) as e:
-        eval_ext(nobody, EXT)
+        evaluate(nobody, EXT)
     assert "found 0" in str(e.value)
     anybody = Iota("x", Eq(Var("x"), Var("x")))
     with pytest.raises(PresuppositionFailure) as e:
-        eval_ext(anybody, EXT)
+        evaluate(anybody, EXT)
     assert "found 2" in str(e.value)
 
 
 def test_eval_lambda_materializes_graph() -> None:
-    got = eval_ext(Lam("x", EntType(), PredApp("student", (Var("x"),))), EXT)
+    got = evaluate(Lam("x", EntType(), PredApp("student", (Var("x"),))), EXT)
     assert got == FnV(((Entity("b1"), Truth(0)), (Entity("s1"), Truth(1))))
 
 
@@ -444,39 +442,39 @@ def test_lam_rows_match_the_checked_constructor_in_key_order() -> None:
             Constant("r", RelType((EntType(), EntType())), ((EMPTY_INDEX, rel_value(("e10", "e2"), ("e10", "e10"))),)),
         ),
     )
-    got = eval_ext(Lam("x", EntType(), PredApp("p", (Var("x"),))), m)
+    got = evaluate(Lam("x", EntType(), PredApp("p", (Var("x"),))), m)
     want = FnV(((Entity("e2"), Truth(1)), (Entity("e10"), Truth(0))))
     assert got == want and got.entries == want.entries
     assert [k for k, _ in got.entries] == [Entity("e10"), Entity("e2")]
     # the body still runs in domain order: e2's failure (no witness) comes first
     with pytest.raises(PresuppositionFailure, match="found 0"):
-        eval_ext(Lam("x", EntType(), Iota("y", PredApp("r", (Var("x"), Var("y"))))), m)
+        evaluate(Lam("x", EntType(), Iota("y", PredApp("r", (Var("x"), Var("y"))))), m)
 
 
 def test_eval_app_is_beta() -> None:
     lam_reads = Lam("x", EntType(), PredApp("read", (Var("x"), THE_BOOK)))
-    assert eval_ext(App(lam_reads, THE_STUDENT), EXT) == Truth(1)
+    assert evaluate(App(lam_reads, THE_STUDENT), EXT) == Truth(1)
     body = PredApp("read", (Var("x"), THE_BOOK))
     for k in EXT.entity_domain.elements:
-        direct = eval_ext(body, EXT, Assignment((("x", k),)))
-        via_app = eval_ext(App(Lam("x", EntType(), body), Var("y")), EXT, Assignment((("y", k),)))
+        direct = evaluate(body, EXT, Assignment((("x", k),)))
+        via_app = evaluate(App(Lam("x", EntType(), body), Var("y")), EXT, Assignment((("y", k),)))
         assert direct == via_app
 
 
 def test_eval_function_application() -> None:
     m = ext_with_functions()
-    assert eval_ext(FuncApp("mentor", (Const("alice"),)), m) == Entity("b1")
+    assert evaluate(FuncApp("mentor", (Const("alice"),)), m) == Entity("b1")
     nested = FuncApp("mentor", (FuncApp("mentor", (Const("alice"),)),))
-    assert eval_ext(nested, m) == Entity("s1")
+    assert evaluate(nested, m) == Entity("s1")
     two = FuncApp("pick", (FuncApp("mentor", (Const("alice"),)), Const("alice")))
-    assert eval_ext(two, m) == Entity("b1")
+    assert evaluate(two, m) == Entity("b1")
 
 
 def test_eval_variables_come_from_assignment() -> None:
     g = Assignment((("x", "b1"),))
-    assert eval_ext(PredApp("book", (Var("x"),)), EXT, g) == Truth(1)
+    assert evaluate(PredApp("book", (Var("x"),)), EXT, g) == Truth(1)
     with pytest.raises(UnknownEntity):
-        eval_ext(Var("x"), EXT, Assignment((("x", "zz"),)))
+        evaluate(Var("x"), EXT, Assignment((("x", "zz"),)))
 
 
 def test_eval_rejects_invalid_models() -> None:
@@ -486,7 +484,7 @@ def test_eval_rejects_invalid_models() -> None:
         (Constant("p", RelType((EntType(),)), ()),),
     )
     with pytest.raises(ValueError, match="fails validation"):
-        eval_ext(PredApp("p", (Var("x"),)), gappy, Assignment((("x", "s1"),)))
+        evaluate(PredApp("p", (Var("x"),)), gappy, Assignment((("x", "s1"),)))
 
 
 def test_entry_errors_come_in_order_validity_typecheck_environment() -> None:
@@ -497,7 +495,7 @@ def test_entry_errors_come_in_order_validity_typecheck_environment() -> None:
     modal = Model(MODAL.entity_domain, MODAL.frames, (Constant(first.name, first.semtype, ()), *rest))
     assert frame_free.violations and modal.violations
     for route in (
-        lambda: eval_ext(ill_typed, frame_free, unknown),
+        lambda: evaluate(ill_typed, frame_free, unknown),
         lambda: eval_int(ill_typed, modal, unknown, w_index("w0")),
         lambda: eval_all_indices(ill_typed, modal, unknown),
     ):
@@ -511,11 +509,6 @@ def test_entry_errors_come_in_order_validity_typecheck_environment() -> None:
 
 # ---------------------------------------------------------------------------
 # modal evaluation
-
-
-def test_eval_ext_refuses_modal_models() -> None:
-    with pytest.raises(ModeError):
-        eval_ext(READS, MODAL)
 
 
 def test_eval_int_needs_a_known_index() -> None:
@@ -544,9 +537,11 @@ def test_eval_all_indices_in_space_order() -> None:
 
 
 def test_modal_operator_has_no_extensional_clause() -> None:
-    flat = trivialize_all(MODAL)
-    with pytest.raises(ModeError):
-        eval_ext(Diamond("W", PredApp("student", (THE_STUDENT,))), flat)
+    # the collapse keeps its frame, so a Diamond still typechecks there; the
+    # frame-free model extensionalize makes has no frame for it
+    bare = extensionalize(trivialize_all(MODAL))
+    with pytest.raises(UngroundedType, match="no frame 'W'"):
+        evaluate(Diamond("W", PredApp("student", (THE_STUDENT,))), bare)
 
 
 def _outcome(thunk) -> tuple:
@@ -558,28 +553,17 @@ def _outcome(thunk) -> tuple:
 
 @pytest.mark.parametrize("name", ["modal.json", "modal_tense.json", "modal_tense_location.json"])
 def test_eval_ext_on_a_collapsed_model_matches_both_other_routes(name) -> None:
+    """Extensional evaluation, evaluate with no index, on the collapsed model
+    matches eval_int at its one index and evaluate on its frame-free copy."""
     flat = trivialize_all(load_model_file(str(MODELS_DIR / name)).model)
     assert flat.frames
     bare, s0 = extensionalize(flat), the_index(flat)
     terms, gs = default_checks(flat)
     for t in terms:
         for g in gs + [Assignment()]:
-            got = _outcome(lambda: eval_ext(t, flat, g))
+            got = _outcome(lambda: evaluate(t, flat, g))
             assert got == _outcome(lambda: eval_int(t, flat, g, s0)), render_term(t)
-            assert got == _outcome(lambda: eval_ext(t, bare, g)), render_term(t)
-
-
-def test_eval_ext_refuses_a_modal_term_before_evaluating() -> None:
-    # the iota fails before the Diamond is reached; the refusal comes first
-    flat = trivialize_all(load_model_file(str(MODELS_DIR / "modal.json")).model)
-    nothing = "(iota x (not (eq x x)))"
-    term = parse_term(
-        f"(and (eq {nothing} (iota y (not (eq y y)))) (might W (eq {nothing} {nothing})))"
-    )
-    with pytest.raises(PresuppositionFailure):
-        eval_int(term, flat, s=the_index(flat))
-    with pytest.raises(ModeError, match="modal operator has no extensional clause"):
-        eval_ext(term, flat)
+            assert got == _outcome(lambda: evaluate(t, bare, g)), render_term(t)
 
 
 def test_diamond_rebinds_only_its_own_frame() -> None:
@@ -607,10 +591,7 @@ def test_diamond_rebinds_only_its_own_frame() -> None:
 
 def test_evaluate_picks_the_evaluator(monkeypatch) -> None:
     seen = []
-    real_ext, real_int = denote.eval_ext, denote.eval_int
-    monkeypatch.setattr(
-        denote, "eval_ext", lambda t, m, g=None: seen.append("ext") or real_ext(t, m, g)
-    )
+    real_int = denote.eval_int
     monkeypatch.setattr(
         denote,
         "eval_int",
@@ -705,10 +686,10 @@ def test_parser_refuses_nesting_past_the_limit() -> None:
 def test_deepest_terms_typecheck_evaluate_and_render() -> None:
     g = Assignment((("x", "s1"),))
     negations = parse_term(nested_not(MAX_TERM_DEPTH))
-    assert eval_ext(negations, EXT, g) == Truth(MAX_TERM_DEPTH % 2)
+    assert evaluate(negations, EXT, g) == Truth(MAX_TERM_DEPTH % 2)
     # argument lists cost the evaluator and renderer a comprehension frame per level
     chain = "(func mentor " * MAX_TERM_DEPTH + "alice" + ")" * MAX_TERM_DEPTH
     term = parse_term(chain, frozenset({"alice"}))
-    assert eval_ext(term, ext_with_functions()) == Entity("s1")
+    assert evaluate(term, ext_with_functions()) == Entity("s1")
     assert not has_modal(term)
     assert render_term(term) == chain

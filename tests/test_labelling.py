@@ -4,7 +4,9 @@ time through denote._COLUMNS; the per-index clauses of _eval are its oracle.
 Outcomes compare by value, or by exception type and message, so the two
 routes must agree on errors as well as on values. Both routes read
 Model.successor_positions and Model.columns; tests/test_semmodel.py checks
-those tables against the Index route.
+those tables against the Index route. A Diamond-free term, or Diamond body,
+runs once per view class of its positions, so models below are built where
+many positions share a view and where none do.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from typing import Callable, Optional
 
 import pytest
 
@@ -44,6 +47,7 @@ from finsem.semmodel import (
     FnV,
     Index,
     Model,
+    SemType,
     Truth,
     TruthType,
     SetV,
@@ -364,17 +368,37 @@ def test_deepest_function_chain_labels_without_recursion_error() -> None:
     assert got == ("value", {_w(f"w{i}"): Entity("abc"[(i + 256 * (i + 1)) % 3]) for i in range(3)})
 
 
+def frame(label: str, n: int, pairs: Optional[set[tuple[str, str]]] = None) -> Frame:
+    """Frame label over points label0..label(n-1) in lower case, with the
+    given pairs, or every point related to every point."""
+    points = tuple(f"{label.lower()}{i}" for i in range(n))
+    carrier = FinSet(label, points)
+    pairs = {(u, v) for u in points for v in points} if pairs is None else pairs
+    return Frame(label, carrier, Relation(carrier, carrier, frozenset(pairs)))
+
+
+def coordinate_model(frames: tuple[Frame, ...], tables: dict[str, tuple[SemType, Callable]]) -> Model:
+    """Entities a, b, c over the frames; each constant's value at an index is
+    its function of the index's coordinates, one point name per frame."""
+    ents = FinSet("E", ("a", "b", "c"))
+    space = list(Model(ents, frames, ()).positions)
+    return Model(
+        ents,
+        frames,
+        tuple(
+            Constant(name, ty, tuple((s, value(*(e for _, e in s.components))) for s in space))
+            for name, (ty, value) in tables.items()
+        ),
+    )
+
+
 def grid_model() -> Model:
     """Three two-point frames, every point related to both points."""
-    frames = []
-    for label in ("W", "T", "L"):
-        carrier = FinSet(label, (f"{label.lower()}0", f"{label.lower()}1"))
-        pairs = frozenset((u, v) for u in carrier.elements for v in carrier.elements)
-        frames.append(Frame(label, carrier, Relation(carrier, carrier, pairs)))
-    space = list(Model(FinSet("E", ("a", "b")), tuple(frames), ()).positions)
+    frames = (frame("W", 2), frame("T", 2), frame("L", 2))
+    space = list(Model(FinSet("E", ("a", "b")), frames, ()).positions)
     return Model(
         FinSet("E", ("a", "b")),
-        tuple(frames),
+        frames,
         (
             Constant("c", EntType(), tuple((s, Entity("a" if i % 3 else "b")) for i, s in enumerate(space))),
             Constant("p", UNARY, tuple((s, rel_value(("a",))) for s in space)),
@@ -395,16 +419,134 @@ class CountingColumn(tuple):
         return super().__getitem__(p)
 
 
-def test_each_constant_is_read_once_per_index() -> None:
+def test_each_constant_is_read_once_per_index_and_once_per_view_class(monkeypatch) -> None:
     m = grid_model()
+    c_values = m.columns["c"]
     reads: Counter = Counter()
     counted = {name: CountingColumn(name, col, reads) for name, col in m.columns.items()}
     vars(m)["columns"] = counted  # the cached column table the clauses read
+    runs: list = []
+    pred_app = denote._COLUMNS[PredApp]
+    monkeypatch.setitem(
+        denote._COLUMNS, PredApp, lambda t, m, env, ps: runs.append(ps) or pred_app(t, m, env, ps)
+    )
     term = parse_term("(might W (might T (pred p c)))", frozenset({"c", "p"}))
     values = eval_all_indices(term, m)
     assert set(values.values()) == {Truth(1)}
-    # per index the oracle walks four two-step paths and reads both constants on each
-    assert reads == Counter({(name, p): 1 for name in ("c", "p") for p in range(len(m.positions))})
+    # c takes two values over the 8 positions and p one, so (pred p c) has two
+    # view classes and its clause runs at one position of each
+    (reps,) = runs
+    assert len(reps) == 2 and c_values[reps[0]] != c_values[reps[1]]
+    # both constants are read once per position to form the views, then once
+    # more at each representative
+    assert reads == Counter({(name, p): 1 + (p in reps) for name in ("c", "p") for p in range(len(m.positions))})
+
+
+def shared_view_model() -> Model:
+    """Frames W (a cycle w0 -> w1 -> w2 -> w0), T and L over 3 * 3 * 2
+    positions. k, r and f are rigid; `the` holds one entity, chosen by the W
+    point, and p holds a at t0 and t1, a and b at t2. So all constants
+    together take 3 * 2 views."""
+    frames = (frame("W", 3, {("w0", "w1"), ("w1", "w2"), ("w2", "w0")}), frame("T", 3), frame("L", 2))
+    return coordinate_model(
+        frames,
+        {
+            "k": (EntType(), lambda w, t, l: Entity("a")),
+            "r": (BINARY, lambda w, t, l: rel_value(("a", "b"), ("b", "c"), ("c", "a"))),
+            "f": (FnType(EntType(), EntType()), lambda w, t, l: FnV(tuple((Entity(x), Entity(y)) for x, y in zip("abc", "bca")))),
+            "the": (UNARY, lambda w, t, l: rel_value(("abc"[int(w[1])],))),
+            "p": (UNARY, lambda w, t, l: rel_value(("a",), ("b",)) if t == "t2" else rel_value(("a",))),
+        },
+    )
+
+
+SHARED_VIEW_TERMS = (
+    "(pred p (func f (iota x (pred the x))))",
+    "(might W (pred p (iota x (pred the x))))",
+    "(might T (pred r k (func f (iota x (pred the x)))))",
+    "(and (might W (might T (pred p (func f k)))) (not (might L (pred the k))))",
+    "(lam y e (might T (and (pred p y) (not (pred the y)))))",
+    "(iota x (might W (pred the x)))",
+    "(app (lam y e (might L (eq y (iota x (pred the x))))) (func f k))",
+)
+
+
+def views(m: Model, names) -> int:
+    """The number of view classes of m's positions over the named constants."""
+    return len(set(zip(*(map(id, m.columns[n]) for n in names))))
+
+
+def check_shared_views() -> None:
+    m = shared_view_model()
+    names = frozenset(m.columns)
+    assert (views(m, names), views(m, ["the"]), len(m.positions)) == (6, 3, 18)
+    for text in SHARED_VIEW_TERMS:
+        assert assert_routes_agree(parse_term(text, names), m)[0] == "value", text
+
+
+def test_positions_sharing_a_view_agree_with_the_oracle() -> None:
+    check_shared_views()
+
+
+@pytest.mark.parametrize("left_out", ["the", "p"])
+def test_a_support_leaving_a_constant_out_is_caught(monkeypatch, left_out: str) -> None:
+    # each constant that varies decides some value; a rigid one, held at every
+    # position by one object, splits no class and could be left out unseen
+    real = denote._support
+    monkeypatch.setattr(denote, "_support", lambda term: real(term) and real(term) - {left_out})
+    with pytest.raises(AssertionError):
+        check_shared_views()
+
+
+def test_positions_with_views_of_their_own_agree_with_the_oracle() -> None:
+    # u holds a different set at each of the 8 positions: every class is one position
+    m = coordinate_model(
+        (frame("W", 2), frame("T", 2, {("t0", "t1"), ("t1", "t1")}), frame("L", 2)),
+        {
+            "k": (EntType(), lambda w, t, l: Entity("a")),
+            "u": (UNARY, lambda *pts: rel_value(*((e,) for e, pt in zip("abc", pts) if pt[1] == "1"))),
+        },
+    )
+    assert views(m, ["u"]) == len(m.positions) == 8
+    kinds: Counter = Counter()
+    for text in (
+        "(pred u k)",
+        "(might W (pred u k))",
+        "(might T (not (might L (pred u (iota x (pred u x))))))",
+        "(lam y e (might L (and (pred u y) (might W (pred u k)))))",
+        "(iota x (might T (pred u x)))",
+    ):
+        kinds[assert_routes_agree(parse_term(text, frozenset({"k", "u"})), m)[0]] += 1
+    assert kinds == Counter({"value": 3, "error": 2}), kinds
+
+
+def gappy_model(pairs: set[tuple[str, str]]) -> Model:
+    """Frames W, with the given pairs, and T over 3 * 2 positions; `the`
+    holds a at w0 and w1 and nothing at w2, so an iota over it fails in the
+    view class of w2 alone."""
+    return coordinate_model(
+        (frame("W", 3, pairs), frame("T", 2)),
+        {
+            "the": (UNARY, lambda w, t: rel_value() if w == "w2" else rel_value(("a",))),
+            "p": (UNARY, lambda w, t: rel_value(("a",))),
+        },
+    )
+
+
+GAPPY_TERM = "(might W (pred p (iota x (pred the x))))"
+
+
+def test_failure_in_a_view_class_no_target_reaches_stays_invisible() -> None:
+    m = gappy_model({("w0", "w1"), ("w1", "w1"), ("w2", "w1")})
+    assert views(m, ["the", "p"]) == 2
+    got = assert_routes_agree(parse_term(GAPPY_TERM, frozenset({"the", "p"})), m)
+    assert got == ("value", dict.fromkeys(m.positions, Truth(1)))
+
+
+def test_failure_in_a_reached_view_class_is_named_per_index() -> None:
+    m = gappy_model({("w0", "w1"), ("w1", "w2"), ("w2", "w2")})
+    got = assert_routes_agree(parse_term(GAPPY_TERM, frozenset({"the", "p"})), m)
+    assert got == ("error", denote.PresuppositionFailure, "iota over 'x' needs exactly one witness, found 0")
 
 
 def test_deepest_modal_terms_label_without_recursion_error() -> None:

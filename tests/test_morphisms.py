@@ -19,8 +19,8 @@ from finsem.denote import (
     Not,
     PredApp,
     Var,
-    eval_ext,
     eval_int,
+    evaluate,
     render_term,
 )
 from finsem.generators import random_model, random_term
@@ -417,7 +417,7 @@ def test_diagram_three_frames_counts() -> None:
 def _reference_check(m: Model, term, g: Assignment) -> CheckRecord:
     """One check as the two public evaluators give it, each typechecking."""
     ext, s0 = extensionalize(m), the_index(m)
-    routes = ((lambda: eval_int(term, m, g, s0), m), (lambda: eval_ext(term, ext, g), ext))
+    routes = ((lambda: eval_int(term, m, g, s0), m), (lambda: evaluate(term, ext, g), ext))
     outcomes = []
     for route, home in routes:
         try:
@@ -555,6 +555,6 @@ def test_lam_does_not_enumerate_type_domains(monkeypatch) -> None:
     monkeypatch.setattr(semmodel, "_card", lambda *a: sized.append(a) or real(*a))
     is_student = Lam("v", EntType(), PredApp("student", (Var("v"),)))
     the_student = Iota("w", PredApp("student", (Var("w"),)))
-    assert eval_ext(App(is_student, the_student), ext) == Truth(1)
-    assert eval_int(is_student, flat, s=the_index(flat)) == eval_ext(is_student, ext)
+    assert evaluate(App(is_student, the_student), ext) == Truth(1)
+    assert eval_int(is_student, flat, s=the_index(flat)) == evaluate(is_student, ext)
     assert sized == []

@@ -29,9 +29,6 @@ from finsem.relalg import (
     intersect,
     leq,
     modularity_holds,
-    pair_id,
-    product,
-    product_carrier,
     reflexive_iff_id_leq,
     union,
 )
@@ -80,18 +77,6 @@ def test_lattice_ops() -> None:
     s = rel(X, Y, ("a", "x"), ("a", "y"))
     assert intersect(r, s) == rel(X, Y, ("a", "x"))
     assert union(r, s) == rel(X, Y, ("a", "x"), ("a", "y"), ("b", "y"))
-
-
-def test_product_example() -> None:
-    # pair carriers list itertools.product order; ids render as "(l,r)"
-    xx = product_carrier(X, X)
-    assert xx.elements == ("(a,a)", "(a,b)", "(b,a)", "(b,b)")
-    r = rel(X, Y, ("a", "x"))
-    s = rel(X, Y, ("b", "y"))
-    p = product(r, s)
-    assert p.source == product_carrier(X, X)
-    assert p.target == product_carrier(Y, Y)
-    assert p.pairs == frozenset({(pair_id("a", "b"), pair_id("x", "y"))})
 
 
 def test_sorted_pairs_canonical_order() -> None:

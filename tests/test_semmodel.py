@@ -53,11 +53,11 @@ from finsem.semmodel import (
     UnknownFrame,
     UnknownIndex,
     Violation,
+    _checker,
     arg_types,
     fn_arity,
     fn_type,
     index_space,
-    inhabits,
     parse_type,
     render_type,
     render_value,
@@ -354,27 +354,27 @@ def test_ungrounded_index_type() -> None:
 
 
 def test_inhabits() -> None:
-    assert inhabits(M, A, EntType())
-    assert not inhabits(M, Entity("zz"), EntType())
-    assert not inhabits(M, A, TruthType())
-    assert inhabits(M, SetV(frozenset({TupleV((A, B))})), RelType((EntType(), EntType())))
-    assert not inhabits(M, SetV(frozenset({TupleV((A,))})), RelType((EntType(), EntType())))
+    assert _checker(M, EntType())(A)
+    assert not _checker(M, EntType())(Entity("zz"))
+    assert not _checker(M, TruthType())(A)
+    assert _checker(M, RelType((EntType(), EntType())))(SetV(frozenset({TupleV((A, B))})))
+    assert not _checker(M, RelType((EntType(), EntType())))(SetV(frozenset({TupleV((A,))})))
     total = FnV(((A, B), (B, B)))
     partial = FnV(((A, B),))
-    assert inhabits(M, total, FnType(EntType(), EntType()))
-    assert not inhabits(M, partial, FnType(EntType(), EntType()))
+    assert _checker(M, FnType(EntType(), EntType()))(total)
+    assert not _checker(M, FnType(EntType(), EntType()))(partial)
     # as many entries as the domain has values, but one key outside it
-    assert not inhabits(M, FnV(((A, B), (Entity("zz"), B))), FnType(EntType(), EntType()))
+    assert not _checker(M, FnType(EntType(), EntType()))(FnV(((A, B), (Entity("zz"), B))))
     # an oversized domain still raises before any size is compared
     with pytest.raises(DomainTooLarge):
-        inhabits(M, partial, FnType(parse_type("rel(e,e,e,e,e)"), EntType()))
+        _checker(M, FnType(parse_type("rel(e,e,e,e,e)"), EntType()))(partial)
 
 
 def test_inhabits_index_elements() -> None:
-    assert inhabits(M, IndexElem("W", "w0"), IdxType("W"))
-    assert not inhabits(M, IndexElem("W", "w9"), IdxType("W"))
+    assert _checker(M, IdxType("W"))(IndexElem("W", "w0"))
+    assert not _checker(M, IdxType("W"))(IndexElem("W", "w9"))
     with pytest.raises(UngroundedType):
-        inhabits(M, IndexElem("T", "t0"), IdxType("T"))
+        _checker(M, IdxType("T"))(IndexElem("T", "t0"))
 
 
 @given(st.sampled_from(["e", "t", "set(e)", "pair(e,e)", "fn(e,e)", "rel(e,t)"]))
@@ -382,7 +382,7 @@ def test_enumeration_is_exhaustive_and_disjoint(text: str) -> None:
     ty = parse_type(text)
     values = type_domain(M, ty)
     assert len(set(values)) == len(values)
-    assert all(inhabits(M, v, ty) for v in values)
+    assert all(_checker(M, ty)(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +514,7 @@ def _violations_by_rows(m: Model) -> list[tuple[str, str, str]]:
     for c in m.constants:
         seen = set()
         for idx, v in c.table:
-            if idx in seen or idx not in space or not inhabits(m, v, c.semtype):
+            if idx in seen or idx not in space or not _checker(m, c.semtype)(v):
                 kind = "DuplicateIndexEntry" if idx in seen else "UnexpectedIndexEntry" if idx not in space else "IllTypedValue"
                 tail = f": value does not inhabit {render_type(c.semtype)}" if kind == "IllTypedValue" else ""
                 out.append((kind, c.name, f"index {idx.render()}{tail}"))

@@ -176,7 +176,7 @@ def _children(term: Term) -> tuple[Term, ...]:
 
 
 def has_modal(term: Term) -> bool:
-    return isinstance(term, Diamond) or any(map(has_modal, _children(term)))
+    return _support(term) is None
 
 
 def free_vars(term: Term) -> frozenset[str]:
@@ -521,7 +521,7 @@ def _eval_iota(term: Iota, m: Model, env: dict[str, Value], p: int) -> Value:
 def _eval_diamond(term: Diamond, m: Model, env: dict[str, Value], p: int) -> Value:
     label, body = term.label, term.body
     clause = _CLAUSES[type(body)]
-    flags = [clause(body, m, env, t).flag for t in m.successor_positions(label)[p]]
+    flags = [clause(body, m, env, t).flag for t in m.successor_positions[label][p]]
     return TRUE if any(flags) else FALSE
 
 
@@ -627,7 +627,7 @@ def _column_iota(term: Iota, m: Model, env: dict[str, Value], ps: list[int]) -> 
 
 def _column_diamond(term: Diamond, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
     """A preimage: the body runs once over the distinct successors of ps."""
-    rows = list(map(m.successor_positions(term.label).__getitem__, ps))
+    rows = list(map(m.successor_positions[term.label].__getitem__, ps))
     targets = list(dict.fromkeys(chain.from_iterable(rows)))
     values = _column_by_view(term.body, m, env, targets)
     true = {t for t, v in zip(targets, values) if v.flag}

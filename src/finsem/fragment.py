@@ -25,7 +25,7 @@ from .denote import (
     render_term,
 )
 from .relalg import FinsemError
-from .semmodel import Assignment, Index, Model, Value, render_value
+from .semmodel import ENT_TYPE, Assignment, Index, Model, RelType, Value, render_value
 
 
 class UnknownWord(FinsemError):
@@ -69,6 +69,8 @@ RULES = (
 )
 
 LEXICAL_CATEGORIES = ("D", "N", "V", "Mod")
+# the type of the predicate constant an N or V entry interprets
+LEXICAL_PRED_TYPES = {"N": RelType((ENT_TYPE,)), "V": RelType((ENT_TYPE, ENT_TYPE))}
 
 
 @dataclass(frozen=True)

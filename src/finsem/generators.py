@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
 
 from .denote import (
     And,
@@ -52,13 +51,8 @@ def random_carrier(
     return FinSet(name, tuple(f"{name.lower()}{i}" for i in range(n)))
 
 
-def random_relation(
-    rng: random.Random,
-    source: FinSet,
-    target: FinSet,
-    density: Optional[float] = None,
-) -> Relation:
-    d = rng.random() if density is None else density
+def random_relation(rng: random.Random, source: FinSet, target: FinSet) -> Relation:
+    d = rng.random()
     pairs = frozenset(
         (x, y)
         for x in source.elements
@@ -123,16 +117,13 @@ def random_model(
     max_entities: int = 3,
     min_frames: int = 1,
     max_frames: int = 2,
-    frame_labels: tuple[str, ...] = ("W", "T", "L"),
     max_frame_size: int = 3,
-    serial_frames: bool = False,
 ) -> Model:
     """Small model with entity constants, predicates, and one function."""
     ents = FinSet("E", tuple(f"e{i}" for i in range(rng.randint(1, max_entities))))
     nframes = rng.randint(min_frames, max_frames)
     frames = tuple(
-        random_frame(rng, frame_labels[i], max_frame_size, serial_frames)
-        for i in range(nframes)
+        random_frame(rng, ("W", "T", "L")[i], max_frame_size) for i in range(nframes)
     )
     skeleton = Model(ents, frames, ())
     space = index_space(skeleton)

@@ -106,9 +106,8 @@ def monotone_inclusions(m: FrameMap) -> MonotoneProfile:
 
 def is_monotone(m: FrameMap) -> bool:
     profile = monotone_inclusions(m)
-    assert profile.pointwise == profile.sandwich == profile.semicommute, (
-        "monotonicity routes disagree"
-    )
+    if not profile.pointwise == profile.sandwich == profile.semicommute:
+        raise AssertionError("monotonicity routes disagree")
     return profile.pointwise
 
 
@@ -133,7 +132,8 @@ def is_bounded(m: FrameMap) -> bool:
     relational = compose(m.source.rel, m.graph.underlying) == compose(
         m.graph.underlying, m.target.rel
     )
-    assert quantified == relational, "bounded-morphism routes disagree"
+    if quantified != relational:
+        raise AssertionError("bounded-morphism routes disagree")
     return quantified
 
 

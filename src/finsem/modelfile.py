@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 from .denote import Term, _at, free_vars, parse_term, render_term, typecheck
-from .fragment import LexEntry
+from .fragment import LEXICAL_CATEGORIES, LEXICAL_PRED_TYPES, LexEntry
 from .kripke import Frame
 from .relalg import FinSet, FinsemError, Relation
 from .semmodel import (
@@ -71,7 +71,6 @@ from .semmodel import (
 
 TOP_KEYS = ("entities", "frames", "constants", "lexicon", "terms")
 LEXICAL_KEYS = ("cat", "pred", "frame", "sem")  # LexEntry fields besides word, in dump order
-LEXICAL_PRED_TYPES = {"N": RelType((ENT_TYPE,)), "V": RelType((ENT_TYPE, ENT_TYPE))}
 
 
 class ModelFileError(FinsemError):
@@ -263,8 +262,8 @@ def _load_lexicon(
     types = {c.name: c.semtype for c in constants}
     for word, where, ej in _objects(j, "lexicon", dict, LEXICAL_KEYS, errs):
         cat = ej.get("cat")
-        if cat not in ("D", "N", "V", "Mod"):
-            errs.append(f"{where}: cat must be one of D, N, V, Mod")
+        if cat not in LEXICAL_CATEGORIES:
+            errs.append(f"{where}: cat must be one of {', '.join(LEXICAL_CATEGORIES)}")
             continue
         if cat in ("N", "V"):
             pred = ej.get("pred")
@@ -421,31 +420,20 @@ def _decoder(t: SemType) -> Decoder:
     return lambda j, errs, at: _bad(errs, at, f"cannot decode type {render_type(t)}")
 
 
-def encode_value(v: Value, t: SemType) -> Any:
-    match (t, v):
-        case (EntType(), Entity(ident)):
+def encode_value(v: Value) -> Any:
+    """The JSON form of a value, read off the value itself: a set's members
+    in value_key order, a function's entries in their stored order."""
+    match v:
+        case Entity(ident) | IndexElem(_, ident):
             return ident
-        case (TruthType(), Truth(flag)):
+        case Truth(flag):
             return flag
-        case (IdxType(_), IndexElem(_, ident)):
-            return ident
-        case (PairType(a, b), TupleV(items)):
-            return [encode_value(items[0], a), encode_value(items[1], b)]
-        case (SetType(member), SetV(members)):
-            return [
-                encode_value(w, member) for w in sorted(members, key=value_key)
-            ]
-        case (RelType(components), SetV(members)):
-            return [
-                [encode_value(x, c) for x, c in zip(row.items, components)]
-                for row in sorted(members, key=value_key)
-            ]
-        case (FnType(domain, codomain), FnV(entries)):
-            return [
-                [encode_value(k, domain), encode_value(w, codomain)]
-                for k, w in entries
-            ]
-    raise ValueError(f"value {v!r} does not fit type {render_type(t)}")
+        case TupleV(items):
+            return [encode_value(x) for x in items]
+        case SetV(members):
+            return [encode_value(w) for w in sorted(members, key=value_key)]
+        case FnV(entries):
+            return [[encode_value(k), encode_value(w)] for k, w in entries]
 
 
 def dump_model_file(mf: ModelFile) -> str:
@@ -473,7 +461,7 @@ def dump_model_file(mf: ModelFile) -> str:
                 "table": [
                     {
                         "index": [e for _, e in idx.components],
-                        "value": encode_value(v, c.semtype),
+                        "value": encode_value(v),
                     }
                     for idx, v in c.table
                 ],

@@ -73,9 +73,6 @@ class Relation:
             key=lambda p: (self.source.position(p[0]), self.target.position(p[1])),
         )
 
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self.pairs
-
 
 @dataclass(frozen=True)
 class FnGraph:
@@ -225,8 +222,6 @@ def check_property(r: Relation, prop: str) -> bool:
 
 def reflexive_iff_id_leq(r: Relation) -> bool:
     """True when the pointwise reflexivity check agrees with id <= r."""
-    if not r.is_endo:
-        raise NotEndorelation(f"{r.source.name} -> {r.target.name} is not an endorelation")
     pointwise = check_property(r, "reflexive")
     ordered = leq(identity(r.source), r)
     return pointwise == ordered

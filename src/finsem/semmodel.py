@@ -14,15 +14,14 @@ its constants, so each set value builds its item lookup once. A model's
 row_positions live outside the fields too, set once as the model sorts its
 tables: per constant, in constants order, the index position of each table
 row, or None for a row off the index space. validate and the collapse read
-them instead of looking each row's Index up again. EntType() and
-TruthType() return one shared instance each (ENT_TYPE, TRUTH_TYPE), so a
-typecheck can compare types by identity first.
+them instead of looking each row's Index up again. parse_type gives the
+module constants ENT_TYPE and TRUTH_TYPE for e and t, so a typecheck of parsed
+types can compare by identity before structure; other instances compare equal.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
@@ -64,29 +63,16 @@ class SemType:
 
 
 @dataclass(frozen=True)
-class _GroundType(SemType):
-    """A type with one shared instance, which construction, pickle and copy
-    all return, so a type comparison can test identity before structure."""
-
-    def __new__(cls) -> _GroundType:
-        return _GROUND[cls]
-
-    def __reduce__(self) -> tuple:
-        return type(self), ()
-
-
-@dataclass(frozen=True)
-class EntType(_GroundType):
+class EntType(SemType):
     pass
 
 
 @dataclass(frozen=True)
-class TruthType(_GroundType):
+class TruthType(SemType):
     pass
 
 
-_GROUND = {cls: object.__new__(cls) for cls in (EntType, TruthType)}
-ENT_TYPE, TRUTH_TYPE = _GROUND[EntType], _GROUND[TruthType]
+ENT_TYPE, TRUTH_TYPE = EntType(), TruthType()
 
 
 @dataclass(frozen=True)
@@ -515,28 +501,22 @@ class Model:
         return {c.name: tuple([shared.setdefault(v, v) for _, v in c.table]) for c in self.constants}
 
     @cached_property
-    def _successor_tables(self) -> dict[str, tuple[tuple[int, ...], ...]]:
-        return {}
-
-    def successor_positions(self, label: str) -> tuple[tuple[int, ...], ...]:
-        """For each index position, the positions of that index's label
-        successors, in Frame.successors order; built for a label on first use."""
-        if label in self._successor_tables:
-            return self._successor_tables[label]
-        fr = self.frame(label)
-        if fr is None:
-            raise UnknownFrame(f"model has no frame {label!r}")
+    def successor_positions(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """Each frame's label to a table: for each index position, the
+        positions of that index's label successors, in Frame.successors order."""
+        tables, stride = {}, 1
         # positions are mixed-radix numbers, the last frame varying fastest
-        axis = self.frames.index(fr)
-        stride = math.prod(len(f.domain) for f in self.frames[axis + 1 :])
-        size = len(fr.domain)
-        steps = [
-            [(fr.domain.position(v) - here) * stride for v in fr.successors(u)]
-            for here, u in enumerate(fr.domain.elements)
-        ]
-        table = tuple([tuple([p + d for d in steps[p // stride % size]]) for p in range(len(self.positions))])
-        self._successor_tables[label] = table
-        return table
+        for fr in reversed(self.frames):
+            size = len(fr.domain)
+            steps = [
+                [(fr.domain.position(v) - here) * stride for v in fr.successors(u)]
+                for here, u in enumerate(fr.domain.elements)
+            ]
+            tables[fr.label] = tuple(
+                [tuple([p + d for d in steps[p // stride % size]]) for p in range(len(self.positions))]
+            )
+            stride *= size
+        return tables
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -648,10 +628,7 @@ def _enumerate(m: Model, t: SemType) -> list[Value]:
         case TruthType():
             return [Truth(0), Truth(1)]
         case IdxType(label):
-            fr = m.frame(label)
-            if fr is None:
-                raise UngroundedType(f"no frame {label!r} in this model")
-            return [IndexElem(label, k) for k in fr.domain.elements]
+            return [IndexElem(label, k) for k in m.frame(label).domain.elements]
         case PairType(a, b):
             return [TupleV((x, y)) for x in _enumerate(m, a) for y in _enumerate(m, b)]
         case SetType(member):

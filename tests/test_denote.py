@@ -312,10 +312,9 @@ def _entity_components(m: Model) -> list:
 
 
 def _unshared(t):
-    """t with a distinct instance of each ground type in it, made by
-    object.__new__: the constructor, pickle and copy return the shared one."""
+    """t with a distinct instance of each ground type in it."""
     if isinstance(t, (EntType, TruthType)):
-        return object.__new__(type(t))
+        return type(t)()
     if isinstance(t, tuple):
         return tuple(map(_unshared, t))
     if isinstance(t, semmodel.SemType):
@@ -468,6 +467,32 @@ def test_eval_function_application() -> None:
     assert evaluate(nested, m) == Entity("s1")
     two = FuncApp("pick", (FuncApp("mentor", (Const("alice"),)), Const("alice")))
     assert evaluate(two, m) == Entity("b1")
+
+
+def test_three_argument_functions_nest_their_arguments() -> None:
+    """(func g x y z) applies g to the key (x, (y, z)): at each index, at every
+    index at once, and after a model-file round trip, against a table read."""
+    rng = random.Random(23)
+    ids = ("a", "b")
+    dom = FinSet("W", ("w0", "w1", "w2"))
+    w = Frame("W", dom, Relation(dom, dom, frozenset({("w0", "w1")})))
+    space = index_space(Model(FinSet("E", ids), (w,), ()))
+    keys = [TupleV((Entity(x), TupleV((Entity(y), Entity(z))))) for x in ids for y in ids for z in ids]
+    table = tuple((s, FnV(tuple((k, Entity(rng.choice(ids))) for k in keys))) for s in space)
+    m = Model(FinSet("E", ids), (w,), (Constant("g", fn_type([ENT_TYPE] * 3, ENT_TYPE), table),))
+    term = FuncApp("g", (Var("x"), Var("y"), Var("z")))
+    text = dump_model_file(ModelFile(m, {}, {"g3": term}))
+    again = model_file_from_doc(json.loads(text))
+    assert again.model == m and again.terms == {"g3": term}
+    assert dump_model_file(again) == text
+    rows = dict(table)
+    for key in keys:
+        x, (y, z) = key.items[0], key.items[1].items
+        g = Assignment((("x", x.ident), ("y", y.ident), ("z", z.ident)))
+        everywhere = eval_all_indices(term, m, g)
+        for s in space:
+            want = dict(rows[s].entries)[key]
+            assert evaluate(term, m, g, s) == everywhere[s] == evaluate(term, again.model, g, s) == want
 
 
 def test_eval_variables_come_from_assignment() -> None:

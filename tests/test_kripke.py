@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from finsem import kripke
 from finsem.kripke import (
     TRIVIAL_ELEMENT,
     Frame,
@@ -23,6 +28,8 @@ from finsem.kripke import (
     trivialize,
 )
 from finsem.relalg import EndpointMismatch, FinSet, FnGraph, Relation
+
+from helpers import REPO_ROOT
 
 
 def frame(label: str, elements: tuple[str, ...], pairs: set[tuple[str, str]]) -> Frame:
@@ -85,6 +92,36 @@ def test_not_monotone() -> None:
     m = frame_map(src, tgt, {"x0": "y0", "x1": "y1"})
     assert not is_monotone(m)
     assert not forth_holds(m)
+
+
+def test_disagreeing_routes_raise(monkeypatch) -> None:
+    m = identity_map(frame("W", ("w0", "w1"), {("w0", "w1")}))
+    monkeypatch.setattr(kripke, "forth_holds", lambda m: False)  # wrong: the identity is monotone
+    with pytest.raises(AssertionError, match="^monotonicity routes disagree$"):
+        is_monotone(m)
+    with pytest.raises(AssertionError, match="^bounded-morphism routes disagree$"):
+        is_bounded(m)
+
+
+def test_disagreeing_routes_raise_under_python_o() -> None:
+    """python -O drops assert statements; the route checks must not be ones."""
+    code = (
+        "from finsem import kripke\n"
+        "from finsem.relalg import FinSet, Relation\n"
+        "dom = FinSet('W', ('w0', 'w1'))\n"
+        "m = kripke.identity_map(kripke.Frame('W', dom, Relation(dom, dom, frozenset({('w0', 'w1')}))))\n"
+        "kripke.forth_holds = lambda m: False\n"
+        "for check in (kripke.is_monotone, kripke.is_bounded):\n"
+        "    try:\n"
+        "        check(m)\n"
+        "    except AssertionError as err:\n"
+        "        print(err)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "monotonicity routes disagree\nbounded-morphism routes disagree\n"
 
 
 def test_identity_map_is_bounded() -> None:

@@ -256,7 +256,35 @@ def test_value_codec_round_trips() -> None:
         errs: list[str] = []
         assert _decoder(ty)(encoded, errs, "v") == value
         assert errs == []
-        assert encode_value(value, ty) == encoded
+        assert encode_value(value) == encoded
+
+
+def test_truth_and_function_members_dump_canonically() -> None:
+    """Sets of truth values, functions keyed by truth values and sets of
+    functions, written out of order, dump sorted by value_key and load back."""
+    shuffled = {
+        "entities": ["s1", "b1"],
+        "constants": [
+            {"name": "flags", "type": "set(t)", "table": [{"index": [], "value": [1, 0]}]},
+            {"name": "pick", "type": "fn(t,e)", "table": [{"index": [], "value": [[1, "s1"], [0, "b1"]]}]},
+            {
+                "name": "tests",
+                "type": "set(fn(e,t))",
+                "table": [{"index": [], "value": [[["s1", 1], ["b1", 1]], [["s1", 1], ["b1", 0]]]}],
+            },
+        ],
+    }
+    mf = model_file_from_doc(shuffled)
+    text = dump_model_file(mf)
+    values = {c["name"]: c["table"][0]["value"] for c in json.loads(text)["constants"]}
+    assert values == {
+        "flags": [0, 1],
+        "pick": [[0, "b1"], [1, "s1"]],
+        "tests": [[["b1", 0], ["s1", 1]], [["b1", 1], ["s1", 1]]],
+    }
+    again = model_file_from_doc(json.loads(text))
+    assert again.model == mf.model
+    assert dump_model_file(again) == text
 
 
 def test_value_codec_reports_location() -> None:

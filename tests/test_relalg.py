@@ -165,6 +165,11 @@ def test_property_checks_need_endorelations() -> None:
         check_property(LE, "euclidean")
 
 
+def test_reflexivity_routes_need_an_endorelation() -> None:
+    with pytest.raises(NotEndorelation, match=r"^X -> Y is not an endorelation$"):
+        reflexive_iff_id_leq(rel(X, Y, ("a", "x")))
+
+
 def test_function_profile_examples() -> None:
     collapse = rel(X, Z, ("a", "u"), ("b", "u"))
     p = function_characterization(collapse)

@@ -203,7 +203,7 @@ def test_index_component_and_replace() -> None:
 def test_successor_positions_follow_the_frame_in_its_order() -> None:
     three = small_frame("L", ("l0", "l1", "l2"), {("l0", "l2"), ("l0", "l1"), ("l2", "l0")})
     m = Model(ENTS, (FRAME_W, three, FRAME_T), ())
-    assert "_successor_tables" not in vars(m)  # nothing is built before first use
+    assert "successor_positions" not in vars(m)  # nothing is built before first use
     space = list(m.positions)
     for f in m.frames:
         want = tuple(
@@ -213,10 +213,9 @@ def test_successor_positions_follow_the_frame_in_its_order() -> None:
             )
             for s in space
         )
-        assert m.successor_positions(f.label) == want
-    assert m.successor_positions("L")[0] == (1 * 2, 2 * 2)  # l1 then l2, stride 2
-    with pytest.raises(UnknownFrame):
-        m.successor_positions("Q")
+        assert m.successor_positions[f.label] == want
+    assert m.successor_positions["L"][0] == (1 * 2, 2 * 2)  # l1 then l2, stride 2
+    assert "Q" not in m.successor_positions
 
 
 def test_position_tables_match_the_index_route_on_random_models() -> None:
@@ -235,7 +234,7 @@ def test_position_tables_match_the_index_route_on_random_models() -> None:
             m = Model(drawn.entity_domain, drawn.frames, tuple(shuffled))
             assert not m.violations
             for f in m.frames:
-                table = m.successor_positions(f.label)
+                table = m.successor_positions[f.label]
                 for s, p in m.positions.items():
                     want = tuple(
                         m.positions[s.replace(f.label, v)]
@@ -571,35 +570,9 @@ def test_parse_type_shares_its_ground_types() -> None:
     assert parsed.domain.first is ENT_TYPE and parsed.codomain is TRUTH_TYPE
     assert parsed.domain.second.components == (ENT_TYPE, TRUTH_TYPE)
     assert parse_type("e") is ENT_TYPE and parse_type("t") is TRUTH_TYPE
-    # an instance made without the constructor is another object, but equal
-    assert object.__new__(EntType) is not ENT_TYPE and object.__new__(EntType) == ENT_TYPE
-
-
-def test_ground_types_have_one_instance() -> None:
-    assert EntType() is ENT_TYPE and TruthType() is TRUTH_TYPE
-    assert EntType() != TruthType()
-    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
-    for t in (ENT_TYPE, TRUTH_TYPE):
-        assert copy.copy(t) is t and copy.deepcopy(t) is t
-        assert all(pickle.loads(pickle.dumps(t, protocol)) is t for protocol in protocols)
-    nested = fn_type([ENT_TYPE, RelType((ENT_TYPE, TRUTH_TYPE))], TRUTH_TYPE)
-    for twin in [copy.deepcopy(nested)] + [pickle.loads(pickle.dumps(nested, p)) for p in protocols]:
-        assert twin == nested
-        assert [id(g) for g in _ground_leaves(twin)] == [id(g) for g in _ground_leaves(nested)]
-    # a generated model's constants share them through a deep copy too
-    m = copy.deepcopy(generators.random_model(random.Random(3), max_entities=3, max_frames=2))
-    grounds = [t for c in m.constants for t in _ground_leaves(c.semtype)]
-    assert grounds and all(t is ENT_TYPE or t is TRUTH_TYPE for t in grounds)
-
-
-def _ground_leaves(t) -> list:
-    if isinstance(t, (EntType, TruthType)):
-        return [t]
-    if isinstance(t, RelType):
-        return [g for c in t.components for g in _ground_leaves(c)]
-    if dataclasses.is_dataclass(t):
-        return [g for f in dataclasses.fields(t) for g in _ground_leaves(getattr(t, f.name))]
-    return []
+    # another instance is another object, but equal; the two ground types differ
+    assert EntType() is not ENT_TYPE and EntType() == ENT_TYPE and hash(EntType()) == hash(ENT_TYPE)
+    assert EntType() != TruthType() and ENT_TYPE != TRUTH_TYPE
 
 
 def test_entities_have_one_instance_per_id() -> None:

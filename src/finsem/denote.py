@@ -22,11 +22,13 @@ the per-index oracle the columns must match.
 
 A Diamond-free term reads the model only through the columns of the constants
 it names (its support), env and the entity domain, and only the columns vary by
-position. Equal column values are one shared object per model, so positions
-whose support columns hold the same objects, a view class, give the term one
-outcome, error included. _column_by_view evaluates the whole term and each
-Diamond body once per view class and broadcasts the values back: the constant
-intension of a rigid designator is computed once.
+position. Every value and Index is hash-consed (see semmodel.Shared) and
+compares by identity, held by a weak table only while it is alive elsewhere:
+equal column values are one object, so positions whose support columns hold
+the same objects, a view class, give the term one outcome, error included.
+_column_by_view evaluates the whole term and each Diamond body once per view
+class and broadcasts the values back: the constant intension of a rigid
+designator is computed once.
 """
 
 from __future__ import annotations
@@ -492,7 +494,7 @@ def _eval_lam(term: Lam, m: Model, env: dict[str, Value], p: int) -> Value:
     for dv in entities:
         inner[var] = dv
         values.append(clause(body, m, inner, p))
-    return FnV._ordered(tuple([(entities[i], values[i]) for i in m.entity_key_order]))
+    return FnV._shared(tuple([(entities[i], values[i]) for i in m.entity_key_order]))  # in key order
 
 
 def _eval_app(term: App, m: Model, env: dict[str, Value], p: int) -> Value:
@@ -604,7 +606,7 @@ def _column_lam(term: Lam, m: Model, env: dict[str, Value], ps: list[int]) -> li
         raise DomainTooLarge(f"{render_type(term.var_type)} exceeds {MAX_DOMAIN_SIZE} values")
     keys = [entities[i] for i in order]
     rows = _per_entity(term, m, env, ps)
-    return [FnV._ordered(tuple(zip(keys, [row[i] for i in order]))) for row in rows]
+    return [FnV._shared(tuple(zip(keys, [row[i] for i in order]))) for row in rows]  # in key order
 
 
 def _column_app(term: App, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
@@ -671,7 +673,7 @@ def _column_by_view(term: Term, m: Model, env: dict[str, Value], ps: list[int]) 
     names = _support(term)
     if names is None:
         return clause(term, m, env, ps)
-    views = [map(id, map(m.columns[n].__getitem__, ps)) for n in names]
+    views = [map(m.columns[n].__getitem__, ps) for n in names]
     keys = list(zip(*views)) if views else [()] * len(ps)
     reps = dict(zip(keys, ps))
     if len(reps) == len(ps):

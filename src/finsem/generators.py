@@ -137,20 +137,15 @@ def random_model(
         ty = RelType((ENT_TYPE,) * arity)
         rows = []
         for s in space:
-            members = frozenset(
-                TupleV(tuple(Entity(e) for e in combo))
-                for combo in itertools.product(ents.elements, repeat=arity)
-                if rng.random() < 0.5
-            )
-            rows.append((s, SetV(members)))
+            combos = itertools.product(ents.elements, repeat=arity)
+            rows.append((s, SetV(TupleV(map(Entity, c)) for c in combos if rng.random() < 0.5)))
         constants.append(Constant(f"p{i}", ty, tuple(rows)))
     arity = rng.randint(1, 2)
     fty = fn_type([ENT_TYPE] * arity, ENT_TYPE)
     keys = type_domain(skeleton, fty.domain)
     rows = []
     for s in space:
-        entries = tuple((k, Entity(rng.choice(ents.elements))) for k in keys)
-        rows.append((s, FnV(entries)))
+        rows.append((s, FnV((k, Entity(rng.choice(ents.elements))) for k in keys)))
     constants.append(Constant("f0", fty, tuple(rows)))
 
     designated = tuple(

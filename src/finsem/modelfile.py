@@ -207,8 +207,8 @@ def _load_constants(
 ) -> list[Constant]:
     out: list[Constant] = []
     labels = [f.label for f in frames]
-    indices: dict[tuple[str, ...], Index] = {}  # one shared Index per row key
-    decoders: dict[SemType, Decoder] = {}  # one per type, so equal values are shared
+    indices: dict[tuple[str, ...], Index] = {}  # a key seen before skips its checks
+    decoders: dict[SemType, Decoder] = {}  # one per type, so a row seen before skips decoding
     for _, where, cj in _objects(j, "constants", list, ("name", "type", "table"), errs):
         name = cj.get("name")
         if not isinstance(name, str):
@@ -326,8 +326,8 @@ def _bad(errs: list[str], at: Any, problem: str) -> None:
 
 def _row(types: tuple[SemType, ...], problem: str, build: Callable[[tuple], Any]) -> Decoder:
     """The decoder of a list of one item per type, decoded item by item and
-    passed to build. When every item is an id string, equal rows share one
-    result, found by the row itself: a tuple of strings equals only the same
+    passed to build. When every item is an id string, a row seen before gives
+    its result again without decoding: a tuple of strings equals only the same
     strings. Any other row is decoded again at its own location."""
     decoders = tuple(_decoder(t) for t in types)
     shared: Optional[dict] = {} if all(isinstance(t, (EntType, IdxType)) for t in types) else None

@@ -6,15 +6,15 @@ space (the product of the frame domains) to values of the constant's type.
 Everything is finite and enumerable, so validation and evaluation are
 exhaustive rather than symbolic.
 
-Models and values build their lookup tables once, on first use, and keep
-them outside their dataclass fields, so equality and hashing stay
-structural; an Entity is one instance per id and compares by identity. A
-model's columns share equal values: one object per distinct value across
-its constants, so each set value builds its item lookup once. A model's
-row_positions live outside the fields too, set once as the model sorts its
-tables: per constant, in constants order, the index position of each table
-row, or None for a row off the index space. validate and the collapse read
-them instead of looking each row's Index up again. parse_type gives the
+Every value and Index is hash-consed (see Shared): one object per structure,
+which compares and hashes by identity, so each set value builds its item
+lookup once. The intern table is weak, so it holds no more than the values
+alive, however many models come and go. Models build their lookup tables once,
+on first use, outside their dataclass fields, so equality and hashing of a
+model stay structural. A model's row_positions live outside the fields too,
+set once as the model sorts its tables: per constant, in constants order, the
+index position of each table row, or None for a row off the index space.
+validate and the collapse read them instead of looking each row's Index up. parse_type gives the
 module constants ENT_TYPE and TRUTH_TYPE for e and t, so a typecheck of parsed
 types can compare by identity before structure; other instances compare equal.
 """
@@ -22,7 +22,8 @@ types can compare by identity before structure; other instances compare equal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
@@ -245,94 +246,111 @@ def _compound_type(name: str, args: list[SemType]) -> SemType:
 # values
 
 
-@dataclass(frozen=True)
-class Value:
-    pass
+class Shared:
+    """Base of the hash-consed classes (Filliâtre & Conchon, "Type-safe modular
+    hash-consing", 2006): a subclass's __new__ normalizes its fields for _shared."""
 
-
-@dataclass(frozen=True, eq=False)
-class Entity(Value):
-    """One shared instance per id, which construction, pickle and copy all
-    return, so entities compare and hash by identity."""
-
-    ident: str
-    # object's: Value's would compare an empty field tuple, and __new__ sets ident
+    __slots__ = ("__weakref__",)
+    # object's: the fields are compared once, as a key of _SHARED, and __new__ sets them
     __eq__, __hash__, __init__ = object.__eq__, object.__hash__, object.__init__
 
-    def __new__(cls, ident: str) -> Entity:
-        e = _ENTITIES.get(ident)
-        if e is None:
-            object.__setattr__(e := object.__new__(cls), "ident", ident)
-            e = _ENTITIES.setdefault(ident, e)  # one step: racing threads get one instance
-        return e
+    @classmethod
+    def _shared(cls, *fields):
+        """The live instance with these fields, in __match_args__ order (not thread-safe)."""
+        key = (cls, *fields)
+        ref = _SHARED.get(key)
+        if ref is None or (obj := ref()) is None:
+            obj = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(obj, name, value)
+            _SHARED[key] = weakref.KeyedRef(obj, _forget, key)
+        return obj
 
     def __reduce__(self) -> tuple:
-        return Entity, (self.ident,)
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
 
 
-_ENTITIES: dict[str, Entity] = {}  # bounded by the entity ids of the inputs
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _SHARED.get(ref.key) is ref:  # not yet taken by a new instance
+        del _SHARED[ref.key]
 
 
-@dataclass(frozen=True)
+_SHARED: dict[tuple, weakref.KeyedRef] = {}  # weak: an instance's entry goes when it dies
+# eq=False and init=False keep Shared's identity comparison and do-nothing __init__
+_shared_class = dataclass(frozen=True, eq=False, init=False, slots=True)
+
+
+class Value(Shared):
+    __slots__ = ()
+
+
+@_shared_class
+class Entity(Value):
+    ident: str
+
+    def __new__(cls, ident: str) -> Entity:
+        return cls._shared(ident)
+
+
+@_shared_class
 class Truth(Value):
     flag: int
 
-    def __post_init__(self) -> None:
-        if self.flag not in (0, 1):
-            raise ValueError(f"truth value must be 0 or 1, got {self.flag!r}")
+    def __new__(cls, flag: int) -> Truth:
+        if type(flag) is not int or flag not in (0, 1):
+            raise ValueError(f"truth value must be 0 or 1, got {flag!r}")
+        return cls._shared(flag)
 
 
-@dataclass(frozen=True)
+@_shared_class
 class IndexElem(Value):
     label: str
     ident: str
 
+    def __new__(cls, label: str, ident: str) -> IndexElem:
+        return cls._shared(label, ident)
 
-@dataclass(frozen=True)
+
+@_shared_class
 class TupleV(Value):
     items: tuple[Value, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
+    def __new__(cls, items: Iterable[Value]) -> TupleV:
+        return cls._shared(tuple(items))
 
 
-@dataclass(frozen=True)
+@_shared_class
 class SetV(Value):
     members: frozenset[Value]
+    # the items of the TupleV members, filled on first use: `items in
+    # s.item_tuples` exactly when `TupleV(items) in s.members`
+    item_tuples: frozenset[tuple[Value, ...]] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
+    def __new__(cls, members: Iterable[Value]) -> SetV:
+        return cls._shared(frozenset(members))
 
-    @cached_property
-    def item_tuples(self) -> frozenset[tuple[Value, ...]]:
-        """The items of the TupleV members, built on first use and kept
-        outside the fields. A TupleV equals only a TupleV with equal items, so
-        `items in s.item_tuples` exactly when `TupleV(items) in s.members`."""
-        return frozenset(w.items for w in self.members if isinstance(w, TupleV))
+    def __getattr__(self, name: str) -> frozenset[tuple[Value, ...]]:
+        if name != "item_tuples":  # reached only while a slot is empty
+            raise AttributeError(name)
+        object.__setattr__(self, name, frozenset(w.items for w in self.members if isinstance(w, TupleV)))
+        return self.item_tuples
 
 
-@dataclass(frozen=True)
+@_shared_class
 class FnV(Value):
     """Total finite map, entries kept sorted by a structural key."""
 
     entries: tuple[tuple[Value, Value], ...]
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.entries, key=lambda e: value_key(e[0])))
+    def __new__(cls, entries: Iterable[tuple[Value, Value]]) -> FnV:
+        ordered = tuple(sorted(map(tuple, entries), key=lambda e: value_key(e[0])))
         if len({k for k, _ in ordered}) != len(ordered):
             raise ValueError("duplicate keys in function value")
-        object.__setattr__(self, "entries", ordered)
-
-    @classmethod
-    def _ordered(cls, entries: tuple[tuple[Value, Value], ...]) -> "FnV":
-        """An FnV over entries already in value_key order, with distinct keys."""
-        fn = object.__new__(cls)
-        object.__setattr__(fn, "entries", entries)
-        return fn
+        return cls._shared(ordered)
 
     def apply(self, arg: Value) -> Value:
         for k, v in self.entries:
-            if k == arg:
+            if k is arg:
                 return v
         raise KeyError(arg)
 
@@ -359,14 +377,14 @@ def value_key(v: Value) -> tuple:
 # indices and assignments
 
 
-@dataclass(frozen=True)
-class Index:
+@_shared_class
+class Index(Shared):
     """One point of the index space: (frame label, element) per frame, in order."""
 
     components: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(map(tuple, self.components)))
+    def __new__(cls, components: Iterable[tuple[str, str]]) -> Index:
+        return cls._shared(tuple(map(tuple, components)))
 
     def component(self, label: str) -> str:
         for l, e in self.components:
@@ -377,9 +395,7 @@ class Index:
     def replace(self, label: str, element: str) -> "Index":
         if all(l != label for l, _ in self.components):
             raise UnknownFrame(f"index has no component for frame {label!r}")
-        return Index(
-            tuple((l, element if l == label else e) for l, e in self.components)
-        )
+        return Index((l, element if l == label else e) for l, e in self.components)
 
     def render(self) -> str:
         if not self.components:
@@ -458,15 +474,12 @@ class Model:
                 raise ValueError(f"designated element for unknown frame {l!r}")
             if e not in fr.domain:
                 raise ValueError(f"designated element {e!r} not in frame {l!r}")
-        # keyed by components, as equal Index rows have equal components: a
-        # lookup then hashes and compares plain tuples, not dataclasses
-        position = {idx.components: p for idx, p in self.positions.items()}
         normalized, row_positions = [], []
         for c in sorted(self.constants, key=lambda c: c.name):
-            at = [position.get(idx.components) for idx, _ in c.table]  # one lookup per row
+            at = [self.positions.get(idx) for idx, _ in c.table]  # one lookup per row
             # rows by position, then rows off the space by rendering; the sort is stable
             key = at.__getitem__ if None not in at else lambda k: (
-                (at[k], "") if at[k] is not None else (len(position), c.table[k][0].render()))
+                (at[k], "") if at[k] is not None else (len(self.positions), c.table[k][0].render()))
             order = sorted(range(len(at)), key=key)
             normalized.append(Constant(c.name, c.semtype, tuple(c.table[k] for k in order)))
             row_positions.append(tuple(at[k] for k in order))
@@ -494,11 +507,9 @@ class Model:
 
     @cached_property
     def columns(self) -> dict[str, tuple[Value, ...]]:
-        """Each constant's values in canonical position order, equal values one
-        shared object across constants. Only a valid model has one row per
-        index: read this only once it has passed validation."""
-        shared: dict[Value, Value] = {}
-        return {c.name: tuple([shared.setdefault(v, v) for _, v in c.table]) for c in self.constants}
+        """Each constant's values in canonical position order. Only a valid model
+        has one row per index: read this only once it has passed validation."""
+        return {c.name: tuple([v for _, v in c.table]) for c in self.constants}
 
     @cached_property
     def successor_positions(self) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -613,12 +624,7 @@ def type_domain(m: Model, t: SemType) -> list[Value]:
 
 def _subsets(base: list[Value]) -> list[Value]:
     # bitmask order: bit i is base[i], masks ascending
-    out = []
-    for mask in range(1 << len(base)):
-        out.append(
-            SetV(frozenset(base[i] for i in range(len(base)) if mask >> i & 1))
-        )
-    return out
+    return [SetV(x for i, x in enumerate(base) if mask >> i & 1) for mask in range(1 << len(base))]
 
 
 def _enumerate(m: Model, t: SemType) -> list[Value]:
@@ -640,10 +646,7 @@ def _enumerate(m: Model, t: SemType) -> list[Value]:
         case FnType(domain, codomain):
             keys = _enumerate(m, domain)
             vals = _enumerate(m, codomain)
-            return [
-                FnV(tuple(zip(keys, choice)))
-                for choice in itertools.product(vals, repeat=len(keys))
-            ]
+            return [FnV(zip(keys, choice)) for choice in itertools.product(vals, repeat=len(keys))]
     raise ValueError(f"unknown type {t!r}")
 
 
@@ -679,17 +682,17 @@ def _checker(m: Model, t: SemType) -> Callable[[Value], bool]:
             each = _checker(m, member)
             return lambda v: isinstance(v, SetV) and all(map(each, v.members))
         case RelType(components):
-            checks, inhabiting = tuple(_checker(m, c) for c in components), {}
+            checks, inhabiting = tuple(_checker(m, c) for c in components), set()
 
             def row(w: Value) -> bool:
-                if id(w) in inhabiting:  # a row shared by many sets is checked once
+                if w in inhabiting:  # a row shared by many sets is checked once
                     return True
                 if not isinstance(w, TupleV) or len(w.items) != len(checks):
                     return False
                 for check, x in zip(checks, w.items):
                     if not check(x):
                         return False
-                inhabiting[id(w)] = w  # held, so no other row can take its id
+                inhabiting.add(w)
                 return True
 
             return lambda v: isinstance(v, SetV) and all(map(row, v.members))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import itertools
 import os
 import pickle
@@ -151,8 +152,10 @@ def test_fn_type_helpers() -> None:
 
 
 def test_truth_values_are_bits() -> None:
-    with pytest.raises(ValueError):
-        Truth(2)
+    # a bool would be shared as Truth(1) or Truth(0) and render as True or False
+    for flag in (2, True, False):
+        with pytest.raises(ValueError):
+            Truth(flag)
 
 
 def test_fnv_sorts_entries_and_rejects_duplicates() -> None:
@@ -591,6 +594,59 @@ def test_entities_have_one_instance_per_id() -> None:
         A.ident = "b"
 
 
+# one equal structure and one other structure per hash-consed class, built
+# from fresh field objects and from ids that no other test holds
+SHARED_CASES = {
+    "Entity": (lambda: Entity("contract:a"), lambda: Entity("contract:b")),
+    "Truth": (lambda: Truth(1), lambda: Truth(0)),
+    "IndexElem": (lambda: IndexElem("W", "contract:w0"), lambda: IndexElem("T", "contract:w0")),
+    "TupleV": (lambda: TupleV([Entity("contract:a"), Truth(0)]), lambda: TupleV((Truth(0), Entity("contract:a")))),
+    "SetV": (
+        lambda: SetV([TupleV((Entity("contract:a"),)), TupleV((Entity("contract:b"),))]),
+        lambda: SetV([TupleV((Entity("contract:a"),))]),
+    ),
+    "FnV": (
+        lambda: FnV([(Entity("contract:b"), Truth(1)), (Entity("contract:a"), Truth(0))]),
+        lambda: FnV([(Entity("contract:a"), Truth(1)), (Entity("contract:b"), Truth(1))]),
+    ),
+    "Index": (lambda: Index([["W", "contract:w0"], ["T", "t1"]]), lambda: Index([["W", "contract:w1"], ["T", "t1"]])),
+}
+
+
+def _live(cls: type) -> int:
+    """The entries of cls in the intern table."""
+    return sum(key[0] is cls for key in list(semmodel._SHARED))
+
+
+@pytest.mark.parametrize("build,other", SHARED_CASES.values(), ids=SHARED_CASES)
+def test_equal_structures_are_one_shared_instance(build, other) -> None:
+    v = build()
+    cls = type(v)
+    assert build() is v and not hasattr(v, "__dict__")
+    fields = {name: getattr(v, name) for name in cls.__match_args__}
+    assert cls(**fields) is v and dataclasses.replace(v) is v
+    assert copy.copy(v) is v and copy.deepcopy(v) is v and copy.deepcopy([v, v])[1] is v
+    assert all(pickle.loads(pickle.dumps(v, p)) is v for p in range(pickle.HIGHEST_PROTOCOL + 1))
+    w = other()
+    assert w is not v and w != v and dataclasses.replace(v, **{n: getattr(w, n) for n in fields}) is w
+    match v:  # class patterns bind the last field
+        case Entity(x) | Truth(x) | IndexElem(_, x) | TupleV(x) | SetV(x) | FnV(x) | Index(x):
+            pass
+    assert x is getattr(v, cls.__match_args__[-1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(v, cls.__match_args__[0], getattr(w, cls.__match_args__[0]))
+    # the table keeps no instance alive: a dropped model leaves it as it was
+    del v, w, fields, x
+    gc.collect()
+    start = _live(cls)
+    kept = [build(), other(), generators.random_model(random.Random(5), max_entities=4, max_frames=3)]
+    assert kept[2].violations == ()
+    assert _live(cls) > start or cls is Truth  # Truth(0) and Truth(1) live as long as denote
+    del kept
+    gc.collect()
+    assert _live(cls) == start
+
+
 def test_columns_hold_one_object_per_distinct_value() -> None:
     def fresh(*ids: str) -> SetV:
         return SetV(frozenset(TupleV((Entity(e),)) for e in ids))
@@ -618,13 +674,16 @@ PINNED_CORPORA = (
 
 @pytest.mark.parametrize("hashseed,churn", [("0", 0), ("7", 5000)])
 def test_pinned_corpora_hold_across_hash_seeds_and_allocation_histories(hashseed, churn) -> None:
-    """Entities hash by address, so set order may differ between processes;
-    outputs must not. One child first interns entities of other ids and frees
-    every other object of a list, so later objects land at other addresses."""
+    """Values and indices hash by address, so set order may differ between
+    processes; outputs must not. One child first interns entities, tuples,
+    sets, function values and indices of other ids and frees every other
+    object of a list, so later objects land at other addresses."""
     code = (
         "import sys, pytest\n"
-        "from finsem.semmodel import Entity\n"
-        f"kept = [Entity(f'churn{{k}}') for k in range({churn})]\n"
+        "from finsem.semmodel import Entity, FnV, Index, SetV, TupleV\n"
+        f"ents = [Entity(f'churn{{k}}') for k in range({churn})]\n"
+        "kept = [*ents, *(TupleV((e, e)) for e in ents), *(SetV([e]) for e in ents),\n"
+        "        *(FnV([(e, e)]) for e in ents), *(Index([('W', e.ident)]) for e in ents)]\n"
         f"junk = [object() for _ in range({churn})]\n"
         "del junk[::2]\n"
         "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n"
@@ -664,10 +723,13 @@ def test_a_filled_item_cache_leaves_a_set_value_as_it_was() -> None:
         return SetV(frozenset({TupleV((A, B)), TupleV((B,)), A}))
 
     filled = build()
+    with pytest.raises(AttributeError):  # the slot is empty before first use
+        SetV.item_tuples.__get__(filled)
+    shown = hash(filled), repr(filled), render_value(filled)
     assert filled.item_tuples == {(A, B), (B,)}
-    assert "item_tuples" in vars(filled)
+    assert SetV.item_tuples.__get__(filled) == {(A, B), (B,)}
     fresh = build()
     assert filled == fresh
-    assert hash(filled) == hash(fresh)
-    assert repr(filled) == repr(fresh)
-    assert render_value(filled) == render_value(fresh)
+    assert hash(filled) == hash(fresh) == shown[0]
+    assert repr(filled) == repr(fresh) == shown[1]
+    assert render_value(filled) == render_value(fresh) == shown[2]

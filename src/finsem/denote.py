@@ -10,7 +10,12 @@ mutates an environment it is given, so one environment may serve many checks.
 
 Lambda abstraction evaluates by extending the environment over the bound
 variable's finite domain; no textual substitution ever happens, so capture
-is a non-issue and every result is a finite first-class value.
+is a non-issue and every result is a finite first-class value. An applied lam
+builds none (deforestation, Wadler 1990): _eval_app runs the body at every
+entity, as _eval_lam does, so the same first error wins, and returns the
+argument's row; _type_app builds no FnType. _COLUMNS still applies a function
+value per position: it runs once per view class, and is the independent route
+the applied-lam rule is checked against.
 
 eval_all_indices labels every subterm with a column of values over a list
 of index positions, as CTL model checking labels states with subformulas: a
@@ -277,7 +282,8 @@ def _type_func_app(term: FuncApp, m: Model, env: dict[str, SemType], path: objec
     return c.semtype.codomain
 
 
-def _type_lam(term: Lam, m: Model, env: dict[str, SemType], path: object) -> SemType:
+def _type_body(term: Lam, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    """The type of a lam's body, once its bound variable is checked entity-typed."""
     var_type = term.var_type
     if var_type is not _E and var_type != _E:
         raise TermTypeError(
@@ -285,10 +291,18 @@ def _type_lam(term: Lam, m: Model, env: dict[str, SemType], path: object) -> Sem
         )
     inner = dict(env)
     inner[term.var] = var_type
-    return FnType(var_type, _type_of(term.body, m, inner, (path, ".body")))
+    return _type_of(term.body, m, inner, (path, ".body"))
+
+
+def _type_lam(term: Lam, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    return FnType(term.var_type, _type_body(term, m, env, path))
 
 
 def _type_app(term: App, m: Model, env: dict[str, SemType], path: object) -> SemType:
+    if type(term.func) is Lam:  # an applied lam needs no FnType: its domain is e
+        codomain = _type_body(term.func, m, env, (path, ".func"))
+        _expect(term.arg, m, env, (path, ".arg"), _E)
+        return codomain
     ft = _type_of(term.func, m, env, (path, ".func"))
     if not isinstance(ft, FnType):
         raise TermTypeError(_at((path, ".func")), "a function type", render_type(ft))
@@ -481,9 +495,8 @@ def _eval_func_app(term: FuncApp, m: Model, env: dict[str, Value], p: int) -> Va
     return f.apply(vals[0] if len(vals) == 1 else _nest_tuple(vals))
 
 
-def _eval_lam(term: Lam, m: Model, env: dict[str, Value], p: int) -> Value:
-    # the bound variable is entity typed, so its domain is the model's entities;
-    # the body runs in domain order, and the rows are stored in key order
+def _rows(term: Lam, m: Model, env: dict[str, Value], p: int) -> list[Value]:
+    """The body's value at p for each entity, the bound variable's domain, in order."""
     entities = m.entities
     if len(entities) > MAX_DOMAIN_SIZE:
         raise DomainTooLarge(f"{render_type(term.var_type)} exceeds {MAX_DOMAIN_SIZE} values")
@@ -494,10 +507,22 @@ def _eval_lam(term: Lam, m: Model, env: dict[str, Value], p: int) -> Value:
     for dv in entities:
         inner[var] = dv
         values.append(clause(body, m, inner, p))
+    return values
+
+
+def _eval_lam(term: Lam, m: Model, env: dict[str, Value], p: int) -> Value:
+    entities, values = m.entities, _rows(term, m, env, p)
     return FnV._shared(tuple([(entities[i], values[i]) for i in m.entity_key_order]))  # in key order
 
 
 def _eval_app(term: App, m: Model, env: dict[str, Value], p: int) -> Value:
+    if type(term.func) is Lam:  # a beta-redex: the argument's row, and no FnV
+        values = _rows(term.func, m, env, p)
+        av = _CLAUSES[type(term.arg)](term.arg, m, env, p)
+        try:
+            return values[m.entities.index(av)]
+        except ValueError:
+            raise KeyError(av) from None
     fv = _CLAUSES[type(term.func)](term.func, m, env, p)
     av = _CLAUSES[type(term.arg)](term.arg, m, env, p)
     assert isinstance(fv, FnV)

@@ -211,9 +211,9 @@ def categorize(term: Term, m: Model) -> str:
     return "composites"
 
 
-def _outcome(thunk) -> tuple[Optional[Value], Optional[str]]:
+def _outcome(term: Term, m: Model, type_error, env) -> tuple[Optional[Value], Optional[str]]:
     try:
-        return thunk(), None
+        return _eval(term, m, _prepare(m, type_error, env), 0), None
     except Exception as err:  # evaluation errors are data here
         return None, type(err).__name__
 
@@ -244,8 +244,8 @@ def verify_equivalence(
         for g, env in envs:
             type_error = _type_error(term, ext, g)
             int_error = type_error and _type_error(term, m, g)
-            val_i, err_i = _outcome(lambda: _eval(term, m, _prepare(m, int_error, env), 0))
-            val_e, err_e = _outcome(lambda: _eval(term, ext, _prepare(ext, type_error, env), 0))
+            val_i, err_i = _outcome(term, m, int_error, env)
+            val_e, err_e = _outcome(term, ext, type_error, env)
             if err_i is None and err_e is None:
                 agree = val_i == val_e
                 left, right = render_value(val_i, m), render_value(val_e, ext)

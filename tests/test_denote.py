@@ -450,7 +450,7 @@ def test_lam_rows_match_the_checked_constructor_in_key_order() -> None:
         evaluate(Lam("x", EntType(), Iota("y", PredApp("r", (Var("x"), Var("y"))))), m)
 
 
-def test_eval_app_is_beta() -> None:
+def test_eval_app_is_beta(monkeypatch) -> None:
     lam_reads = Lam("x", EntType(), PredApp("read", (Var("x"), THE_BOOK)))
     assert evaluate(App(lam_reads, THE_STUDENT), EXT) == Truth(1)
     body = PredApp("read", (Var("x"), THE_BOOK))
@@ -458,6 +458,37 @@ def test_eval_app_is_beta() -> None:
         direct = evaluate(body, EXT, Assignment((("x", k),)))
         via_app = evaluate(App(Lam("x", EntType(), body), Var("y")), EXT, Assignment((("y", k),)))
         assert direct == via_app
+    # failures: each outcome is the one of evaluating the lam and applying its value
+    no_witness_at_b1 = Iota("y", PredApp("read", (Var("x"), Var("y"))))
+    cases = [
+        (no_witness_at_b1, THE_STUDENT, None, "found 0"),  # the argument's row is fine
+        (PredApp("student", (Var("x"),)), THE_STUDENT, 1, "exceeds 1 values"),
+        (no_witness_at_b1, Iota("z", Eq(Var("z"), Var("z"))), None, "over 'y'"),  # body first
+    ]
+    for body, arg, limit, message in cases:
+        with monkeypatch.context() as patch:
+            if limit is not None:
+                patch.setattr(denote, "MAX_DOMAIN_SIZE", limit)
+            lam = Lam("x", EntType(), body)
+            got = _outcome(lambda: evaluate(App(lam, arg), EXT))
+            assert got[0] == "error" and message in got[2]
+            assert got == _outcome(lambda: evaluate(lam, EXT).apply(evaluate(arg, EXT)))
+
+
+def test_an_applied_abstraction_builds_no_function_value(monkeypatch) -> None:
+    lam = Lam("x", EntType(), PredApp("student", (Var("x"),)))
+    calls = []
+    shared = FnV._shared
+
+    def counted(*fields):
+        calls.append(fields)
+        return shared(*fields)
+
+    monkeypatch.setattr(FnV, "_shared", counted)
+    assert evaluate(App(lam, THE_STUDENT), EXT) == Truth(1)
+    assert calls == []
+    assert evaluate(lam, EXT).apply(Entity("s1")) == Truth(1)
+    assert len(calls) == 1
 
 
 def test_eval_function_application() -> None:

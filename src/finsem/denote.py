@@ -27,7 +27,7 @@ the per-index oracle the columns must match.
 
 A Diamond-free term reads the model only through the columns of the constants
 it names (its support), env and the entity domain, and only the columns vary by
-position. Every value and Index is hash-consed (see semmodel.Shared) and
+position. Every type, value and Index is hash-consed (semmodel.Shared) and
 compares by identity, held by a weak table only while it is alive elsewhere:
 equal column values are one object, so positions whose support columns hold
 the same objects, a view class, give the term one outcome, error included.
@@ -228,7 +228,7 @@ def _type_of(term: Term, m: Model, env: dict[str, SemType], path: object) -> Sem
 def _expect(term: Term, m: Model, env: dict[str, SemType], path: object, want: SemType) -> None:
     """Typecheck a subterm at path and refuse it unless its type is want."""
     got = _type_of(term, m, env, path)
-    if got is not want and got != want:
+    if got is not want:
         raise TermTypeError(_at(path), render_type(want), render_type(got))
 
 
@@ -285,7 +285,7 @@ def _type_func_app(term: FuncApp, m: Model, env: dict[str, SemType], path: objec
 def _type_body(term: Lam, m: Model, env: dict[str, SemType], path: object) -> SemType:
     """The type of a lam's body, once its bound variable is checked entity-typed."""
     var_type = term.var_type
-    if var_type is not _E and var_type != _E:
+    if var_type is not _E:
         raise TermTypeError(
             _at(path), "e (bound variables are entity-typed)", render_type(var_type)
         )

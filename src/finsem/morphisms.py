@@ -101,14 +101,14 @@ def _reindex(
     """m over new frames, each table row moved to move(its index), or left out
     where that is None. move is decided once per position, for every constant,
     and once per row off the space, by its Index."""
-    moved = [move(idx) for idx in m.positions]
+    moved = {idx: move(idx) for idx in m.positions}
     constants = tuple(
         Constant(c.name, c.semtype, tuple(
             (to, v)
-            for (idx, v), p in zip(c.table, positions)
-            if (to := moved[p] if p is not None else move(idx)) is not None
+            for idx, v in c.table
+            if (to := moved[idx] if idx in moved else move(idx)) is not None
         ))
-        for c, positions in zip(m.constants, m.row_positions)
+        for c in m.constants
     )
     return Model(m.entity_domain, frames, constants, designated)
 

@@ -6,17 +6,12 @@ space (the product of the frame domains) to values of the constant's type.
 Everything is finite and enumerable, so validation and evaluation are
 exhaustive rather than symbolic.
 
-Every value and Index is hash-consed (see Shared): one object per structure,
-which compares and hashes by identity, so each set value builds its item
-lookup once. The intern table is weak, so it holds no more than the values
-alive, however many models come and go. Models build their lookup tables once,
-on first use, outside their dataclass fields, so equality and hashing of a
-model stay structural. A model's row_positions live outside the fields too,
-set once as the model sorts its tables: per constant, in constants order, the
-index position of each table row, or None for a row off the index space.
-validate and the collapse read them instead of looking each row's Index up. parse_type gives the
-module constants ENT_TYPE and TRUTH_TYPE for e and t, so a typecheck of parsed
-types can compare by identity before structure; other instances compare equal.
+Every type, value and Index is hash-consed (see Shared): one object per
+structure, which compares and hashes by identity, so each set value builds its
+item lookup once. The intern table is weak, so it holds no more than the
+values alive, however many models come and go. Models build their lookup
+tables once, on first use, outside their dataclass fields, so equality and
+hashing of a model stay structural.
 """
 
 from __future__ import annotations
@@ -54,21 +49,62 @@ class UngroundedType(FinsemError):
 MAX_DOMAIN_SIZE = 10**6
 
 
+class Shared:
+    """Base of the hash-consed classes (Filliâtre & Conchon, "Type-safe modular
+    hash-consing", 2006): a subclass's __new__ normalizes its fields for _shared."""
+
+    __slots__ = ("__weakref__",)
+    # object's: the fields are compared once, as a key of _SHARED, and __new__ sets them
+    __eq__, __hash__, __init__ = object.__eq__, object.__hash__, object.__init__
+
+    @classmethod
+    def _shared(cls, *fields):
+        """The live instance with these fields, in __match_args__ order (not thread-safe)."""
+        key = (cls, *fields)
+        ref = _SHARED.get(key)
+        if ref is None or (obj := ref()) is None:
+            obj = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(obj, name, value)
+            _SHARED[key] = weakref.KeyedRef(obj, _forget, key)
+        return obj
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _SHARED.get(ref.key) is ref:  # not yet taken by a new instance
+        del _SHARED[ref.key]
+
+
+_SHARED: dict[tuple, weakref.KeyedRef] = {}  # weak: an instance's entry goes when it dies
+# eq=False and init=False keep Shared's identity comparison and do-nothing __init__
+_shared_class = dataclass(frozen=True, eq=False, init=False, slots=True)
+
+
 # ---------------------------------------------------------------------------
 # types
 
 
-@dataclass(frozen=True)
-class SemType:
-    pass
+class SemType(Shared):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SemType:
+        """The shared instance with these fields, given by position or keyword."""
+        names = cls.__match_args__
+        fields = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or fields.keys() != set(names):
+            raise TypeError(f"{cls.__name__} takes the fields {names}, got {args!r} and {kwargs!r}")
+        return cls._shared(*map(fields.__getitem__, names))
 
 
-@dataclass(frozen=True)
+@_shared_class
 class EntType(SemType):
     pass
 
 
-@dataclass(frozen=True)
+@_shared_class
 class TruthType(SemType):
     pass
 
@@ -76,33 +112,34 @@ class TruthType(SemType):
 ENT_TYPE, TRUTH_TYPE = EntType(), TruthType()
 
 
-@dataclass(frozen=True)
+@_shared_class
 class IdxType(SemType):
     label: str
 
 
-@dataclass(frozen=True)
+@_shared_class
 class PairType(SemType):
     first: SemType
     second: SemType
 
 
-@dataclass(frozen=True)
+@_shared_class
 class SetType(SemType):
     member: SemType
 
 
-@dataclass(frozen=True)
+@_shared_class
 class RelType(SemType):
     components: tuple[SemType, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __new__(cls, components: Iterable[SemType]) -> RelType:
+        components = tuple(components)
+        if not components:
             raise ValueError("relation type needs at least one component")
+        return cls._shared(components)
 
 
-@dataclass(frozen=True)
+@_shared_class
 class FnType(SemType):
     domain: SemType
     codomain: SemType
@@ -244,40 +281,6 @@ def _compound_type(name: str, args: list[SemType]) -> SemType:
 
 # ---------------------------------------------------------------------------
 # values
-
-
-class Shared:
-    """Base of the hash-consed classes (Filliâtre & Conchon, "Type-safe modular
-    hash-consing", 2006): a subclass's __new__ normalizes its fields for _shared."""
-
-    __slots__ = ("__weakref__",)
-    # object's: the fields are compared once, as a key of _SHARED, and __new__ sets them
-    __eq__, __hash__, __init__ = object.__eq__, object.__hash__, object.__init__
-
-    @classmethod
-    def _shared(cls, *fields):
-        """The live instance with these fields, in __match_args__ order (not thread-safe)."""
-        key = (cls, *fields)
-        ref = _SHARED.get(key)
-        if ref is None or (obj := ref()) is None:
-            obj = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, fields):
-                object.__setattr__(obj, name, value)
-            _SHARED[key] = weakref.KeyedRef(obj, _forget, key)
-        return obj
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(map(self.__getattribute__, self.__match_args__))
-
-
-def _forget(ref: weakref.KeyedRef) -> None:
-    if _SHARED.get(ref.key) is ref:  # not yet taken by a new instance
-        del _SHARED[ref.key]
-
-
-_SHARED: dict[tuple, weakref.KeyedRef] = {}  # weak: an instance's entry goes when it dies
-# eq=False and init=False keep Shared's identity comparison and do-nothing __init__
-_shared_class = dataclass(frozen=True, eq=False, init=False, slots=True)
 
 
 class Value(Shared):
@@ -465,6 +468,8 @@ class Model:
         labels = [f.label for f in self.frames]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate frame labels")
+        if len({l for l, _ in self.designated}) != len(self.designated):
+            raise ValueError("more than one designated element for a frame")
         names = [c.name for c in self.constants]
         if len(set(names)) != len(names):
             raise ValueError("duplicate constant names")
@@ -474,7 +479,7 @@ class Model:
                 raise ValueError(f"designated element for unknown frame {l!r}")
             if e not in fr.domain:
                 raise ValueError(f"designated element {e!r} not in frame {l!r}")
-        normalized, row_positions = [], []
+        normalized = []
         for c in sorted(self.constants, key=lambda c: c.name):
             at = [self.positions.get(idx) for idx, _ in c.table]  # one lookup per row
             # rows by position, then rows off the space by rendering; the sort is stable
@@ -482,9 +487,7 @@ class Model:
                 (at[k], "") if at[k] is not None else (len(self.positions), c.table[k][0].render()))
             order = sorted(range(len(at)), key=key)
             normalized.append(Constant(c.name, c.semtype, tuple(c.table[k] for k in order)))
-            row_positions.append(tuple(at[k] for k in order))
         object.__setattr__(self, "constants", tuple(normalized))
-        object.__setattr__(self, "row_positions", tuple(row_positions))
         object.__setattr__(
             self, "designated", tuple(sorted(tuple(d) for d in self.designated))
         )
@@ -718,22 +721,21 @@ def validate(m: Model) -> list[Violation]:
     out: list[Violation] = []
     if len(m.entity_domain) == 0:
         out.append(Violation("EmptyEntityDomain", "", "entity domain is empty"))
-    for c, positions in zip(m.constants, m.row_positions):
+    for c in m.constants:
         check = _checker(m, c.semtype)
-        seen, seen_off = bytearray(len(m.positions)), set()  # by position; off the space by Index
-        for (idx, v), p in zip(c.table, positions):
-            if seen[p] if p is not None else idx in seen_off:
+        seen: set[Index] = set()
+        for idx, v in c.table:
+            if idx in seen:
                 out.append(
                     Violation("DuplicateIndexEntry", c.name, f"index {idx.render()}")
                 )
                 continue
-            if p is None:
-                seen_off.add(idx)
+            seen.add(idx)
+            if idx not in m.positions:
                 out.append(
                     Violation("UnexpectedIndexEntry", c.name, f"index {idx.render()}")
                 )
                 continue
-            seen[p] = 1
             try:
                 ok = check(v)
             except UngroundedType as err:
@@ -751,8 +753,8 @@ def validate(m: Model) -> list[Violation]:
                         f"{render_type(c.semtype)}",
                     )
                 )
-        for idx, hit in zip(m.positions, seen):
-            if not hit:
+        for idx in m.positions:
+            if idx not in seen:
                 out.append(
                     Violation("MissingIndexEntry", c.name, f"index {idx.render()}")
                 )

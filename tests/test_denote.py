@@ -307,12 +307,12 @@ def _reloaded(m: Model) -> Model:
     return model_file_from_doc(json.loads(dump_model_file(ModelFile(m, {}, {})))).model
 
 
-def _entity_components(m: Model) -> list:
-    return [t for c in m.constants if isinstance(c.semtype, RelType) for t in c.semtype.components]
+def _types(m: Model) -> list:
+    return [c.semtype for c in m.constants]
 
 
 def _unshared(t):
-    """t with a distinct instance of each ground type in it."""
+    """t rebuilt by a constructor call per type node, fresh ground types included."""
     if isinstance(t, (EntType, TruthType)):
         return type(t)()
     if isinstance(t, tuple):
@@ -328,16 +328,17 @@ def _with_unshared_types(m: Model) -> Model:
 
 
 def test_typing_does_not_depend_on_type_identity() -> None:
-    # a generated model rebuilt with distinct ground type instances per
-    # constant; its reloaded copy shares the canonical instances, so _expect
-    # takes both comparisons
+    # a generated model rebuilt from fresh type constructor calls, and its
+    # reloaded copy, whose types come from parse_type, hold the very type
+    # objects of the generated model: _expect compares by identity alone
     rng = random.Random(31)
     for _ in range(12):
-        built = _with_unshared_types(random_model(rng, max_entities=3, max_frames=2))
+        m = random_model(rng, max_entities=3, max_frames=2)
+        built = _with_unshared_types(m)
         reloaded = _reloaded(built)
         assert reloaded == built
-        assert all(t is ENT_TYPE for t in _entity_components(reloaded))
-        assert not any(t is ENT_TYPE for t in _entity_components(built))
+        assert len(_types(m)) == len(_types(built)) == len(_types(reloaded))
+        assert all(a is b is c for a, b, c in zip(_types(m), _types(built), _types(reloaded)))
         terms, gs = default_checks(built)
         gtypes = denote.assignment_types(gs[0])
         for term in terms:

@@ -421,6 +421,10 @@ def test_model_rejects_bad_designated_and_duplicates() -> None:
         Model(ENTS, (FRAME_W,), (), (("T", "t0"),))
     with pytest.raises(ValueError):
         Model(ENTS, (FRAME_W,), (), (("W", "w9"),))
+    # two for one frame: designated_for and the model file would each pick another
+    for designated in ((("W", "w1"), ("W", "w0")), (("W", "w0"), ("W", "w1"))):
+        with pytest.raises(ValueError, match="^more than one designated element for a frame$"):
+            Model(ENTS, (FRAME_W,), (), designated)
     with pytest.raises(ValueError):
         Model(ENTS, (FRAME_W, FRAME_W), ())
     with pytest.raises(ValueError):
@@ -573,9 +577,28 @@ def test_parse_type_shares_its_ground_types() -> None:
     assert parsed.domain.first is ENT_TYPE and parsed.codomain is TRUTH_TYPE
     assert parsed.domain.second.components == (ENT_TYPE, TRUTH_TYPE)
     assert parse_type("e") is ENT_TYPE and parse_type("t") is TRUTH_TYPE
-    # another instance is another object, but equal; the two ground types differ
-    assert EntType() is not ENT_TYPE and EntType() == ENT_TYPE and hash(EntType()) == hash(ENT_TYPE)
+    assert parsed is fn_type([EntType(), RelType([EntType(), TruthType()])], TruthType())
+    # every instance is the module constant, copied or pickled too; the two ground types differ
+    assert EntType() is ENT_TYPE and TruthType() is TRUTH_TYPE
+    assert copy.copy(EntType()) is copy.deepcopy(EntType()) is ENT_TYPE
+    assert all(pickle.loads(pickle.dumps(EntType(), p)) is ENT_TYPE for p in range(pickle.HIGHEST_PROTOCOL + 1))
     assert EntType() != TruthType() and ENT_TYPE != TRUTH_TYPE
+
+
+def test_type_constructors_refuse_a_missing_extra_or_unknown_field() -> None:
+    assert FnType(ENT_TYPE, codomain=TRUTH_TYPE) is FnType(codomain=TRUTH_TYPE, domain=ENT_TYPE)
+    for build in (
+        lambda: FnType(ENT_TYPE),
+        lambda: FnType(ENT_TYPE, TRUTH_TYPE, TRUTH_TYPE),
+        lambda: FnType(ENT_TYPE, domain=ENT_TYPE),
+        lambda: FnType(ENT_TYPE, range=TRUTH_TYPE),
+        lambda: EntType(ENT_TYPE),
+        lambda: IdxType(),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(ValueError, match="^relation type needs at least one component$"):
+        RelType([])
 
 
 def test_entities_have_one_instance_per_id() -> None:
@@ -610,6 +633,20 @@ SHARED_CASES = {
         lambda: FnV([(Entity("contract:a"), Truth(1)), (Entity("contract:b"), Truth(1))]),
     ),
     "Index": (lambda: Index([["W", "contract:w0"], ["T", "t1"]]), lambda: Index([["W", "contract:w1"], ["T", "t1"]])),
+    "IdxType": (lambda: IdxType("contract:W"), lambda: IdxType("contract:T")),
+    "PairType": (
+        lambda: PairType(EntType(), IdxType("contract:W")),
+        lambda: PairType(IdxType("contract:W"), EntType()),
+    ),
+    "SetType": (lambda: SetType(IdxType("contract:W")), lambda: SetType(IdxType("contract:T"))),
+    "RelType": (
+        lambda: RelType([EntType(), IdxType("contract:W")]),
+        lambda: RelType((IdxType("contract:W"), EntType())),
+    ),
+    "FnType": (
+        lambda: FnType(IdxType("contract:W"), TruthType()),
+        lambda: FnType(IdxType("contract:W"), EntType()),
+    ),
 }
 
 
@@ -631,6 +668,8 @@ def test_equal_structures_are_one_shared_instance(build, other) -> None:
     assert w is not v and w != v and dataclasses.replace(v, **{n: getattr(w, n) for n in fields}) is w
     match v:  # class patterns bind the last field
         case Entity(x) | Truth(x) | IndexElem(_, x) | TupleV(x) | SetV(x) | FnV(x) | Index(x):
+            pass
+        case IdxType(x) | PairType(_, x) | SetType(x) | RelType(x) | FnType(_, x):
             pass
     assert x is getattr(v, cls.__match_args__[-1])
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,8 +1,10 @@
 """Morphisms between models: identity and single-frame collapse.
 
 Applying TrivializeFrame keeps the designated slice of every interpretation
-table and replaces the chosen frame by the one-point frame. Squares built
-from collapses of different frames commute on the nose, and a fully
+table and replaces the chosen frame by the one-point frame. Every collapse
+and extensionalize is one pullback of the source's columns along a list of
+its positions, so a source that is not one row per index is refused. Squares
+built from collapses of different frames commute on the nose, and a fully
 collapsed model evaluates exactly like its frame-free extensionalization;
 verify_equivalence checks the latter claim exhaustively, term by term.
 """
@@ -10,7 +12,7 @@ verify_equivalence checks the latter claim exhaustively, term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .denote import (
     And,
@@ -30,16 +32,14 @@ from .denote import (
     _type_error,
     render_term,
 )
-from .kripke import TRIVIAL_ELEMENT, Frame
+from .kripke import Frame
 from .kripke import trivialize as trivialize_frame
 from .relalg import FinsemError
 from .semmodel import (
-    EMPTY_INDEX,
     ENT_TYPE,
     Assignment,
     Constant,
     FnType,
-    Index,
     Model,
     RelType,
     UnknownFrame,
@@ -83,31 +83,28 @@ def apply(m: Model, morphism: Morphism) -> Model:
             if frame.trivial:
                 raise AlreadyTrivial(f"frame {label!r} is already trivial")
             chosen = designated if designated is not None else m.designated_for(label)
-            collapsed = trivialize_frame(frame, chosen).frame
-            frames = tuple(collapsed if f.label == label else f for f in m.frames)
-            designated_left = tuple((l, e) for l, e in m.designated if l != label)
-
-            def move(idx: Index) -> Optional[Index]:
-                """A kept row's new index, or None for a row left out."""
-                return idx.replace(label, TRIVIAL_ELEMENT) if idx.component(label) == chosen else None
-
-            return _reindex(m, frames, designated_left, move)
+            return _collapse(m, {label: chosen})
     raise ValueError(f"unknown morphism {morphism!r}")
 
 
-def _reindex(
-    m: Model, frames: tuple[Frame, ...], designated: tuple, move: Callable[[Index], Optional[Index]]
-) -> Model:
-    """m over new frames, each table row moved to move(its index), or left out
-    where that is None. move is decided once per position, for every constant,
-    and once per row off the space, by its Index."""
-    moved = {idx: move(idx) for idx in m.positions}
+def _collapse(m: Model, chosen: dict[str, str]) -> Model:
+    """m with each frame labelled in chosen collapsed at its chosen element."""
+    frames = tuple(trivialize_frame(f, chosen[f.label]).frame if f.label in chosen else f for f in m.frames)
+    # mixed-radix positions, the last frame fastest: the kept ones ascend, as the target's do
+    at = [0]
+    for f in m.frames:
+        digits = [f.domain.position(chosen[f.label])] if f.label in chosen else range(len(f.domain))
+        at = [p * len(f.domain) + d for p in at for d in digits]
+    designated = tuple(d for d in m.designated if d[0] not in chosen)
+    return _pullback(m, frames, designated, at)
+
+
+def _pullback(m: Model, frames: tuple[Frame, ...], designated: tuple, at: Sequence[int]) -> Model:
+    """The model over frames whose constant c holds, at each target position q,
+    m's value of c at position at[q]: m's columns pulled back along at."""
+    indices = list(Model(m.entity_domain, frames, ()).positions)
     constants = tuple(
-        Constant(c.name, c.semtype, tuple(
-            (to, v)
-            for idx, v in c.table
-            if (to := moved[idx] if idx in moved else move(idx)) is not None
-        ))
+        Constant(c.name, c.semtype, tuple(zip(indices, map(m.columns[c.name].__getitem__, at))))
         for c in m.constants
     )
     return Model(m.entity_domain, frames, constants, designated)
@@ -122,9 +119,9 @@ def compose_path(m: Model, path: Sequence[Morphism]) -> Model:
 
 
 def trivialize_all(m: Model) -> Model:
-    """Collapse every nontrivial frame, in frame order, at its designated element."""
-    path = [TrivializeFrame(f.label) for f in m.frames if not f.trivial]
-    return compose_path(m, path)
+    """Collapse every nontrivial frame at its designated element, in one pullback."""
+    chosen = {f.label: m.designated_for(f.label) for f in m.frames if not f.trivial}
+    return _collapse(m, chosen) if chosen else m
 
 
 @dataclass(frozen=True)
@@ -145,9 +142,7 @@ def extensionalize(m: Model) -> Model:
     """Strip the trivial frames, keeping the single-index slice of every table."""
     if not m.is_extensional:
         raise NotFullyTrivial("model still has a nontrivial frame")
-    if not m.frames:
-        return m
-    return _reindex(m, (), (), lambda idx: EMPTY_INDEX if idx in m.positions else None)
+    return _pullback(m, (), (), [0]) if m.frames else m
 
 
 # ---------------------------------------------------------------------------

@@ -510,8 +510,12 @@ class Model:
 
     @cached_property
     def columns(self) -> dict[str, tuple[Value, ...]]:
-        """Each constant's values in canonical position order. Only a valid model
-        has one row per index: read this only once it has passed validation."""
+        """Each constant's values in canonical position order. Raises ValueError
+        naming the first constant whose table is not one row per index."""
+        indices = list(self.positions)
+        for c in self.constants:
+            if [idx for idx, _ in c.table] != indices:
+                raise ValueError(f"constant {c.name!r} does not have one table row per index")
         return {c.name: tuple([v for _, v in c.table]) for c in self.constants}
 
     @cached_property

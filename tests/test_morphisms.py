@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -256,17 +257,20 @@ def test_collapse_matches_the_row_by_row_reference_on_random_models() -> None:
     assert compared > 100
 
 
-def test_collapse_matches_the_row_by_row_reference_on_invalid_models() -> None:
+NOT_ONE_ROW_PER_INDEX = "^constant '{}' does not have one table row per index$"
+
+
+def test_collapse_refuses_tables_that_are_not_one_row_per_index() -> None:
     m = two_frame_model()
     (p,) = m.constants
     rows = list(p.table)
     off_space = [
-        (Index((("W", "w0"), ("T", "t9"))), rel_value()),  # kept at w0, still off the space
-        (Index((("T", "t0"), ("W", "w1"))), rel_value(("e0",))),  # out of order: kept to the end
-        (Index((("W", "w1"), ("T", "t9"))), rel_value()),  # kept at w1, left out at t0
+        (Index((("W", "w0"), ("T", "t9"))), rel_value()),
+        (Index((("T", "t0"), ("W", "w1"))), rel_value(("e0",))),  # components out of order
+        (Index((("W", "w1"), ("T", "t9"))), rel_value()),
         (Index((("W", "w0"), ("T", "t9"))), rel_value(("e0",))),  # off the space, twice
     ]
-    no_t = [(Index((("W", "w1"),)), rel_value())]  # no T component: collapsing T raises
+    no_t = [(Index((("W", "w1"),)), rel_value())]  # no T component
     tables = {
         "duplicate": rows + [(rows[0][0], rel_value(("e0",))), rows[-1]],
         "off the space": rows[:1] + off_space + rows[1:],
@@ -274,21 +278,32 @@ def test_collapse_matches_the_row_by_row_reference_on_invalid_models() -> None:
         "all three": rows[2:] + off_space + [rows[2]],
         "no T component": rows + no_t,
     }
-    kinds, flattened = set(), 0
+    refusal = NOT_ONE_ROW_PER_INDEX.format("p")
+    kinds, refused = set(), 0
     for name, table in tables.items():
         bad = Model(m.entity_domain, m.frames, (Constant("p", p.semtype, tuple(table)),), m.designated)
         assert bad.violations, name
         kinds |= {v.kind for v in bad.violations}
-        assert _assert_collapses_like_the_rows(bad) == 4
-        flat = _outcome_of(lambda: trivialize_all(bad))
-        if isinstance(flat, Model):
-            assert extensionalize(flat) == _extensionalized_by_rows(flat)
-            flattened += 1
+        for f in bad.frames:
+            for chosen in f.domain.elements:
+                with pytest.raises(ValueError, match=refusal):
+                    apply(bad, TrivializeFrame(f.label, chosen))
+                refused += 1
+        with pytest.raises(ValueError, match=refusal):
+            trivialize_all(bad)
+        # the morphism's own refusals come first
+        with pytest.raises(UnknownFrame):
+            apply(bad, TrivializeFrame("Q"))
+        with pytest.raises(UnknownElement):
+            apply(bad, TrivializeFrame("W", "w9"))
     assert kinds == {"DuplicateIndexEntry", "UnexpectedIndexEntry", "MissingIndexEntry"}
-    assert flattened == 4
-    with pytest.raises(UnknownFrame, match="^index has no component for frame 'T'$"):
-        apply(Model(m.entity_domain, m.frames, (Constant("p", p.semtype, tuple(rows + no_t)),)),
-              TrivializeFrame("T", "t0"))
+    assert refused == 5 * 4
+    half = apply(m, TrivializeFrame("W"))
+    bad = Model(half.entity_domain, half.frames, (Constant("p", p.semtype, half.constants[0].table[1:]),))
+    with pytest.raises(AlreadyTrivial):
+        apply(bad, TrivializeFrame("W"))
+    with pytest.raises(ValueError, match=refusal):
+        apply(bad, TrivializeFrame("T"))
     # a fully collapsed model whose rows repeat and leave the space
     flat = trivialize_all(m)
     (s0,) = index_space(flat)
@@ -296,8 +311,81 @@ def test_collapse_matches_the_row_by_row_reference_on_invalid_models() -> None:
     table = ((odd, rel_value()), (s0, rel_value()), (s0, rel_value(("e0",))), (odd, rel_value()))
     bad = Model(flat.entity_domain, flat.frames, (Constant("p", p.semtype, table),))
     assert [v.kind for v in bad.violations] == ["DuplicateIndexEntry", "UnexpectedIndexEntry", "DuplicateIndexEntry"]
-    assert extensionalize(bad) == _extensionalized_by_rows(bad)
-    assert extensionalize(bad).constant("p").table == ((EMPTY_INDEX, rel_value()), (EMPTY_INDEX, rel_value(("e0",))))
+    with pytest.raises(ValueError, match=refusal):
+        extensionalize(bad)
+
+
+def test_a_missing_row_is_refused_not_laundered_by_the_collapse() -> None:
+    """Moving rows one by one once turned this model into a valid collapse
+    with no violations, whose equivalence check then reported no mismatch."""
+    w1 = Index((("W", "w1"),))
+    constants = tuple(
+        Constant(c.name, c.semtype, tuple(r for r in c.table if r[0] is not w1)) if c.name == "book" else c
+        for c in MODAL.constants
+    )
+    missing = Model(MODAL.entity_domain, MODAL.frames, constants, MODAL.designated)
+    assert [(v.kind, v.constant) for v in missing.violations] == [("MissingIndexEntry", "book")]
+    refusal = NOT_ONE_ROW_PER_INDEX.format("book")
+    for chosen in ("w0", "w1"):
+        with pytest.raises(ValueError, match=refusal):
+            apply(missing, TrivializeFrame("W", chosen))
+    with pytest.raises(ValueError, match=refusal):
+        trivialize_all(missing)
+    flat = trivialize_all(MODAL)
+    emptied = Model(flat.entity_domain, flat.frames, tuple(
+        Constant(c.name, c.semtype, ()) if c.name == "book" else c for c in flat.constants
+    ))
+    terms, gs = default_checks(flat)
+    with pytest.raises(ValueError, match=refusal):
+        verify_equivalence(emptied, terms, gs)
+
+
+def _collapsed_frame_by_frame(m: Model, chosen: dict[str, str]) -> Model:
+    for label, element in chosen.items():
+        m = _collapsed_by_rows(m, label, element)
+    return m
+
+
+def _assert_one_pullback_is_the_path(m: Model) -> int:
+    """trivialize_all against the path of single collapses, and the collapse
+    of every nonempty set of nontrivial frames, at every tuple of their
+    elements, against the row-by-row reference; returns the number of sets
+    and tuples compared."""
+    nontrivial = [f for f in m.frames if not f.trivial]
+    assert trivialize_all(m) == compose_path(m, [TrivializeFrame(f.label) for f in nontrivial])
+    compared = 0
+    for size in range(1, len(nontrivial) + 1):
+        for frames in itertools.combinations(nontrivial, size):
+            for elements in itertools.product(*(f.domain.elements for f in frames)):
+                chosen = dict(zip((f.label for f in frames), elements))
+                got, want = morphisms._collapse(m, chosen), _collapsed_frame_by_frame(m, chosen)
+                assert got == want
+                assert got.violations == want.violations
+                compared += 1
+    return compared
+
+
+def test_one_pullback_is_the_path_of_single_collapses() -> None:
+    compared = {
+        p.name: _assert_one_pullback_is_the_path(load_model_file(str(p)).model)
+        for p in sorted(MODELS_DIR.glob("*.json"))
+    }
+    # every set S of the k two-element frames, at each of 2^|S| tuples: 3^k - 1
+    assert compared == {"extensional.json": 0, "modal.json": 2, "modal_tense.json": 8, "modal_tense_location.json": 26}
+    rng = random.Random(30)
+    assert sum(_assert_one_pullback_is_the_path(random_model(rng, max_frames=3)) for _ in range(50)) == 435
+
+
+def test_each_collapse_and_extensionalize_is_one_pullback(monkeypatch) -> None:
+    m = load_model_file(str(MODELS_DIR / "modal_tense_location.json")).model
+    calls = []
+    real = morphisms._pullback
+    monkeypatch.setattr(morphisms, "_pullback", lambda *args: calls.append(args[3]) or real(*args))
+    apply(m, TrivializeFrame("T", "t1"))
+    flat = trivialize_all(m)
+    extensionalize(flat)
+    # T at t1 keeps the positions 4w + 2 + l; w0, t0, l0 is position 0
+    assert calls == [[2, 3, 6, 7], [0], [0]]
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +521,8 @@ def _reference_check(m: Model, term, g: Assignment) -> CheckRecord:
 
 def _differential_corpus(seed: int):
     """(collapsed model, terms, assignments) triples mixing well-typed random
-    terms with modal, ill-typed and unbound ones, over one invalid model too."""
+    terms with modal, ill-typed and unbound ones. The one invalid model drawn,
+    whose table is not one row per index, is refused instead."""
     rng = random.Random(seed)
     corpus = []
     for i in range(24):
@@ -456,11 +545,14 @@ def _differential_corpus(seed: int):
             Assignment(tuple((v, rng.choice(ents)) for v in ("x", "y", "z"))),
             Assignment((("x", "zz"), ("y", ents[0]), ("z", ents[0]))),
         ]
-        if i == 0:  # drop a table row: the model fails validation
+        if i == 0:  # drop a table row: the model fails validation and has no extensionalization
             first, *rest = m.constants
             emptied = Constant(first.name, first.semtype, ())
             m = Model(m.entity_domain, m.frames, (emptied, *rest))
             assert m.violations
+            with pytest.raises(ValueError, match=NOT_ONE_ROW_PER_INDEX.format(first.name)):
+                verify_equivalence(m, terms, gs)
+            continue
         corpus.append((m, terms, gs))
     return corpus
 
@@ -474,7 +566,7 @@ def test_shared_typecheck_matches_the_public_evaluators() -> None:
         kinds.update(r.extensional.removeprefix("error:") for r in expected if "error:" in r.extensional)
         kinds["value"] += sum("error:" not in r.extensional for r in expected)
     for kind in ("value", "UngroundedType", "UnboundVariable", "TermTypeError",
-                 "UnknownEntity", "ValueError", "PresuppositionFailure"):
+                 "UnknownEntity", "PresuppositionFailure"):
         assert kinds[kind] >= 5, kinds
 
 
@@ -534,9 +626,16 @@ def test_a_check_records_the_first_entry_error_on_both_routes() -> None:
     first, *rest = flat.constants
     invalid = Model(flat.entity_domain, flat.frames, (Constant(first.name, first.semtype, ()), *rest))
     unknown = Assignment((("x", "zz"),))
+    with pytest.raises(ValueError, match=NOT_ONE_ROW_PER_INDEX.format(first.name)):
+        verify_equivalence(invalid, [Not(Var("x"))], [unknown])
+    # frame-free, the invalid model is its own extensionalization
+    ext = extensionalize(flat)
+    first, *rest = ext.constants
+    frame_free = Model(ext.entity_domain, (), (Constant(first.name, first.semtype, ()), *rest))
+    assert extensionalize(frame_free) is frame_free
     # validity check, then the typecheck error, then the unknown entity
     for m, term, kind in (
-        (invalid, Not(Var("x")), "ValueError"),
+        (frame_free, Not(Var("x")), "ValueError"),
         (flat, Not(Var("x")), "TermTypeError"),
         (flat, Var("x"), "UnknownEntity"),
     ):

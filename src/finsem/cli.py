@@ -76,8 +76,7 @@ def cmd_check_map(mf: ModelFile, args: argparse.Namespace) -> int:
             print(f"frame {frame.label} already trivial")
             continue
         designated = mf.model.designated_for(frame.label)
-        collapse = kripke.trivialize(frame, designated)
-        fm = collapse.map
+        fm = kripke.trivialize(frame, designated)
         print(
             f"frame {frame.label} designated {designated} "
             f"monotone {_bool(kripke.is_monotone(fm))} "

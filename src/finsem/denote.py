@@ -87,10 +87,6 @@ class PresuppositionFailure(FinsemError):
     pass
 
 
-class ModeError(FinsemError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # terms
 

@@ -1,9 +1,10 @@
 """Two small natural-language fragments over one union grammar.
 
 The grammar is a data table; the lexicon comes from the model file, so new
-nouns and verbs need no code change. Plain transitive sentences work against
-any model; the modal word requires a model with frames and contributes a
-Diamond over its frame, scoping over the fully saturated clause.
+nouns and verbs need no code change. Translation is the same for every
+model: the modal word contributes a Diamond over its frame, scoping over the
+fully saturated clause, and the typechecker refuses that Diamond on a model
+without the frame.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .denote import (
     Const,
     Diamond,
     Iota,
-    ModeError,
     PredApp,
     PresuppositionFailure,
     Term,
@@ -135,16 +135,9 @@ def _parses(
 # translation
 
 
-def translate(tree: ParseTree, lexicon: Lexicon, mode: str) -> Term:
-    """Term for a parse tree; mode is "extensional" or "intensional"."""
-    term, _ = translate_with_nodes(tree, lexicon, mode)
-    return term
-
-
-def translate_with_nodes(
-    tree: ParseTree, lexicon: Lexicon, mode: str
-) -> tuple[Term, dict[int, Term]]:
-    """Translation plus a map from node identity to that node's closed term.
+def translate(tree: ParseTree, lexicon: Lexicon) -> tuple[Term, dict[int, Term]]:
+    """The term for a parse tree, plus a map from node identity to that node's
+    closed term; the same for every model.
 
     A subject-awaiting node (VP, V') is translated with its subject's term.
     Bound variables are issued in surface order: subject first.
@@ -166,10 +159,7 @@ def translate_with_nodes(
             case ("VP", ("V", "DP")) | ("V'", ("V", "DP")):
                 term = PredApp(go(kids[0]).name, (subj, go(kids[1])))
             case ("VP", ("Mod", "V'")):
-                entry = lexicon[kids[0].word]
-                if mode != "intensional":
-                    raise ModeError(f"{entry.word!r} needs an intensional model")
-                term = Diamond(entry.frame, go(kids[1], subj))
+                term = Diamond(lexicon[kids[0].word].frame, go(kids[1], subj))
             case ("S", ("DP", "VP")):
                 term = go(kids[1], go(kids[0]))
             case _:
@@ -207,8 +197,7 @@ def eval_sentence(
     """
     tokens = sentence.split() if isinstance(sentence, str) else list(sentence)
     tree = parse(tokens, lexicon)
-    mode = "intensional" if m.frames else "extensional"
-    term, node_terms = translate_with_nodes(tree, lexicon, mode)
+    term, node_terms = translate(tree, lexicon)
 
     try:
         value = evaluate(term, m, g, s)

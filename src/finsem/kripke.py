@@ -158,29 +158,17 @@ def compose_maps(m1: FrameMap, m2: FrameMap) -> FrameMap:
     )
 
 
-@dataclass(frozen=True)
-class Trivialization:
-    frame: Frame
-    map: FrameMap
-    designated: str
-
-
-def trivialize(f: Frame, designated: str) -> Trivialization:
-    """Collapse a frame to the single point k0.
+def trivialize(f: Frame, designated: str) -> FrameMap:
+    """The map collapsing a frame onto its one-point frame, the single point k0.
 
     The label and carrier name survive so collapsed frames from different
     routes compare equal. The designated element records which slice of any
-    associated interpretation the collapse should keep; the frame itself does
+    associated interpretation the collapse should keep; the map itself does
     not depend on it, but the choice must exist in the domain.
     """
     if designated not in f.domain:
         raise UnknownElement(f"{designated!r} is not in frame {f.label!r}")
     point = FinSet(f.domain.name, (TRIVIAL_ELEMENT,))
     loop = Relation(point, point, frozenset({(TRIVIAL_ELEMENT, TRIVIAL_ELEMENT)}))
-    collapsed = Frame(f.label, point, loop)
-    graph = FnGraph(
-        Relation(
-            f.domain, point, frozenset((u, TRIVIAL_ELEMENT) for u in f.domain.elements)
-        )
-    )
-    return Trivialization(collapsed, FrameMap(f, collapsed, graph), designated)
+    to_point = Relation(f.domain, point, frozenset((u, TRIVIAL_ELEMENT) for u in f.domain.elements))
+    return FrameMap(f, Frame(f.label, point, loop), FnGraph(to_point))

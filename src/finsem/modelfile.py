@@ -107,7 +107,7 @@ def model_file_from_doc(doc: Any) -> ModelFile:
         if key not in TOP_KEYS:
             errs.append(f"unknown top-level key {key!r}")
 
-    entities = _str_list(doc.get("entities"), "entities", errs, required=True)
+    entities = _str_list(doc.get("entities"), "entities", errs)
     frames, designated = _load_frames(doc.get("frames", []), errs)
     constants = _load_constants(doc.get("constants", []), frames, errs)
 
@@ -130,17 +130,14 @@ def model_file_from_doc(doc: Any) -> ModelFile:
     lexicon = _load_lexicon(doc.get("lexicon", {}), frames, constants, errs)
     terms = _load_terms(doc.get("terms", {}), constants, model, errs)
 
-    if errs or model is None:
-        raise ModelFileError(errs or ["no model could be built"])
+    if errs:  # model is None only after a problem was recorded
+        raise ModelFileError(errs)
     return ModelFile(model, lexicon, terms)
 
 
-def _str_list(
-    j: Any, where: Any, errs: list[str], required: bool = False
-) -> Optional[list[str]]:
+def _str_list(j: Any, where: Any, errs: list[str]) -> Optional[list[str]]:
     if j is None:
-        if required:
-            errs.append(f"missing required key {_at(where)!r}")
+        errs.append(f"missing required key {_at(where)!r}")
         return None
     if not isinstance(j, list) or not all(isinstance(x, str) for x in j):
         errs.append(f"{_at(where)} must be a list of strings")
@@ -176,7 +173,7 @@ def _load_frames(j: Any, errs: list[str]) -> tuple[list[Frame], list[tuple[str, 
         if not isinstance(label, str):
             errs.append(f"{where}: label must be a string")
             continue
-        elements = _str_list(fj.get("elements"), f"{where}.elements", errs, True)
+        elements = _str_list(fj.get("elements"), f"{where}.elements", errs)
         if elements is None:
             continue
         pairs = fj.get("pairs", [])
@@ -241,7 +238,7 @@ def _load_constants(
             except (KeyError, TypeError):  # a new key, or one holding a list
                 idx = None
             if idx is None:
-                if _str_list(idx_j, (rw, ".index"), errs, True) is None:
+                if _str_list(idx_j, (rw, ".index"), errs) is None:
                     continue
                 if len(idx_j) != len(labels):
                     _bad(errs, rw, f"index has {len(idx_j)} components, model has {len(labels)} frames")

@@ -1,12 +1,14 @@
 """Morphisms between models: identity and single-frame collapse.
 
 Applying TrivializeFrame keeps the designated slice of every interpretation
-table and replaces the chosen frame by the one-point frame. Every collapse
-and extensionalize is one pullback of the source's columns along a list of
-its positions, so a source that is not one row per index is refused. Squares
-built from collapses of different frames commute on the nose, and a fully
-collapsed model evaluates exactly like its frame-free extensionalization;
-verify_equivalence checks the latter claim exhaustively, term by term.
+table and replaces the chosen frame by the target of its collapse map,
+kripke.trivialize. Every collapse and extensionalize is one pullback of the
+source's columns along a list of its positions. It refuses a source that is
+not one row per index, and a constant whose type mentions s(L) for a frame L
+it replaces or drops. Two collapse paths commute when compose_path lands
+them on equal models, and a fully collapsed valid model evaluates exactly
+like its frame-free extensionalization; verify_equivalence checks the latter
+claim exhaustively, term by term.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .denote import (
     _env_of,
     _eval,
     _prepare,
+    _require_valid,
     _type_error,
     render_term,
 )
@@ -45,6 +48,8 @@ from .semmodel import (
     UnknownFrame,
     Value,
     fn_arity,
+    frame_labels,
+    render_type,
     render_value,
 )
 
@@ -54,6 +59,10 @@ class AlreadyTrivial(FinsemError):
 
 
 class NotFullyTrivial(FinsemError):
+    pass
+
+
+class FrameTypedConstant(FinsemError):
     pass
 
 
@@ -89,7 +98,7 @@ def apply(m: Model, morphism: Morphism) -> Model:
 
 def _collapse(m: Model, chosen: dict[str, str]) -> Model:
     """m with each frame labelled in chosen collapsed at its chosen element."""
-    frames = tuple(trivialize_frame(f, chosen[f.label]).frame if f.label in chosen else f for f in m.frames)
+    frames = tuple(trivialize_frame(f, chosen[f.label]).target if f.label in chosen else f for f in m.frames)
     # mixed-radix positions, the last frame fastest: the kept ones ascend, as the target's do
     at = [0]
     for f in m.frames:
@@ -102,6 +111,14 @@ def _collapse(m: Model, chosen: dict[str, str]) -> Model:
 def _pullback(m: Model, frames: tuple[Frame, ...], designated: tuple, at: Sequence[int]) -> Model:
     """The model over frames whose constant c holds, at each target position q,
     m's value of c at position at[q]: m's columns pulled back along at."""
+    gone = {f.label for f in m.frames if f not in frames}
+    for c in m.constants:
+        for label in frame_labels(c.semtype):
+            if label in gone:
+                raise FrameTypedConstant(
+                    f"constant {c.name!r} of type {render_type(c.semtype)} mentions "
+                    f"frame {label!r}, which this collapse replaces or drops"
+                )
     indices = list(Model(m.entity_domain, frames, ()).positions)
     constants = tuple(
         Constant(c.name, c.semtype, tuple(zip(indices, map(m.columns[c.name].__getitem__, at))))
@@ -122,20 +139,6 @@ def trivialize_all(m: Model) -> Model:
     """Collapse every nontrivial frame at its designated element, in one pullback."""
     chosen = {f.label: m.designated_for(f.label) for f in m.frames if not f.trivial}
     return _collapse(m, chosen) if chosen else m
-
-
-@dataclass(frozen=True)
-class CommutativitySquare:
-    start: Model
-    path1: tuple[Morphism, ...]
-    path2: tuple[Morphism, ...]
-
-
-def check_square(square: CommutativitySquare) -> bool:
-    """Do the two paths from the start model land on structurally equal models?"""
-    a = compose_path(square.start, square.path1)
-    b = compose_path(square.start, square.path2)
-    return a == b
 
 
 def extensionalize(m: Model) -> Model:
@@ -220,8 +223,9 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Evaluate every term twice, at the unique index and extensionally.
 
-    The model must be fully trivial. Two outcomes agree when both produce the
-    same value or both fail with the same kind of error.
+    The model must be fully trivial (extensionalize refuses it otherwise) and
+    valid. Two outcomes agree when both produce the same value or both fail
+    with the same kind of error.
 
     A term that typechecks on the frame-free model has no Diamond and so
     typechecks alike on the collapsed one, which has the same constants with
@@ -229,9 +233,8 @@ def verify_equivalence(
     models share the entity domain, so each assignment's environment is built
     once per call.
     """
-    if not m.is_extensional:
-        raise NotFullyTrivial("verify_equivalence needs a fully trivial model")
     ext = extensionalize(m)
+    _require_valid(m)
     gs = list(assignments) if assignments else [Assignment()]
     envs = [(g, _env_of(g, m)) for g in gs]
     records = []
@@ -241,22 +244,11 @@ def verify_equivalence(
             int_error = type_error and _type_error(term, m, g)
             val_i, err_i = _outcome(term, m, int_error, env)
             val_e, err_e = _outcome(term, ext, type_error, env)
-            if err_i is None and err_e is None:
-                agree = val_i == val_e
-                left, right = render_value(val_i, m), render_value(val_e, ext)
-            else:
-                agree = err_i == err_e
-                left = f"error:{err_i}" if err_i else render_value(val_i, m)
-                right = f"error:{err_e}" if err_e else render_value(val_e, ext)
+            left = f"error:{err_i}" if err_i else render_value(val_i, m)
+            right = f"error:{err_e}" if err_e else render_value(val_e, ext)
+            agree = (err_i, val_i) == (err_e, val_e)
             records.append(
-                CheckRecord(
-                    category=categorize(term, m),
-                    term=render_term(term),
-                    assignment=g.bindings,
-                    intensional=left,
-                    extensional=right,
-                    agree=agree,
-                )
+                CheckRecord(categorize(term, m), render_term(term), g.bindings, left, right, agree)
             )
     return EquivalenceReport(tuple(records))
 

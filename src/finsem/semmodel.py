@@ -20,7 +20,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .kripke import Frame
 from .relalg import FinSet, FinsemError
@@ -178,6 +178,21 @@ def arg_types(fn: FnType, arity: int) -> list[SemType]:
 def fn_arity(fn: FnType) -> int:
     """Argument count of a function type, reading nested pairs as a list."""
     return len(_flatten_pairs(fn.domain))
+
+
+def frame_labels(t: SemType) -> Iterator[str]:
+    """The label of every s(L) in t."""
+    match t:
+        case IdxType(label):
+            yield label
+        case PairType(a, b) | FnType(a, b):
+            yield from frame_labels(a)
+            yield from frame_labels(b)
+        case SetType(member):
+            yield from frame_labels(member)
+        case RelType(components):
+            for c in components:
+                yield from frame_labels(c)
 
 
 def render_type(t: SemType) -> str:
@@ -769,14 +784,14 @@ def validate(m: Model) -> list[Violation]:
 # rendering
 
 
-def render_value(v: Value, m: Optional[Model] = None) -> str:
-    """Deterministic text form; set members sort by domain position when a
-    model is supplied, structurally otherwise."""
+def render_value(v: Value, m: Model) -> str:
+    """Deterministic text form; set members sort by m's entity-domain
+    position, structurally where that does not decide."""
 
     def sort_key(w: Value) -> tuple:
-        if m is not None and isinstance(w, Entity) and w.ident in m.entity_domain:
+        if isinstance(w, Entity) and w.ident in m.entity_domain:
             return ("e", m.entity_domain.position(w.ident))
-        if m is not None and isinstance(w, TupleV):
+        if isinstance(w, TupleV):
             return ("tup", tuple(sort_key(i) for i in w.items))
         return value_key(w)
 
@@ -794,11 +809,5 @@ def render_value(v: Value, m: Optional[Model] = None) -> str:
             return "{" + ", ".join(render_value(w, m) for w in inner) + "}"
         case FnV(entries):
             inner = sorted(entries, key=lambda e: sort_key(e[0]))
-            return (
-                "{"
-                + ", ".join(
-                    f"{render_value(k, m)}->{render_value(w, m)}" for k, w in inner
-                )
-                + "}"
-            )
+            return "{" + ", ".join(f"{render_value(k, m)}->{render_value(w, m)}" for k, w in inner) + "}"
     raise ValueError(f"unrenderable value {v!r}")

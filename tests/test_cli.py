@@ -434,6 +434,47 @@ def test_a_wrongly_sized_function_value_is_refused_without_enumerating_its_domai
     assert calls == []
 
 
+def _frame_typed_doc(w_elements: list[str]) -> dict:
+    """Frames W and T, and a constant here: s(W) naming each index's W element."""
+    t_elements = ["t0", "t1"]
+    return {
+        "entities": ["a"],
+        "frames": [
+            {"label": "W", "elements": w_elements, "pairs": [[w, w] for w in w_elements]},
+            {"label": "T", "elements": t_elements, "pairs": [["t0", "t1"], ["t1", "t1"]]},
+        ],
+        "constants": [
+            {
+                "name": "here",
+                "type": "s(W)",
+                "table": [{"index": [w, t], "value": w} for w in w_elements for t in t_elements],
+            }
+        ],
+    }
+
+
+def test_a_collapse_that_would_leave_s_values_ill_typed_exits_1(tmp_path, capsys) -> None:
+    path, out = tmp_path / "here.json", tmp_path / "out.json"
+    path.write_text(json.dumps(_frame_typed_doc(["w0", "w1"])))
+    refusal = "error: constant 'here' of type s(W) mentions frame 'W', which this collapse replaces or drops\n"
+    for argv in (
+        ["verify-theorem", str(path)],
+        ["trivialize", str(path), "--frame", "W", "--out", str(out)],
+        ["square", str(path), "--frames", "W,T"],
+    ):
+        assert cli.main(argv) == 1, argv
+        assert capsys.readouterr() == ("", refusal)
+        assert not out.exists()
+    # collapsing T keeps s(W) meaningful, and the written file loads back
+    assert cli.main(["trivialize", str(path), "--frame", "T", "--out", str(out)]) == 0
+    assert cli.main(["eval", str(out), "--term", "here", "--index", "w1,k0"]) == 0
+    assert capsys.readouterr() == ("W:w1\n", "")
+    # W already trivial: extensionalizing drops it, so the theorem check refuses
+    path.write_text(json.dumps(_frame_typed_doc(["k0"])))
+    assert cli.main(["verify-theorem", str(path)]) == 1
+    assert capsys.readouterr() == ("", refusal)
+
+
 def _finsem_exception_classes() -> list[type]:
     """The public exception classes defined in finsem's modules."""
     found = []

@@ -8,7 +8,6 @@ import finsem.fragment as fragment
 from finsem.denote import (
     Diamond,
     Iota,
-    ModeError,
     PredApp,
     PresuppositionFailure,
     Var,
@@ -27,7 +26,7 @@ from finsem.fragment import (
     translate,
 )
 from finsem.morphisms import TrivializeFrame, apply, extensionalize
-from finsem.semmodel import Constant, EntType, RelType, Truth, UnknownIndex
+from finsem.semmodel import Constant, EntType, RelType, Truth, UngroundedType, UnknownIndex
 
 from helpers import (
     EMPTY_INDEX,
@@ -97,7 +96,7 @@ def test_iter_nodes_is_preorder() -> None:
 
 def test_translate_sentence_one() -> None:
     tree = parse(SENTENCE_1.split(), LEXICON)
-    term = translate(tree, LEXICON, "extensional")
+    term, _ = translate(tree, LEXICON)
     assert render_term(term) == (
         "(pred read (iota x (pred student x)) (iota y (pred book y)))"
     )
@@ -112,7 +111,7 @@ def test_translate_sentence_one() -> None:
 
 def test_translate_sentence_two_intensional() -> None:
     tree = parse(SENTENCE_2.split(), LEXICON)
-    term = translate(tree, LEXICON, "intensional")
+    term, _ = translate(tree, LEXICON)
     assert render_term(term) == (
         "(might W (pred read (iota x (pred student x)) (iota y (pred book y))))"
     )
@@ -120,15 +119,9 @@ def test_translate_sentence_two_intensional() -> None:
     assert term.label == "W"
 
 
-def test_translate_modal_word_needs_intensional_mode() -> None:
-    tree = parse(SENTENCE_2.split(), LEXICON)
-    with pytest.raises(ModeError, match="might"):
-        translate(tree, LEXICON, "extensional")
-
-
 def test_variables_issued_in_surface_order() -> None:
     # subject binds x, object binds y
-    term = translate(parse(SENTENCE_1.split(), LEXICON), LEXICON, "extensional")
+    term, _ = translate(parse(SENTENCE_1.split(), LEXICON), LEXICON)
     assert isinstance(term.args[0], Iota) and term.args[0].var == "x"
     assert isinstance(term.args[1], Iota) and term.args[1].var == "y"
 
@@ -169,8 +162,8 @@ def test_sentence_on_collapsed_model_uses_the_unique_index() -> None:
     )
 
 
-def test_modal_sentence_on_frame_free_model_is_a_mode_error() -> None:
-    with pytest.raises(ModeError):
+def test_modal_sentence_on_frame_free_model_is_refused() -> None:
+    with pytest.raises(UngroundedType, match="^at root: no frame 'W' in this model$"):
         eval_sentence(SENTENCE_2, EXT, LEXICON)
 
 

@@ -15,7 +15,6 @@ from finsem.kripke import (
     TRIVIAL_ELEMENT,
     Frame,
     FrameMap,
-    Trivialization,
     UnknownElement,
     back_holds,
     compose_maps,
@@ -161,28 +160,26 @@ def test_compose_maps() -> None:
 def test_trivialize_shape() -> None:
     f = frame("W", ("w0", "w1"), {("w0", "w1"), ("w1", "w0")})
     t = trivialize(f, "w0")
-    assert isinstance(t, Trivialization)
-    assert t.designated == "w0"
-    assert t.frame.label == "W"
-    assert t.frame.domain.name == "W"
-    assert t.frame.domain.elements == (TRIVIAL_ELEMENT,)
-    assert t.frame.trivial
-    assert t.map.source == f
-    assert t.map.target == t.frame
-    assert is_surjective(t.map)
+    assert isinstance(t, FrameMap)
+    assert t.target.label == "W"
+    assert t.target.domain.name == "W"
+    assert t.target.domain.elements == (TRIVIAL_ELEMENT,)
+    assert t.target.trivial
+    assert t.source == f
+    assert is_surjective(t)
     with pytest.raises(UnknownElement):
         trivialize(f, "w9")
 
 
 def test_trivialize_serial_frame_is_bounded() -> None:
     f = frame("W", ("w0", "w1"), {("w0", "w1"), ("w1", "w0")})
-    assert is_bounded(trivialize(f, "w0").map)
+    assert is_bounded(trivialize(f, "w0"))
 
 
 def test_trivialize_non_serial_counterexample() -> None:
     # w2 has no successor, so the back condition fails at w2
     f = frame("X", ("w1", "w2"), {("w1", "w1")})
-    m = trivialize(f, "w1").map
+    m = trivialize(f, "w1")
     assert forth_holds(m)
     assert not back_holds(m)
     assert not is_bounded(m)
@@ -235,7 +232,7 @@ def test_bounded_matches_quantifier_oracle(m: FrameMap) -> None:
 
 @given(frames())
 def test_trivialization_bounded_iff_serial(f: Frame) -> None:
-    m = trivialize(f, f.domain.elements[0]).map
+    m = trivialize(f, f.domain.elements[0])
     assert is_surjective(m)
     assert is_monotone(m)
     serial = all(f.successors(u) for u in f.domain.elements)

@@ -1,4 +1,4 @@
-"""Trivialization morphisms: table slicing, squares, and equivalence reports."""
+"""Collapse morphisms: table slicing, squares, and equivalence reports."""
 
 from __future__ import annotations
 
@@ -30,14 +30,13 @@ from finsem.kripke import TRIVIAL_ELEMENT, Frame, UnknownElement, trivialize
 from finsem.morphisms import (
     AlreadyTrivial,
     CheckRecord,
-    CommutativitySquare,
     EquivalenceReport,
+    FrameTypedConstant,
     Identity,
     NotFullyTrivial,
     TrivializeFrame,
     apply,
     categorize,
-    check_square,
     compose_path,
     default_checks,
     diagram_export,
@@ -51,14 +50,19 @@ from finsem.semmodel import (
     Assignment,
     Constant,
     EntType,
+    IdxType,
     Index,
     Model,
+    PairType,
     RelType,
+    SetType,
     Truth,
     UnknownFrame,
+    fn_type,
     index_space,
     render_value,
     the_index,
+    type_domain,
 )
 
 import random
@@ -151,27 +155,22 @@ def test_validation_survives_collapse() -> None:
 
 def test_square_commutes_across_collapse_order() -> None:
     m = two_frame_model()
-    square = CommutativitySquare(
-        m,
-        (TrivializeFrame("W"), TrivializeFrame("T")),
-        (TrivializeFrame("T"), TrivializeFrame("W")),
+    assert compose_path(m, (TrivializeFrame("W"), TrivializeFrame("T"))) == compose_path(
+        m, (TrivializeFrame("T"), TrivializeFrame("W"))
     )
-    assert check_square(square)
 
 
 def test_square_detects_designated_disagreement() -> None:
     # w0 and w1 slices of read differ, so the two collapses disagree
-    square = CommutativitySquare(
-        MODAL,
-        (TrivializeFrame("W", "w0"),),
-        (TrivializeFrame("W", "w1"),),
+    assert compose_path(MODAL, (TrivializeFrame("W", "w0"),)) != compose_path(
+        MODAL, (TrivializeFrame("W", "w1"),)
     )
-    assert not check_square(square)
 
 
 def test_square_with_identity_edges() -> None:
-    square = CommutativitySquare(MODAL, (Identity(), TrivializeFrame("W")), (TrivializeFrame("W"), Identity()))
-    assert check_square(square)
+    assert compose_path(MODAL, (Identity(), TrivializeFrame("W"))) == compose_path(
+        MODAL, (TrivializeFrame("W"), Identity())
+    )
 
 
 @given(st.integers(0, 10_000))
@@ -179,13 +178,9 @@ def test_random_two_frame_squares_commute(seed: int) -> None:
     rng = random.Random(seed)
     m = random_model(rng, max_entities=3, min_frames=2, max_frames=2, max_frame_size=3)
     labels = [f.label for f in m.frames if not f.trivial]
-    square = CommutativitySquare(
-        m,
-        tuple(TrivializeFrame(l) for l in labels),
-        tuple(TrivializeFrame(l) for l in reversed(labels)),
-    )
-    assert check_square(square)
-    assert compose_path(m, square.path1).is_extensional
+    forward = compose_path(m, tuple(TrivializeFrame(l) for l in labels))
+    assert forward == compose_path(m, tuple(TrivializeFrame(l) for l in reversed(labels)))
+    assert forward.is_extensional
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +203,7 @@ def _collapsed_by_rows(m: Model, label: str, chosen: str) -> Model:
         ))
         for c in m.constants
     )
-    frames = tuple(trivialize(f, chosen).frame if f.label == label else f for f in m.frames)
+    frames = tuple(trivialize(f, chosen).target if f.label == label else f for f in m.frames)
     return Model(m.entity_domain, frames, constants, tuple(d for d in m.designated if d[0] != label))
 
 
@@ -255,6 +250,45 @@ def test_collapse_matches_the_row_by_row_reference_on_random_models() -> None:
         flat = trivialize_all(m)
         assert extensionalize(flat) == _extensionalized_by_rows(flat)
     assert compared > 100
+
+
+def _with_frame_typed_constant(rng: random.Random, m: Model) -> tuple[Model, str]:
+    """m plus a constant "here" whose type mentions s(L) for one of m's frames
+    L, valued at random in each index; returns the model and L."""
+    label = rng.choice(m.frames).label
+    elem = IdxType(label)
+    ty = rng.choice(
+        [elem, SetType(elem), PairType(EntType(), elem), fn_type([EntType()], elem), RelType((elem, EntType()))]
+    )
+    values = type_domain(m, ty)
+    here = Constant("here", ty, tuple((s, rng.choice(values)) for s in m.positions))
+    return Model(m.entity_domain, m.frames, (*m.constants, here), m.designated), label
+
+
+def test_a_collapse_refuses_exactly_when_it_replaces_or_drops_a_frame_a_type_mentions() -> None:
+    rng = random.Random(20)
+    outcomes = Counter()
+    for _ in range(60):
+        m, label = _with_frame_typed_constant(rng, random_model(rng, max_entities=3, max_frames=3))
+        assert m.violations == ()
+        nontrivial = {f.label for f in m.frames if not f.trivial}
+        steps = [(lambda l=l: apply(m, TrivializeFrame(l)), {l}) for l in sorted(nontrivial)]
+        steps.append((lambda: trivialize_all(m), nontrivial))
+        while steps:
+            step, replaced = steps.pop()
+            try:
+                out = step()
+            except FrameTypedConstant as err:
+                assert label in replaced
+                assert "'here'" in str(err) and f"frame {label!r}" in str(err)
+                outcomes["refused"] += 1
+                continue
+            assert label not in replaced
+            assert out.violations == ()
+            outcomes["kept"] += 1
+            if out.is_extensional:
+                steps.append((lambda out=out: extensionalize(out), {f.label for f in out.frames}))
+    assert outcomes["refused"] > 50 and outcomes["kept"] > 50, outcomes
 
 
 NOT_ONE_ROW_PER_INDEX = "^constant '{}' does not have one table row per index$"
@@ -633,9 +667,11 @@ def test_a_check_records_the_first_entry_error_on_both_routes() -> None:
     first, *rest = ext.constants
     frame_free = Model(ext.entity_domain, (), (Constant(first.name, first.semtype, ()), *rest))
     assert extensionalize(frame_free) is frame_free
-    # validity check, then the typecheck error, then the unknown entity
+    # an invalid model is refused before any check, not agreed on
+    with pytest.raises(ValueError, match="^model fails validation"):
+        verify_equivalence(frame_free, [Not(Var("x"))], [unknown])
+    # the typecheck error, then the unknown entity
     for m, term, kind in (
-        (frame_free, Not(Var("x")), "ValueError"),
         (flat, Not(Var("x")), "TermTypeError"),
         (flat, Var("x"), "UnknownEntity"),
     ):

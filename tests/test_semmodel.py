@@ -169,12 +169,12 @@ def test_fnv_sorts_entries_and_rejects_duplicates() -> None:
 
 
 def test_render_value() -> None:
-    assert render_value(A) == "a"
-    assert render_value(T1) == "1"
-    assert render_value(IndexElem("W", "w0")) == "W:w0"
-    assert render_value(TupleV((A, T0))) == "(a,0)"
+    assert render_value(A, M) == "a"
+    assert render_value(T1, M) == "1"
+    assert render_value(IndexElem("W", "w0"), M) == "W:w0"
+    assert render_value(TupleV((A, T0)), M) == "(a,0)"
     assert render_value(SetV(frozenset({B, A})), M) == "{a, b}"
-    assert render_value(FnV(((B, T1), (A, T0)))) == "{a->0, b->1}"
+    assert render_value(FnV(((B, T1), (A, T0))), M) == "{a->0, b->1}"
 
 
 # ---------------------------------------------------------------------------
@@ -764,11 +764,11 @@ def test_a_filled_item_cache_leaves_a_set_value_as_it_was() -> None:
     filled = build()
     with pytest.raises(AttributeError):  # the slot is empty before first use
         SetV.item_tuples.__get__(filled)
-    shown = hash(filled), repr(filled), render_value(filled)
+    shown = hash(filled), repr(filled), render_value(filled, M)
     assert filled.item_tuples == {(A, B), (B,)}
     assert SetV.item_tuples.__get__(filled) == {(A, B), (B,)}
     fresh = build()
     assert filled == fresh
     assert hash(filled) == hash(fresh) == shown[0]
     assert repr(filled) == repr(fresh) == shown[1]
-    assert render_value(filled) == render_value(fresh) == shown[2]
+    assert render_value(filled, M) == render_value(fresh, M) == shown[2]

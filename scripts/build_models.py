@@ -80,8 +80,7 @@ def here_at(idx: Index) -> SetV:
 
 
 def build_model(frames: tuple[Frame, ...], with_location: bool) -> Model:
-    skeleton = Model(ENTITIES, frames, ())
-    space = index_space(skeleton)
+    space = index_space(frames)
     unary = RelType((EntType(),))
     binary = RelType((EntType(), EntType()))
     constants = [

@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import kripke, morphisms
-from .denote import evaluate, has_modal, parse_term, render_term
+from .denote import eval_int, has_modal, parse_term, render_term
 from .fragment import eval_sentence
 from .modelfile import ModelFile, ModelFileError, dump_model_file, load_model_file
 from .morphisms import TrivializeFrame
@@ -97,7 +97,7 @@ def cmd_eval(mf: ModelFile, args: argparse.Namespace) -> int:
         return 2
     g = _parse_assignment(args.assign)
     s = _parse_index(mf.model, args.index) if args.index is not None else None
-    value = evaluate(term, mf.model, g, s)
+    value = eval_int(term, mf.model, g, s)
     print(render_value(value, mf.model))
     return 0
 

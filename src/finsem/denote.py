@@ -1,12 +1,14 @@
 """Term language with a typechecker and two evaluators.
 
-eval_int interprets a term at an index of any model, and eval_all_indices at
-every index. evaluate takes eval_int, at the one index of an extensional-mode
-model (no frames, or every frame collapsed) when no index is given. The
-evaluators share one entry sequence, _prepare, and one clause table, _CLAUSES,
-keyed by term class, as the typing rules are in _TYPES and the renderers in
-_RENDER. Clauses evaluate at an index position of Model.positions, and no clause
-mutates an environment it is given, so one environment may serve many checks.
+eval_int, the one evaluation entry, interprets a term at an index of any
+model; given none, it takes the one index of an extensional-mode model (no
+frames, or every frame collapsed), so a trivial intensional model evaluates
+as an extensional one. eval_all_indices evaluates at every index. The
+evaluators share one entry sequence, _prepare, and one clause table,
+_CLAUSES, keyed by term class, as the typing rules are in _TYPES and the
+renderers in _RENDER. Clauses evaluate at an index position of
+Model.positions, and no clause mutates an environment it is given, so one
+environment may serve many checks.
 
 Lambda abstraction evaluates by extending the environment over the bound
 variable's finite domain; no textual substitution ever happens, so capture
@@ -67,7 +69,6 @@ from .semmodel import (
     arg_types,
     parse_type,
     render_type,
-    the_index,
 )
 
 
@@ -359,14 +360,17 @@ _TYPES = {
 def eval_int(
     term: Term, m: Model, g: Optional[Assignment] = None, s: Optional[Index] = None
 ) -> Value:
-    """Evaluate at an index of the model's index space."""
-    g = g if g is not None else Assignment()
-    if s is None:
-        raise UnknownIndex("eval_int needs an index")
-    if s not in m.positions:
+    """Evaluate at s, an index of the model's index space. With no s, evaluate
+    at the one index of an extensional-mode model: the empty index of a
+    frame-free model, or k0 of a fully collapsed one."""
+    if s is None and not m.is_extensional:
+        raise UnknownIndex("model has a nontrivial frame; an index is required")
+    p = 0 if s is None else m.positions.get(s)
+    if p is None:
         raise UnknownIndex(f"{s.render()} is not in the index space")
+    g = g if g is not None else Assignment()
     env = _prepare(m, _type_error(term, m, g), _env_of(g, m))
-    return _eval(term, m, env, m.positions[s])
+    return _eval(term, m, env, p)
 
 
 def eval_all_indices(
@@ -385,19 +389,6 @@ def eval_all_indices(
             _eval(term, m, env, p)
         raise
     return dict(zip(m.positions, values))
-
-
-def evaluate(
-    term: Term, m: Model, g: Optional[Assignment] = None, s: Optional[Index] = None
-) -> Value:
-    """Evaluate at s when given; otherwise at the unique index of an
-    extensional-mode model: the empty index of a frame-free model, or k0 of
-    a fully collapsed one. A model with a nontrivial frame needs an index."""
-    if s is not None:
-        return eval_int(term, m, g, s)
-    if m.is_extensional:
-        return eval_int(term, m, g, the_index(m))
-    raise UnknownIndex("model has a nontrivial frame; an index is required")
 
 
 def assignment_types(g: Assignment) -> dict[str, SemType]:
@@ -491,10 +482,11 @@ def _eval_func_app(term: FuncApp, m: Model, env: dict[str, Value], p: int) -> Va
     return f.apply(vals[0] if len(vals) == 1 else _nest_tuple(vals))
 
 
-def _rows(term: Lam, m: Model, env: dict[str, Value], p: int) -> list[Value]:
-    """The body's value at p for each entity, the bound variable's domain, in order."""
+def _rows(term: Lam | Iota, m: Model, env: dict[str, Value], p: int) -> list[Value]:
+    """The body's value at p for each entity, the bound variable's domain, in
+    order. Only a lam's domain is bounded, as it becomes a function value."""
     entities = m.entities
-    if len(entities) > MAX_DOMAIN_SIZE:
+    if type(term) is Lam and len(entities) > MAX_DOMAIN_SIZE:
         raise DomainTooLarge(f"{render_type(term.var_type)} exceeds {MAX_DOMAIN_SIZE} values")
     body, var = term.body, term.var
     clause = _CLAUSES[type(body)]
@@ -525,20 +517,18 @@ def _eval_app(term: App, m: Model, env: dict[str, Value], p: int) -> Value:
     return fv.apply(av)
 
 
-def _eval_iota(term: Iota, m: Model, env: dict[str, Value], p: int) -> Value:
-    body, var = term.body, term.var
-    clause = _CLAUSES[type(body)]
-    inner = dict(env)
-    hits = []
-    for k in m.entities:
-        inner[var] = k
-        if clause(body, m, inner, p).flag:
-            hits.append(k)
+def _witness(term: Iota, m: Model, row: Sequence[Value]) -> Value:
+    """The one entity whose body value in row, one per entity, is true."""
+    hits = [k for k, v in zip(m.entities, row) if v.flag]
     if len(hits) != 1:
         raise PresuppositionFailure(
-            f"iota over {var!r} needs exactly one witness, found {len(hits)}"
+            f"iota over {term.var!r} needs exactly one witness, found {len(hits)}"
         )
     return hits[0]
+
+
+def _eval_iota(term: Iota, m: Model, env: dict[str, Value], p: int) -> Value:
+    return _witness(term, m, _rows(term, m, env, p))
 
 
 def _eval_diamond(term: Diamond, m: Model, env: dict[str, Value], p: int) -> Value:
@@ -637,15 +627,7 @@ def _column_app(term: App, m: Model, env: dict[str, Value], ps: list[int]) -> li
 
 
 def _column_iota(term: Iota, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:
-    out: list[Value] = []
-    for row in _per_entity(term, m, env, ps):
-        hits = [k for k, v in zip(m.entities, row) if v.flag]
-        if len(hits) != 1:
-            raise PresuppositionFailure(
-                f"iota over {term.var!r} needs exactly one witness, found {len(hits)}"
-            )
-        out.append(hits[0])
-    return out
+    return [_witness(term, m, row) for row in _per_entity(term, m, env, ps)]
 
 
 def _column_diamond(term: Diamond, m: Model, env: dict[str, Value], ps: list[int]) -> list[Value]:

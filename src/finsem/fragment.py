@@ -21,7 +21,7 @@ from .denote import (
     PresuppositionFailure,
     Term,
     Var,
-    evaluate,
+    eval_int,
     render_term,
 )
 from .relalg import FinsemError
@@ -200,13 +200,13 @@ def eval_sentence(
     term, node_terms = translate(tree, lexicon)
 
     try:
-        value = evaluate(term, m, g, s)
+        value = eval_int(term, m, g, s)
     except PresuppositionFailure as err:
         for node, _ in iter_nodes(tree):
             if node.label != "DP":
                 continue
             try:
-                evaluate(node_terms[id(node)], m, g, s)
+                eval_int(node_terms[id(node)], m, g, s)
             except PresuppositionFailure:
                 covered = " ".join(node.words())
                 raise PresuppositionFailure(f"{err} in DP '{covered}'") from None
@@ -218,6 +218,6 @@ def eval_sentence(
         line = f"{'  ' * depth}{node.label} '{covered}'"
         t = node_terms.get(id(node))
         if t is not None:
-            line += f" := {render_term(t)} = {render_value(evaluate(t, m, g, s), m)}"
+            line += f" := {render_term(t)} = {render_value(eval_int(t, m, g, s), m)}"
         lines.append(line)
     return SentenceResult(tree, term, value, tuple(lines))

@@ -125,8 +125,7 @@ def random_model(
     frames = tuple(
         random_frame(rng, ("W", "T", "L")[i], max_frame_size) for i in range(nframes)
     )
-    skeleton = Model(ents, frames, ())
-    space = index_space(skeleton)
+    space = index_space(frames)
 
     constants: list[Constant] = []
     for i in range(rng.randint(1, 2)):
@@ -142,7 +141,7 @@ def random_model(
         constants.append(Constant(f"p{i}", ty, tuple(rows)))
     arity = rng.randint(1, 2)
     fty = fn_type([ENT_TYPE] * arity, ENT_TYPE)
-    keys = type_domain(skeleton, fty.domain)
+    keys = type_domain(Model(ents, frames, ()), fty.domain)
     rows = []
     for s in space:
         rows.append((s, FnV((k, Entity(rng.choice(ents.elements))) for k in keys)))

@@ -3,7 +3,8 @@
 Applying TrivializeFrame keeps the designated slice of every interpretation
 table and replaces the chosen frame by the target of its collapse map,
 kripke.trivialize. Every collapse and extensionalize is one pullback of the
-source's columns along a list of its positions. It refuses a source that is
+source's columns along a list of its positions, onto index_space of the
+target's frames, and builds one Model, the result. It refuses a source that is
 not one row per index, and a constant whose type mentions s(L) for a frame L
 it replaces or drops. Two collapse paths commute when compose_path lands
 them on equal models, and a fully collapsed valid model evaluates exactly
@@ -49,6 +50,7 @@ from .semmodel import (
     Value,
     fn_arity,
     frame_labels,
+    index_space,
     render_type,
     render_value,
 )
@@ -119,7 +121,7 @@ def _pullback(m: Model, frames: tuple[Frame, ...], designated: tuple, at: Sequen
                     f"constant {c.name!r} of type {render_type(c.semtype)} mentions "
                     f"frame {label!r}, which this collapse replaces or drops"
                 )
-    indices = list(Model(m.entity_domain, frames, ()).positions)
+    indices = index_space(frames)
     constants = tuple(
         Constant(c.name, c.semtype, tuple(zip(indices, map(m.columns[c.name].__getitem__, at))))
         for c in m.constants

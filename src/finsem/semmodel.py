@@ -509,9 +509,8 @@ class Model:
 
     @cached_property
     def positions(self) -> dict[Index, int]:
-        """Each index to its canonical position, frames varying lexicographically."""
-        axes = [[(f.label, e) for e in f.domain.elements] for f in self.frames]
-        return {Index(combo): i for i, combo in enumerate(itertools.product(*axes))}
+        """Each index to its canonical position, its place in index_space."""
+        return {s: i for i, s in enumerate(index_space(self.frames))}
 
     @cached_property
     def entities(self) -> tuple[Entity, ...]:
@@ -586,16 +585,11 @@ class Model:
         return fr.domain.elements[0]
 
 
-def index_space(m: Model) -> list[Index]:
-    """All indices, frames varying lexicographically; [Index(())] when frame-free."""
-    return list(m.positions)
-
-
-def the_index(m: Model) -> Index:
-    """The unique index of an extensional-mode model."""
-    if len(m.positions) != 1:
-        raise UnknownIndex("model has more than one index")
-    return next(iter(m.positions))
+def index_space(frames: Iterable[Frame]) -> list[Index]:
+    """Every index over frames, which vary lexicographically, the last one
+    fastest; [Index(())] when there are none."""
+    axes = [[(f.label, e) for e in f.domain.elements] for f in frames]
+    return [Index(combo) for combo in itertools.product(*axes)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from finsem.denote import (
     Var,
     eval_all_indices,
     eval_int,
-    evaluate,
     free_vars,
     has_modal,
     parse_term,
@@ -66,7 +65,6 @@ from finsem.semmodel import (
     UnknownIndex,
     fn_type,
     index_space,
-    the_index,
 )
 
 from helpers import MODELS_DIR, build_extensional, build_modal, rel_value, w_index
@@ -367,7 +365,7 @@ def test_an_unknown_term_class_is_refused_by_every_dispatch() -> None:
         with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
             typecheck(term, EXT)
         with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
-            evaluate(term, EXT)
+            eval_int(term, EXT)
         with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
             eval_int(term, MODAL, s=w_index("w0"))
     with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
@@ -404,31 +402,31 @@ def test_free_vars(text: str, free: set) -> None:
 
 
 def test_eval_sentence_one() -> None:
-    assert evaluate(READS, EXT) == Truth(1)
-    assert evaluate(Not(READS), EXT) == Truth(0)
-    assert evaluate(And(READS, Not(READS)), EXT) == Truth(0)
-    assert evaluate(Eq(THE_STUDENT, THE_BOOK), EXT) == Truth(0)
-    assert evaluate(Eq(THE_STUDENT, THE_STUDENT), EXT) == Truth(1)
+    assert eval_int(READS, EXT) == Truth(1)
+    assert eval_int(Not(READS), EXT) == Truth(0)
+    assert eval_int(And(READS, Not(READS)), EXT) == Truth(0)
+    assert eval_int(Eq(THE_STUDENT, THE_BOOK), EXT) == Truth(0)
+    assert eval_int(Eq(THE_STUDENT, THE_STUDENT), EXT) == Truth(1)
 
 
 def test_eval_iota_picks_the_witness() -> None:
-    assert evaluate(THE_STUDENT, EXT) == Entity("s1")
-    assert evaluate(THE_BOOK, EXT) == Entity("b1")
+    assert eval_int(THE_STUDENT, EXT) == Entity("s1")
+    assert eval_int(THE_BOOK, EXT) == Entity("b1")
 
 
 def test_eval_iota_presupposition_failures() -> None:
     nobody = Iota("x", PredApp("read", (Var("x"), Var("x"))))
     with pytest.raises(PresuppositionFailure) as e:
-        evaluate(nobody, EXT)
+        eval_int(nobody, EXT)
     assert "found 0" in str(e.value)
     anybody = Iota("x", Eq(Var("x"), Var("x")))
     with pytest.raises(PresuppositionFailure) as e:
-        evaluate(anybody, EXT)
+        eval_int(anybody, EXT)
     assert "found 2" in str(e.value)
 
 
 def test_eval_lambda_materializes_graph() -> None:
-    got = evaluate(Lam("x", EntType(), PredApp("student", (Var("x"),))), EXT)
+    got = eval_int(Lam("x", EntType(), PredApp("student", (Var("x"),))), EXT)
     assert got == FnV(((Entity("b1"), Truth(0)), (Entity("s1"), Truth(1))))
 
 
@@ -442,22 +440,22 @@ def test_lam_rows_match_the_checked_constructor_in_key_order() -> None:
             Constant("r", RelType((EntType(), EntType())), ((EMPTY_INDEX, rel_value(("e10", "e2"), ("e10", "e10"))),)),
         ),
     )
-    got = evaluate(Lam("x", EntType(), PredApp("p", (Var("x"),))), m)
+    got = eval_int(Lam("x", EntType(), PredApp("p", (Var("x"),))), m)
     want = FnV(((Entity("e2"), Truth(1)), (Entity("e10"), Truth(0))))
     assert got == want and got.entries == want.entries
     assert [k for k, _ in got.entries] == [Entity("e10"), Entity("e2")]
     # the body still runs in domain order: e2's failure (no witness) comes first
     with pytest.raises(PresuppositionFailure, match="found 0"):
-        evaluate(Lam("x", EntType(), Iota("y", PredApp("r", (Var("x"), Var("y"))))), m)
+        eval_int(Lam("x", EntType(), Iota("y", PredApp("r", (Var("x"), Var("y"))))), m)
 
 
 def test_eval_app_is_beta(monkeypatch) -> None:
     lam_reads = Lam("x", EntType(), PredApp("read", (Var("x"), THE_BOOK)))
-    assert evaluate(App(lam_reads, THE_STUDENT), EXT) == Truth(1)
+    assert eval_int(App(lam_reads, THE_STUDENT), EXT) == Truth(1)
     body = PredApp("read", (Var("x"), THE_BOOK))
     for k in EXT.entity_domain.elements:
-        direct = evaluate(body, EXT, Assignment((("x", k),)))
-        via_app = evaluate(App(Lam("x", EntType(), body), Var("y")), EXT, Assignment((("y", k),)))
+        direct = eval_int(body, EXT, Assignment((("x", k),)))
+        via_app = eval_int(App(Lam("x", EntType(), body), Var("y")), EXT, Assignment((("y", k),)))
         assert direct == via_app
     # failures: each outcome is the one of evaluating the lam and applying its value
     no_witness_at_b1 = Iota("y", PredApp("read", (Var("x"), Var("y"))))
@@ -471,9 +469,9 @@ def test_eval_app_is_beta(monkeypatch) -> None:
             if limit is not None:
                 patch.setattr(denote, "MAX_DOMAIN_SIZE", limit)
             lam = Lam("x", EntType(), body)
-            got = _outcome(lambda: evaluate(App(lam, arg), EXT))
+            got = _outcome(lambda: eval_int(App(lam, arg), EXT))
             assert got[0] == "error" and message in got[2]
-            assert got == _outcome(lambda: evaluate(lam, EXT).apply(evaluate(arg, EXT)))
+            assert got == _outcome(lambda: eval_int(lam, EXT).apply(eval_int(arg, EXT)))
 
 
 def test_an_applied_abstraction_builds_no_function_value(monkeypatch) -> None:
@@ -486,19 +484,19 @@ def test_an_applied_abstraction_builds_no_function_value(monkeypatch) -> None:
         return shared(*fields)
 
     monkeypatch.setattr(FnV, "_shared", counted)
-    assert evaluate(App(lam, THE_STUDENT), EXT) == Truth(1)
+    assert eval_int(App(lam, THE_STUDENT), EXT) == Truth(1)
     assert calls == []
-    assert evaluate(lam, EXT).apply(Entity("s1")) == Truth(1)
+    assert eval_int(lam, EXT).apply(Entity("s1")) == Truth(1)
     assert len(calls) == 1
 
 
 def test_eval_function_application() -> None:
     m = ext_with_functions()
-    assert evaluate(FuncApp("mentor", (Const("alice"),)), m) == Entity("b1")
+    assert eval_int(FuncApp("mentor", (Const("alice"),)), m) == Entity("b1")
     nested = FuncApp("mentor", (FuncApp("mentor", (Const("alice"),)),))
-    assert evaluate(nested, m) == Entity("s1")
+    assert eval_int(nested, m) == Entity("s1")
     two = FuncApp("pick", (FuncApp("mentor", (Const("alice"),)), Const("alice")))
-    assert evaluate(two, m) == Entity("b1")
+    assert eval_int(two, m) == Entity("b1")
 
 
 def test_three_argument_functions_nest_their_arguments() -> None:
@@ -508,7 +506,7 @@ def test_three_argument_functions_nest_their_arguments() -> None:
     ids = ("a", "b")
     dom = FinSet("W", ("w0", "w1", "w2"))
     w = Frame("W", dom, Relation(dom, dom, frozenset({("w0", "w1")})))
-    space = index_space(Model(FinSet("E", ids), (w,), ()))
+    space = index_space((w,))
     keys = [TupleV((Entity(x), TupleV((Entity(y), Entity(z))))) for x in ids for y in ids for z in ids]
     table = tuple((s, FnV(tuple((k, Entity(rng.choice(ids))) for k in keys))) for s in space)
     m = Model(FinSet("E", ids), (w,), (Constant("g", fn_type([ENT_TYPE] * 3, ENT_TYPE), table),))
@@ -524,14 +522,14 @@ def test_three_argument_functions_nest_their_arguments() -> None:
         everywhere = eval_all_indices(term, m, g)
         for s in space:
             want = dict(rows[s].entries)[key]
-            assert evaluate(term, m, g, s) == everywhere[s] == evaluate(term, again.model, g, s) == want
+            assert eval_int(term, m, g, s) == everywhere[s] == eval_int(term, again.model, g, s) == want
 
 
 def test_eval_variables_come_from_assignment() -> None:
     g = Assignment((("x", "b1"),))
-    assert evaluate(PredApp("book", (Var("x"),)), EXT, g) == Truth(1)
+    assert eval_int(PredApp("book", (Var("x"),)), EXT, g) == Truth(1)
     with pytest.raises(UnknownEntity):
-        evaluate(Var("x"), EXT, Assignment((("x", "zz"),)))
+        eval_int(Var("x"), EXT, Assignment((("x", "zz"),)))
 
 
 def test_eval_rejects_invalid_models() -> None:
@@ -541,7 +539,7 @@ def test_eval_rejects_invalid_models() -> None:
         (Constant("p", RelType((EntType(),)), ()),),
     )
     with pytest.raises(ValueError, match="fails validation"):
-        evaluate(PredApp("p", (Var("x"),)), gappy, Assignment((("x", "s1"),)))
+        eval_int(PredApp("p", (Var("x"),)), gappy, Assignment((("x", "s1"),)))
 
 
 def test_entry_errors_come_in_order_validity_typecheck_environment() -> None:
@@ -552,7 +550,7 @@ def test_entry_errors_come_in_order_validity_typecheck_environment() -> None:
     modal = Model(MODAL.entity_domain, MODAL.frames, (Constant(first.name, first.semtype, ()), *rest))
     assert frame_free.violations and modal.violations
     for route in (
-        lambda: evaluate(ill_typed, frame_free, unknown),
+        lambda: eval_int(ill_typed, frame_free, unknown),
         lambda: eval_int(ill_typed, modal, unknown, w_index("w0")),
         lambda: eval_all_indices(ill_typed, modal, unknown),
     ):
@@ -598,7 +596,7 @@ def test_modal_operator_has_no_extensional_clause() -> None:
     # frame-free model extensionalize makes has no frame for it
     bare = extensionalize(trivialize_all(MODAL))
     with pytest.raises(UngroundedType, match="no frame 'W'"):
-        evaluate(Diamond("W", PredApp("student", (THE_STUDENT,))), bare)
+        eval_int(Diamond("W", PredApp("student", (THE_STUDENT,))), bare)
 
 
 def _outcome(thunk) -> tuple:
@@ -610,17 +608,17 @@ def _outcome(thunk) -> tuple:
 
 @pytest.mark.parametrize("name", ["modal.json", "modal_tense.json", "modal_tense_location.json"])
 def test_eval_ext_on_a_collapsed_model_matches_both_other_routes(name) -> None:
-    """Extensional evaluation, evaluate with no index, on the collapsed model
-    matches eval_int at its one index and evaluate on its frame-free copy."""
+    """Extensional evaluation, eval_int with no index, on the collapsed model
+    matches eval_int at its one index and on its frame-free copy."""
     flat = trivialize_all(load_model_file(str(MODELS_DIR / name)).model)
     assert flat.frames
-    bare, s0 = extensionalize(flat), the_index(flat)
+    bare, (s0,) = extensionalize(flat), index_space(flat.frames)
     terms, gs = default_checks(flat)
     for t in terms:
         for g in gs + [Assignment()]:
-            got = _outcome(lambda: evaluate(t, flat, g))
+            got = _outcome(lambda: eval_int(t, flat, g))
             assert got == _outcome(lambda: eval_int(t, flat, g, s0)), render_term(t)
-            assert got == _outcome(lambda: evaluate(t, bare, g)), render_term(t)
+            assert got == _outcome(lambda: eval_int(t, bare, g)), render_term(t)
 
 
 def test_diamond_rebinds_only_its_own_frame() -> None:
@@ -632,9 +630,8 @@ def test_diamond_rebinds_only_its_own_frame() -> None:
         Frame("W", wdom, Relation(wdom, wdom, frozenset({("w0", "w1")}))),
         Frame("T", tdom, Relation(tdom, tdom, frozenset({("t0", "t1")}))),
     )
-    skeleton = Model(ents, frames, ())
     rows = []
-    for idx in index_space(skeleton):
+    for idx in index_space(frames):
         hit = idx.component("W") == "w1" and idx.component("T") == "t0"
         rows.append((idx, rel_value(("s1",)) if hit else rel_value()))
     m = Model(ents, frames, (Constant("p", RelType((EntType(),)), tuple(rows)),))
@@ -646,22 +643,13 @@ def test_diamond_rebinds_only_its_own_frame() -> None:
     assert eval_int(nested_wt, m, s=at("w0", "t0")) == Truth(0)
 
 
-def test_evaluate_picks_the_evaluator(monkeypatch) -> None:
-    seen = []
-    real_int = denote.eval_int
-    monkeypatch.setattr(
-        denote,
-        "eval_int",
-        lambda t, m, g=None, s=None: seen.append(s.render()) or real_int(t, m, g, s),
-    )
-    assert evaluate(READS, MODAL, s=w_index("w1")) == Truth(1)
-    assert evaluate(READS, EXT) == Truth(1)
+def test_evaluate_picks_the_evaluator() -> None:
+    assert eval_int(READS, MODAL, s=w_index("w1")) == Truth(1)
+    assert eval_int(READS, EXT) == Truth(1)
     # the collapse keeps the designated w0 slice, where nobody read anything
-    assert evaluate(MIGHT_READ, trivialize_all(MODAL)) == Truth(0)
+    assert eval_int(MIGHT_READ, trivialize_all(MODAL)) == Truth(0)
     with pytest.raises(UnknownIndex, match="index is required"):
-        evaluate(READS, MODAL)
-    # a frame-free model is evaluated at its one index, the empty one
-    assert seen == ["w1", "()", "k0"]
+        eval_int(READS, MODAL)
 
 
 def test_validation_runs_once_per_model(monkeypatch) -> None:
@@ -669,8 +657,8 @@ def test_validation_runs_once_per_model(monkeypatch) -> None:
     real = semmodel.validate
     monkeypatch.setattr(semmodel, "validate", lambda m: calls.append(m) or real(m))
     m = build_modal()
-    assert evaluate(READS, m, s=w_index("w0")) == Truth(0)
-    assert evaluate(THE_STUDENT, m, s=w_index("w1")) == Entity("s1")
+    assert eval_int(READS, m, s=w_index("w0")) == Truth(0)
+    assert eval_int(THE_STUDENT, m, s=w_index("w1")) == Entity("s1")
     assert eval_all_indices(MIGHT_READ, m)[w_index("w0")] == Truth(1)
     assert len(calls) == 1
 
@@ -743,10 +731,10 @@ def test_parser_refuses_nesting_past_the_limit() -> None:
 def test_deepest_terms_typecheck_evaluate_and_render() -> None:
     g = Assignment((("x", "s1"),))
     negations = parse_term(nested_not(MAX_TERM_DEPTH))
-    assert evaluate(negations, EXT, g) == Truth(MAX_TERM_DEPTH % 2)
+    assert eval_int(negations, EXT, g) == Truth(MAX_TERM_DEPTH % 2)
     # argument lists cost the evaluator and renderer a comprehension frame per level
     chain = "(func mentor " * MAX_TERM_DEPTH + "alice" + ")" * MAX_TERM_DEPTH
     term = parse_term(chain, frozenset({"alice"}))
-    assert evaluate(term, ext_with_functions()) == Entity("s1")
+    assert eval_int(term, ext_with_functions()) == Entity("s1")
     assert not has_modal(term)
     assert render_term(term) == chain

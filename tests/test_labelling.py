@@ -53,6 +53,7 @@ from finsem.semmodel import (
     SetV,
     TupleV,
     fn_type,
+    index_space,
     render_value,
 )
 
@@ -381,7 +382,7 @@ def coordinate_model(frames: tuple[Frame, ...], tables: dict[str, tuple[SemType,
     """Entities a, b, c over the frames; each constant's value at an index is
     its function of the index's coordinates, one point name per frame."""
     ents = FinSet("E", ("a", "b", "c"))
-    space = list(Model(ents, frames, ()).positions)
+    space = index_space(frames)
     return Model(
         ents,
         frames,
@@ -395,7 +396,7 @@ def coordinate_model(frames: tuple[Frame, ...], tables: dict[str, tuple[SemType,
 def grid_model() -> Model:
     """Three two-point frames, every point related to both points."""
     frames = (frame("W", 2), frame("T", 2), frame("L", 2))
-    space = list(Model(FinSet("E", ("a", "b")), frames, ()).positions)
+    space = index_space(frames)
     return Model(
         FinSet("E", ("a", "b")),
         frames,

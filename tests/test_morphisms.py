@@ -21,7 +21,6 @@ from finsem.denote import (
     PredApp,
     Var,
     eval_int,
-    evaluate,
     render_term,
 )
 from finsem.generators import random_model, random_term
@@ -61,7 +60,6 @@ from finsem.semmodel import (
     fn_type,
     index_space,
     render_value,
-    the_index,
     type_domain,
 )
 
@@ -82,10 +80,9 @@ def two_frame_model() -> Model:
         Frame("W", wdom, Relation(wdom, wdom, frozenset({("w0", "w1")}))),
         Frame("T", tdom, Relation(tdom, tdom, frozenset({("t1", "t0")}))),
     )
-    skeleton = Model(ents, frames, ())
     rows = tuple(
         (idx, rel_value(("e0",)) if (idx.component("W"), idx.component("T")) in {("w1", "t0"), ("w0", "t1")} else rel_value())
-        for idx in index_space(skeleton)
+        for idx in index_space(frames)
     )
     return Model(
         ents,
@@ -208,7 +205,7 @@ def _collapsed_by_rows(m: Model, label: str, chosen: str) -> Model:
 
 
 def _extensionalized_by_rows(m: Model) -> Model:
-    s0 = the_index(m)
+    (s0,) = index_space(m.frames)
     constants = tuple(
         Constant(c.name, c.semtype, tuple((EMPTY_INDEX, v) for idx, v in c.table if idx == s0))
         for c in m.constants
@@ -340,7 +337,7 @@ def test_collapse_refuses_tables_that_are_not_one_row_per_index() -> None:
         apply(bad, TrivializeFrame("T"))
     # a fully collapsed model whose rows repeat and leave the space
     flat = trivialize_all(m)
-    (s0,) = index_space(flat)
+    (s0,) = index_space(flat.frames)
     odd = Index((("T", "k0"), ("W", "k0")))
     table = ((odd, rel_value()), (s0, rel_value()), (s0, rel_value(("e0",))), (odd, rel_value()))
     bad = Model(flat.entity_domain, flat.frames, (Constant("p", p.semtype, table),))
@@ -420,6 +417,27 @@ def test_each_collapse_and_extensionalize_is_one_pullback(monkeypatch) -> None:
     extensionalize(flat)
     # T at t1 keeps the positions 4w + 2 + l; w0, t0, l0 is position 0
     assert calls == [[2, 3, 6, 7], [0], [0]]
+
+
+def test_each_collapse_and_extensionalize_builds_one_model(monkeypatch) -> None:
+    """The result is the one Model a collapse builds: the target's indices
+    come from its frames, not from a second, constant-free Model."""
+    m = load_model_file(str(MODELS_DIR / "modal_tense_location.json")).model
+    flat = trivialize_all(m)
+    assert m.columns and flat.columns  # warm: the sources' columns are built
+    built = []
+    real = Model.__post_init__
+    monkeypatch.setattr(Model, "__post_init__", lambda self: built.append(self) or real(self))
+    counts = []
+    for collapse in (
+        lambda: apply(m, TrivializeFrame("T", "t1")),
+        lambda: trivialize_all(m),
+        lambda: extensionalize(flat),
+    ):
+        built.clear()
+        assert collapse() is built[-1]
+        counts.append(len(built))
+    assert counts == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +555,8 @@ def test_diagram_three_frames_counts() -> None:
 
 def _reference_check(m: Model, term, g: Assignment) -> CheckRecord:
     """One check as the two public evaluators give it, each typechecking."""
-    ext, s0 = extensionalize(m), the_index(m)
-    routes = ((lambda: eval_int(term, m, g, s0), m), (lambda: evaluate(term, ext, g), ext))
+    ext, (s0,) = extensionalize(m), index_space(m.frames)
+    routes = ((lambda: eval_int(term, m, g, s0), m), (lambda: eval_int(term, ext, g), ext))
     outcomes = []
     for route, home in routes:
         try:
@@ -689,6 +707,6 @@ def test_lam_does_not_enumerate_type_domains(monkeypatch) -> None:
     monkeypatch.setattr(semmodel, "_card", lambda *a: sized.append(a) or real(*a))
     is_student = Lam("v", EntType(), PredApp("student", (Var("v"),)))
     the_student = Iota("w", PredApp("student", (Var("w"),)))
-    assert evaluate(App(is_student, the_student), ext) == Truth(1)
-    assert eval_int(is_student, flat, s=the_index(flat)) == evaluate(is_student, ext)
+    assert eval_int(App(is_student, the_student), ext) == Truth(1)
+    assert eval_int(is_student, flat) == eval_int(is_student, ext)
     assert sized == []

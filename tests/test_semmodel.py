@@ -52,7 +52,6 @@ from finsem.semmodel import (
     TupleV,
     UngroundedType,
     UnknownFrame,
-    UnknownIndex,
     Violation,
     _checker,
     arg_types,
@@ -62,7 +61,6 @@ from finsem.semmodel import (
     parse_type,
     render_type,
     render_value,
-    the_index,
     type_domain,
     validate,
 )
@@ -182,9 +180,10 @@ def test_render_value() -> None:
 
 
 def test_index_space_orders() -> None:
-    assert index_space(M0) == [EMPTY_INDEX]
-    assert [s.render() for s in index_space(M)] == ["w0", "w1"]
-    assert [s.render() for s in index_space(M2)] == [
+    assert index_space(M0.frames) == [EMPTY_INDEX]
+    assert index_space((small_frame("W", ("k0",), {("k0", "k0")}),)) == [Index((("W", "k0"),))]
+    assert [s.render() for s in index_space(M.frames)] == ["w0", "w1"]
+    assert [s.render() for s in index_space(M2.frames)] == [
         "w0,t0",
         "w0,t1",
         "w1,t0",
@@ -249,14 +248,6 @@ def test_position_tables_match_the_index_route_on_random_models() -> None:
                 assert len(column) == len(m.positions)
                 for s, p in m.positions.items():
                     assert column[p] == c.value_at(s), (c.name, s.render())
-
-
-def test_the_index() -> None:
-    assert the_index(M0) == EMPTY_INDEX
-    with pytest.raises(UnknownIndex):
-        the_index(M)
-    collapsed = Model(ENTS, (small_frame("W", ("k0",), {("k0", "k0")}),), ())
-    assert the_index(collapsed) == Index((("W", "k0"),))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +431,7 @@ def test_designated_for_defaults_to_first_element() -> None:
 
 
 def test_validate_clean_model() -> None:
-    rows = tuple((s, SetV(frozenset({TupleV((A,))}))) for s in index_space(M))
+    rows = tuple((s, SetV(frozenset({TupleV((A,))}))) for s in index_space(M.frames))
     m = Model(ENTS, (FRAME_W,), (unary("p", rows),))
     assert validate(m) == []
     assert m.violations == ()
@@ -449,7 +440,7 @@ def test_validate_clean_model() -> None:
 def test_built_lookups_keep_equality_structural() -> None:
     def build() -> Model:
         frame = small_frame("W", ("w0", "w1"), {("w0", "w1")})
-        rows = tuple((s, SetV(frozenset({TupleV((A,))}))) for s in index_space(M))
+        rows = tuple((s, SetV(frozenset({TupleV((A,))}))) for s in index_space(M.frames))
         return Model(ENTS, (frame,), (unary("p", rows),))
 
     used = build()
@@ -516,7 +507,7 @@ def test_violation_is_plain_data() -> None:
 
 def _violations_by_rows(m: Model) -> list[tuple[str, str, str]]:
     """validate's table tests one row at a time, on sets of Index rows."""
-    out, space = [], index_space(m)
+    out, space = [], index_space(m.frames)
     for c in m.constants:
         seen = set()
         for idx, v in c.table:

@@ -181,7 +181,6 @@ def test_render_value() -> None:
 
 def test_index_space_orders() -> None:
     assert index_space(M0.frames) == [EMPTY_INDEX]
-    assert index_space((small_frame("W", ("k0",), {("k0", "k0")}),)) == [Index((("W", "k0"),))]
     assert [s.render() for s in index_space(M.frames)] == ["w0", "w1"]
     assert [s.render() for s in index_space(M2.frames)] == [
         "w0,t0",
@@ -189,6 +188,18 @@ def test_index_space_orders() -> None:
         "w1,t0",
         "w1,t1",
     ]
+
+
+def test_the_index() -> None:
+    # an extensional-mode model has exactly one index, at position 0, which is
+    # where evaluation without an explicit index happens
+    assert M0.is_extensional and index_space(M0.frames) == [EMPTY_INDEX]
+    assert M0.positions == {EMPTY_INDEX: 0}
+    assert not M.is_extensional
+    collapsed = Model(ENTS, (small_frame("W", ("k0",), {("k0", "k0")}),), ())
+    assert collapsed.is_extensional
+    assert index_space(collapsed.frames) == [Index((("W", "k0"),))]
+    assert collapsed.positions == {Index((("W", "k0"),)): 0}
 
 
 def test_index_component_and_replace() -> None:

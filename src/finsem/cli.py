@@ -48,9 +48,9 @@ def _parse_index(m: Model, text: str) -> Index:
 def _parse_assignment(pairs: Optional[Sequence[str]]) -> Assignment:
     bindings = {}
     for p in pairs or []:
-        if "=" not in p:
+        var, eq, ent = p.partition("=")
+        if not (var and eq):
             raise UnknownEntity(f"assignment {p!r} must look like x=entity")
-        var, _, ent = p.partition("=")
         if var in bindings:
             raise FinsemError(f"variable {var!r} is assigned more than once")
         bindings[var] = ent

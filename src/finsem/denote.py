@@ -66,6 +66,7 @@ from .semmodel import (
     UnknownIndex,
     Value,
     _refuse_nesting,
+    _require_valid,
     arg_types,
     parse_type,
     render_type,
@@ -429,15 +430,6 @@ def _prepare(
     if isinstance(env, UnknownEntity):
         raise env.with_traceback(None)
     return env
-
-
-def _require_valid(m: Model) -> None:
-    if m.violations:
-        first = m.violations[0]
-        raise ValueError(
-            f"model fails validation ({len(m.violations)} violations; first: "
-            f"{first.kind} {first.constant} {first.detail})"
-        )
 
 
 def _nest_tuple(values: Sequence[Value]) -> Value:

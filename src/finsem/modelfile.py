@@ -434,7 +434,8 @@ def encode_value(v: Value) -> Any:
 
 
 def dump_model_file(mf: ModelFile) -> str:
-    """Canonical JSON text: fixed key order, canonical table and pair order."""
+    """Canonical JSON text: fixed key order, canonical pair order, and tables
+    read off m.columns in position order, so an invalid model raises."""
     m = mf.model
     designated = dict(m.designated)
     doc: dict[str, Any] = {"entities": list(m.entity_domain.elements)}
@@ -450,7 +451,6 @@ def dump_model_file(mf: ModelFile) -> str:
                 fj["designated"] = designated[f.label]
             doc["frames"].append(fj)
     if m.constants:
-        # Model keeps every table in canonical index order
         doc["constants"] = [
             {
                 "name": c.name,
@@ -460,7 +460,7 @@ def dump_model_file(mf: ModelFile) -> str:
                         "index": [e for _, e in idx.components],
                         "value": encode_value(v),
                     }
-                    for idx, v in c.table
+                    for idx, v in zip(m.positions, m.columns[c.name])
                 ],
             }
             for c in m.constants

@@ -4,12 +4,12 @@ Applying TrivializeFrame keeps the designated slice of every interpretation
 table and replaces the chosen frame by the target of its collapse map,
 kripke.trivialize. Every collapse and extensionalize is one pullback of the
 source's columns along a list of its positions, onto index_space of the
-target's frames, and builds one Model, the result. It refuses a source that is
-not one row per index, and a constant whose type mentions s(L) for a frame L
-it replaces or drops. Two collapse paths commute when compose_path lands
-them on equal models, and a fully collapsed valid model evaluates exactly
-like its frame-free extensionalization; verify_equivalence checks the latter
-claim exhaustively, term by term.
+target's frames, and builds one Model, the result. It refuses a source that
+fails validation, as Model.columns does, and a constant whose type mentions
+s(L) for a frame L it replaces or drops. Two collapse paths commute when
+compose_path lands them on equal models, and a fully collapsed valid model
+evaluates exactly like its frame-free extensionalization; verify_equivalence
+checks the latter claim exhaustively, term by term.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .denote import (
     _env_of,
     _eval,
     _prepare,
-    _require_valid,
     _type_error,
     render_term,
 )
@@ -48,6 +47,7 @@ from .semmodel import (
     RelType,
     UnknownFrame,
     Value,
+    _require_valid,
     fn_arity,
     frame_labels,
     index_space,

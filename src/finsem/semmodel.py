@@ -1,10 +1,11 @@
 """Typed interpretation models over finite entity and index domains.
 
 A model fixes one entity carrier, an ordered family of labelled frames, and
-an interpretation table per constant. Tables are total maps from the index
-space (the product of the frame domains) to values of the constant's type.
-Everything is finite and enumerable, so validation and evaluation are
-exhaustive rather than symbolic.
+an interpretation table per constant, kept as given. validate is the one rule
+that a table is a total map from the index space (the product of the frame
+domains) to values of the constant's type; Model.columns, the tables read by
+position, refuses an invalid model. Everything is finite and enumerable, so
+validation and evaluation are exhaustive rather than symbolic.
 
 Every type, value and Index is hash-consed (see Shared): one object per
 structure, which compares and hashes by identity, so each set value builds its
@@ -494,15 +495,7 @@ class Model:
                 raise ValueError(f"designated element for unknown frame {l!r}")
             if e not in fr.domain:
                 raise ValueError(f"designated element {e!r} not in frame {l!r}")
-        normalized = []
-        for c in sorted(self.constants, key=lambda c: c.name):
-            at = [self.positions.get(idx) for idx, _ in c.table]  # one lookup per row
-            # rows by position, then rows off the space by rendering; the sort is stable
-            key = at.__getitem__ if None not in at else lambda k: (
-                (at[k], "") if at[k] is not None else (len(self.positions), c.table[k][0].render()))
-            order = sorted(range(len(at)), key=key)
-            normalized.append(Constant(c.name, c.semtype, tuple(c.table[k] for k in order)))
-        object.__setattr__(self, "constants", tuple(normalized))
+        object.__setattr__(self, "constants", tuple(sorted(self.constants, key=lambda c: c.name)))
         object.__setattr__(
             self, "designated", tuple(sorted(tuple(d) for d in self.designated))
         )
@@ -524,13 +517,10 @@ class Model:
 
     @cached_property
     def columns(self) -> dict[str, tuple[Value, ...]]:
-        """Each constant's values in canonical position order. Raises ValueError
-        naming the first constant whose table is not one row per index."""
-        indices = list(self.positions)
-        for c in self.constants:
-            if [idx for idx, _ in c.table] != indices:
-                raise ValueError(f"constant {c.name!r} does not have one table row per index")
-        return {c.name: tuple([v for _, v in c.table]) for c in self.constants}
+        """Each constant's values in canonical position order, read off its
+        table by index. Raises _require_valid's ValueError on an invalid model."""
+        _require_valid(self)
+        return {c.name: tuple(map(dict(c.table).__getitem__, self.positions)) for c in self.constants}
 
     @cached_property
     def successor_positions(self) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -772,6 +762,15 @@ def validate(m: Model) -> list[Violation]:
                     Violation("MissingIndexEntry", c.name, f"index {idx.render()}")
                 )
     return out
+
+
+def _require_valid(m: Model) -> None:
+    if m.violations:
+        first = m.violations[0]
+        raise ValueError(
+            f"model fails validation ({len(m.violations)} violations; first: "
+            f"{first.kind} {first.constant} {first.detail})"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,11 @@ BAD_INPUTS = [
     ),
     pytest.param(("eval", EXTENSIONAL, "--term", "x", "--assign", "x"), 1, id="assignment-without-="),
     pytest.param(
+        ("eval", THREE_FRAME, "--term", "(iota x (pred student x))", "--index", "w0,t0,l0", "--assign", "=s1"),
+        1,
+        id="assignment-without-variable",
+    ),
+    pytest.param(
         ("eval", EXTENSIONAL, "--term", "x", "--assign", "x=s1", "--assign", "x=b1"),
         1,
         id="assignment-binds-a-variable-twice",

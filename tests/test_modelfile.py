@@ -15,9 +15,13 @@ from finsem.modelfile import (
     load_model_file,
     model_file_from_doc,
 )
+from finsem.relalg import FinSet
 from finsem.semmodel import (
+    EMPTY_INDEX,
+    Constant,
     Entity,
     FnV,
+    Model,
     SetV,
     Truth,
     TupleV,
@@ -467,6 +471,27 @@ def test_validation_raises_per_row_not_per_type() -> None:
             "validation: constant 'p': MissingIndexEntry (index w1)",
         ]
     assert model_file_from_doc(one_constant_doc("set(fn(set(e),t))", [], [], entities=many))
+
+
+def test_validation_reports_rows_in_document_order() -> None:
+    # as decode problems are: the rows are not sorted by index first
+    doc = one_constant_doc("rel(e)", [["zz"]], [], [["zz"]], frame=("w1", "w9", "w0"))
+    doc["frames"][0]["elements"] = ["w0", "w1"]
+    assert problems_of(doc) == [
+        "validation: constant 'p': IllTypedValue (index w1: value does not inhabit rel(e))",
+        "validation: constant 'p': UnexpectedIndexEntry (index w9)",
+        "validation: constant 'p': IllTypedValue (index w0: value does not inhabit rel(e))",
+    ]
+
+
+def test_an_invalid_model_has_no_columns_and_no_dump() -> None:
+    # one row per index, but its value names an entity outside the domain
+    ill_typed = SetV({TupleV((Entity("zz"),))})
+    m = Model(FinSet("E", ("a",)), (), (Constant("p", parse_type("rel(e)"), ((EMPTY_INDEX, ill_typed),)),))
+    with pytest.raises(ValueError, match="^model fails validation"):
+        m.columns
+    with pytest.raises(ValueError, match="^model fails validation"):
+        dump_model_file(ModelFile(m, {}, {}))
 
 
 def test_a_shared_row_is_refused_in_every_value_that_holds_it() -> None:

@@ -35,7 +35,7 @@ from helpers import MODELS_DIR
 
 DOCUMENTS = 2000
 SEED = 8
-PINNED_DIGEST = "53ff5f78d1b7b553bc455a41acdf5af3c443eaf2920da99ee0265a4cf0ecff5c"
+PINNED_DIGEST = "6b522ebcbe4ec7cbf9689d72b227a0d8f8c79aff24048c422438cd50ca37249b"
 PINNED_COUNTS = {
     "DuplicateIndexEntry": 66,
     "IllTypedValue": 236,

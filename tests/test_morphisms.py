@@ -288,7 +288,7 @@ def test_a_collapse_refuses_exactly_when_it_replaces_or_drops_a_frame_a_type_men
     assert outcomes["refused"] > 50 and outcomes["kept"] > 50, outcomes
 
 
-NOT_ONE_ROW_PER_INDEX = "^constant '{}' does not have one table row per index$"
+FAILS_VALIDATION = "^model fails validation"
 
 
 def test_collapse_refuses_tables_that_are_not_one_row_per_index() -> None:
@@ -309,7 +309,7 @@ def test_collapse_refuses_tables_that_are_not_one_row_per_index() -> None:
         "all three": rows[2:] + off_space + [rows[2]],
         "no T component": rows + no_t,
     }
-    refusal = NOT_ONE_ROW_PER_INDEX.format("p")
+    refusal = FAILS_VALIDATION
     kinds, refused = set(), 0
     for name, table in tables.items():
         bad = Model(m.entity_domain, m.frames, (Constant("p", p.semtype, tuple(table)),), m.designated)
@@ -341,7 +341,8 @@ def test_collapse_refuses_tables_that_are_not_one_row_per_index() -> None:
     odd = Index((("T", "k0"), ("W", "k0")))
     table = ((odd, rel_value()), (s0, rel_value()), (s0, rel_value(("e0",))), (odd, rel_value()))
     bad = Model(flat.entity_domain, flat.frames, (Constant("p", p.semtype, table),))
-    assert [v.kind for v in bad.violations] == ["DuplicateIndexEntry", "UnexpectedIndexEntry", "DuplicateIndexEntry"]
+    # reported in table row order
+    assert [v.kind for v in bad.violations] == ["UnexpectedIndexEntry", "DuplicateIndexEntry", "DuplicateIndexEntry"]
     with pytest.raises(ValueError, match=refusal):
         extensionalize(bad)
 
@@ -356,7 +357,7 @@ def test_a_missing_row_is_refused_not_laundered_by_the_collapse() -> None:
     )
     missing = Model(MODAL.entity_domain, MODAL.frames, constants, MODAL.designated)
     assert [(v.kind, v.constant) for v in missing.violations] == [("MissingIndexEntry", "book")]
-    refusal = NOT_ONE_ROW_PER_INDEX.format("book")
+    refusal = FAILS_VALIDATION
     for chosen in ("w0", "w1"):
         with pytest.raises(ValueError, match=refusal):
             apply(missing, TrivializeFrame("W", chosen))
@@ -421,13 +422,15 @@ def test_each_collapse_and_extensionalize_is_one_pullback(monkeypatch) -> None:
 
 def test_each_collapse_and_extensionalize_builds_one_model(monkeypatch) -> None:
     """The result is the one Model a collapse builds: the target's indices
-    come from its frames, not from a second, constant-free Model."""
+    come from its frames, not from a second, constant-free Model, and the
+    Model keeps the constants it is given, built once each."""
     m = load_model_file(str(MODELS_DIR / "modal_tense_location.json")).model
     flat = trivialize_all(m)
     assert m.columns and flat.columns  # warm: the sources' columns are built
-    built = []
-    real = Model.__post_init__
+    built, constants = [], []
+    real, real_constant = Model.__post_init__, Constant.__post_init__
     monkeypatch.setattr(Model, "__post_init__", lambda self: built.append(self) or real(self))
+    monkeypatch.setattr(Constant, "__post_init__", lambda self: constants.append(self) or real_constant(self))
     counts = []
     for collapse in (
         lambda: apply(m, TrivializeFrame("T", "t1")),
@@ -435,9 +438,11 @@ def test_each_collapse_and_extensionalize_builds_one_model(monkeypatch) -> None:
         lambda: extensionalize(flat),
     ):
         built.clear()
+        constants.clear()
         assert collapse() is built[-1]
-        counts.append(len(built))
-    assert counts == [1, 1, 1]
+        counts.append((len(built), len(constants)))
+    assert len(m.constants) == 6
+    assert counts == [(1, 6), (1, 6), (1, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +607,7 @@ def _differential_corpus(seed: int):
             emptied = Constant(first.name, first.semtype, ())
             m = Model(m.entity_domain, m.frames, (emptied, *rest))
             assert m.violations
-            with pytest.raises(ValueError, match=NOT_ONE_ROW_PER_INDEX.format(first.name)):
+            with pytest.raises(ValueError, match=FAILS_VALIDATION):
                 verify_equivalence(m, terms, gs)
             continue
         corpus.append((m, terms, gs))
@@ -678,7 +683,7 @@ def test_a_check_records_the_first_entry_error_on_both_routes() -> None:
     first, *rest = flat.constants
     invalid = Model(flat.entity_domain, flat.frames, (Constant(first.name, first.semtype, ()), *rest))
     unknown = Assignment((("x", "zz"),))
-    with pytest.raises(ValueError, match=NOT_ONE_ROW_PER_INDEX.format(first.name)):
+    with pytest.raises(ValueError, match=FAILS_VALIDATION):
         verify_equivalence(invalid, [Not(Var("x"))], [unknown])
     # frame-free, the invalid model is its own extensionalization
     ext = extensionalize(flat)

@@ -413,9 +413,14 @@ def test_model_normalizes_constants() -> None:
         (Index((("W", "w1"),)), SetV(frozenset())),
         (Index((("W", "w0"),)), SetV(frozenset({TupleV((A,))}))),
     )
-    m = Model(ENTS, (FRAME_W,), (unary("q", rows_w1_first), unary("p", rows_w1_first)))
-    assert [c.name for c in m.constants] == ["p", "q"]
-    assert [idx.render() for idx, _ in m.constants[0].table] == ["w0", "w1"]
+    q, p = unary("q", rows_w1_first), unary("p", rows_w1_first)
+    m = Model(ENTS, (FRAME_W,), (q, p))
+    # constants sorted by name, each kept as given: its rows stay in their order
+    assert m.constants == (p, q) and m.constants[0] is p
+    assert [idx.render() for idx, _ in m.constants[0].table] == ["w1", "w0"]
+    # columns read the tables in position order
+    assert list(m.positions) == [Index((("W", "w0"),)), Index((("W", "w1"),))]
+    assert m.columns == dict.fromkeys(("p", "q"), (SetV(frozenset({TupleV((A,))})), SetV(frozenset())))
 
 
 def test_model_rejects_bad_designated_and_duplicates() -> None:

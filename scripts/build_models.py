@@ -31,7 +31,6 @@ from finsem.semmodel import (
     TupleV,
     fn_type,
     index_space,
-    validate,
 )
 
 MODELS_DIR = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -130,7 +129,6 @@ def terms(model: Model, modal: bool) -> dict[str, str]:
 
 def write(name: str, frames: tuple[Frame, ...], with_location: bool = False) -> None:
     model = build_model(frames, with_location)
-    assert validate(model) == [], f"{name}: {validate(model)}"
     modal = bool(frames)
     mf = ModelFile(model, lexicon(modal), terms(model, modal))
     path = MODELS_DIR / name

@@ -46,15 +46,13 @@ def _parse_index(m: Model, text: str) -> Index:
 
 
 def _parse_assignment(pairs: Optional[Sequence[str]]) -> Assignment:
-    bindings = {}
+    bindings = []
     for p in pairs or []:
         var, eq, ent = p.partition("=")
         if not (var and eq):
             raise UnknownEntity(f"assignment {p!r} must look like x=entity")
-        if var in bindings:
-            raise FinsemError(f"variable {var!r} is assigned more than once")
-        bindings[var] = ent
-    return Assignment(tuple(bindings.items()))
+        bindings.append((var, ent))
+    return Assignment(tuple(bindings))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from .semmodel import (
     RelType,
     SemType,
     SetV,
+    Signature,
     Truth,
     TupleV,
     UngroundedType,
@@ -66,7 +67,6 @@ from .semmodel import (
     UnknownIndex,
     Value,
     _refuse_nesting,
-    _require_valid,
     arg_types,
     parse_type,
     render_type,
@@ -197,10 +197,10 @@ def free_vars(term: Term) -> frozenset[str]:
 
 
 def typecheck(
-    term: Term, m: Model, gtypes: Optional[Mapping[str, SemType]] = None
+    term: Term, sig: Signature, gtypes: Optional[Mapping[str, SemType]] = None
 ) -> SemType:
-    """Type of a term, or a located TermTypeError / UnboundVariable."""
-    return _type_of(term, m, dict(gtypes or {}), "root")
+    """Type of a term under sig, or a located TermTypeError / UnboundVariable."""
+    return _type_of(term, sig, dict(gtypes or {}), "root")
 
 
 _E, _T = ENT_TYPE, TRUTH_TYPE
@@ -216,71 +216,70 @@ def _at(path: object) -> str:
     return path + "".join(reversed(steps))
 
 
-def _type_of(term: Term, m: Model, env: dict[str, SemType], path: object) -> SemType:
+def _type_of(term: Term, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
     rule = _TYPES.get(type(term))
     if rule is None:
         raise ValueError(f"unknown term {term!r}")
-    return rule(term, m, env, path)
+    return rule(term, sig, env, path)
 
 
-def _expect(term: Term, m: Model, env: dict[str, SemType], path: object, want: SemType) -> None:
+def _expect(term: Term, sig: Signature, env: dict[str, SemType], path: object, want: SemType) -> None:
     """Typecheck a subterm at path and refuse it unless its type is want."""
-    got = _type_of(term, m, env, path)
+    got = _type_of(term, sig, env, path)
     if got is not want:
         raise TermTypeError(_at(path), render_type(want), render_type(got))
 
 
-def _type_const(term: Const, m: Model, env: dict[str, SemType], path: object) -> SemType:
-    c = m.constant(term.name)
-    if c is None:
-        raise UnboundVariable(f"at {_at(path)}: unknown constant {term.name!r}")
-    return c.semtype
+def _declared(sig: Signature, name: str, what: str, path: object) -> SemType:
+    """The type sig gives the constant name, refused as an unknown what."""
+    t = sig.types.get(name)
+    if t is None:
+        raise UnboundVariable(f"at {_at(path)}: unknown {what} {name!r}")
+    return t
 
 
-def _type_var(term: Var, m: Model, env: dict[str, SemType], path: object) -> SemType:
+def _type_const(term: Const, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+    return _declared(sig, term.name, "constant", path)
+
+
+def _type_var(term: Var, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
     if term.name not in env:
         raise UnboundVariable(f"at {_at(path)}: variable {term.name!r} is not in scope")
     return env[term.name]
 
 
-def _type_pred_app(term: PredApp, m: Model, env: dict[str, SemType], path: object) -> SemType:
+def _type_pred_app(term: PredApp, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
     pred, args = term.pred, term.args
-    c = m.constant(pred)
-    if c is None:
-        raise UnboundVariable(f"at {_at(path)}: unknown predicate {pred!r}")
-    if not isinstance(c.semtype, RelType):
-        raise TermTypeError(_at(path), "a relation-typed constant", render_type(c.semtype))
-    comps = c.semtype.components
+    t = _declared(sig, pred, "predicate", path)
+    if not isinstance(t, RelType):
+        raise TermTypeError(_at(path), "a relation-typed constant", render_type(t))
+    comps = t.components
     if len(args) != len(comps):
         raise TermTypeError(
             _at(path), f"{len(comps)} arguments to {pred!r}", f"{len(args)} arguments"
         )
     for i, (a, want) in enumerate(zip(args, comps)):
-        _expect(a, m, env, ((path, ".args"), i), want)
+        _expect(a, sig, env, ((path, ".args"), i), want)
     return _T
 
 
-def _type_func_app(term: FuncApp, m: Model, env: dict[str, SemType], path: object) -> SemType:
+def _type_func_app(term: FuncApp, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
     args = term.args
-    c = m.constant(term.fn)
-    if c is None:
-        raise UnboundVariable(f"at {_at(path)}: unknown function {term.fn!r}")
-    if not isinstance(c.semtype, FnType):
-        raise TermTypeError(_at(path), "a function-typed constant", render_type(c.semtype))
+    t = _declared(sig, term.fn, "function", path)
+    if not isinstance(t, FnType):
+        raise TermTypeError(_at(path), "a function-typed constant", render_type(t))
     try:
-        wants = arg_types(c.semtype, len(args))
+        wants = arg_types(t, len(args))
     except ValueError:
         raise TermTypeError(
-            _at(path),
-            f"arguments matching {render_type(c.semtype)}",
-            f"{len(args)} arguments",
+            _at(path), f"arguments matching {render_type(t)}", f"{len(args)} arguments"
         ) from None
     for i, (a, want) in enumerate(zip(args, wants)):
-        _expect(a, m, env, ((path, ".args"), i), want)
-    return c.semtype.codomain
+        _expect(a, sig, env, ((path, ".args"), i), want)
+    return t.codomain
 
 
-def _type_body(term: Lam, m: Model, env: dict[str, SemType], path: object) -> SemType:
+def _type_body(term: Lam, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
     """The type of a lam's body, once its bound variable is checked entity-typed."""
     var_type = term.var_type
     if var_type is not _E:
@@ -289,53 +288,53 @@ def _type_body(term: Lam, m: Model, env: dict[str, SemType], path: object) -> Se
         )
     inner = dict(env)
     inner[term.var] = var_type
-    return _type_of(term.body, m, inner, (path, ".body"))
+    return _type_of(term.body, sig, inner, (path, ".body"))
 
 
-def _type_lam(term: Lam, m: Model, env: dict[str, SemType], path: object) -> SemType:
-    return FnType(term.var_type, _type_body(term, m, env, path))
+def _type_lam(term: Lam, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+    return FnType(term.var_type, _type_body(term, sig, env, path))
 
 
-def _type_app(term: App, m: Model, env: dict[str, SemType], path: object) -> SemType:
+def _type_app(term: App, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
     if type(term.func) is Lam:  # an applied lam needs no FnType: its domain is e
-        codomain = _type_body(term.func, m, env, (path, ".func"))
-        _expect(term.arg, m, env, (path, ".arg"), _E)
+        codomain = _type_body(term.func, sig, env, (path, ".func"))
+        _expect(term.arg, sig, env, (path, ".arg"), _E)
         return codomain
-    ft = _type_of(term.func, m, env, (path, ".func"))
+    ft = _type_of(term.func, sig, env, (path, ".func"))
     if not isinstance(ft, FnType):
         raise TermTypeError(_at((path, ".func")), "a function type", render_type(ft))
-    _expect(term.arg, m, env, (path, ".arg"), ft.domain)
+    _expect(term.arg, sig, env, (path, ".arg"), ft.domain)
     return ft.codomain
 
 
-def _type_iota(term: Iota, m: Model, env: dict[str, SemType], path: object) -> SemType:
+def _type_iota(term: Iota, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
     inner = dict(env)
     inner[term.var] = _E
-    _expect(term.body, m, inner, (path, ".body"), _T)
+    _expect(term.body, sig, inner, (path, ".body"), _T)
     return _E
 
 
-def _type_diamond(term: Diamond, m: Model, env: dict[str, SemType], path: object) -> SemType:
-    if m.frame(term.label) is None:
+def _type_diamond(term: Diamond, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+    if term.label not in sig.labels:
         raise UngroundedType(f"at {_at(path)}: no frame {term.label!r} in this model")
-    _expect(term.body, m, env, (path, ".body"), _T)
+    _expect(term.body, sig, env, (path, ".body"), _T)
     return _T
 
 
-def _type_and(term: And, m: Model, env: dict[str, SemType], path: object) -> SemType:
-    _expect(term.left, m, env, (path, ".left"), _T)
-    _expect(term.right, m, env, (path, ".right"), _T)
+def _type_and(term: And, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+    _expect(term.left, sig, env, (path, ".left"), _T)
+    _expect(term.right, sig, env, (path, ".right"), _T)
     return _T
 
 
-def _type_not(term: Not, m: Model, env: dict[str, SemType], path: object) -> SemType:
-    _expect(term.body, m, env, (path, ".body"), _T)
+def _type_not(term: Not, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+    _expect(term.body, sig, env, (path, ".body"), _T)
     return _T
 
 
-def _type_eq(term: Eq, m: Model, env: dict[str, SemType], path: object) -> SemType:
-    lt = _type_of(term.left, m, env, (path, ".left"))
-    _expect(term.right, m, env, (path, ".right"), lt)
+def _type_eq(term: Eq, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+    lt = _type_of(term.left, sig, env, (path, ".left"))
+    _expect(term.right, sig, env, (path, ".right"), lt)
     return _T
 
 
@@ -370,7 +369,7 @@ def eval_int(
     if p is None:
         raise UnknownIndex(f"{s.render()} is not in the index space")
     g = g if g is not None else Assignment()
-    env = _prepare(m, _type_error(term, m, g), _env_of(g, m))
+    env = _prepare(_type_error(term, m.signature, g), _env_of(g, m))
     return _eval(term, m, env, p)
 
 
@@ -379,7 +378,7 @@ def eval_all_indices(
 ) -> dict[Index, Value]:
     """Evaluate at every index, keyed in canonical index order."""
     g = g if g is not None else Assignment()
-    env = _prepare(m, _type_error(term, m, g), _env_of(g, m))
+    env = _prepare(_type_error(term, m.signature, g), _env_of(g, m))
     ps = list(range(len(m.positions)))
     try:
         values = _column_by_view(term, m, env, ps)
@@ -407,24 +406,23 @@ def _env_of(g: Assignment, m: Model) -> dict[str, Value] | UnknownEntity:
     return env
 
 
-def _type_error(term: Term, m: Model, g: Assignment) -> Optional[Exception]:
-    """The error typechecking term on m under g raises, or None. Any error is
-    kept, for _prepare to raise unchanged after the validity check."""
+def _type_error(term: Term, sig: Signature, g: Assignment) -> Optional[Exception]:
+    """The error typechecking term under sig and g raises, or None. Any error
+    is kept, for _prepare to raise unchanged."""
     try:
-        typecheck(term, m, assignment_types(g))
+        typecheck(term, sig, assignment_types(g))
     except Exception as err:
         return err
     return None
 
 
 def _prepare(
-    m: Model, type_error: Optional[Exception], env: dict[str, Value] | UnknownEntity
+    type_error: Optional[Exception], env: dict[str, Value] | UnknownEntity
 ) -> dict[str, Value]:
-    """The steps every evaluator takes before its clauses: the validity check,
-    then the term's typecheck error, then the environment's error. An
-    environment error may be shared by many checks, so each raise starts a
+    """The steps every evaluator takes before its clauses (a Model is valid by
+    construction): the term's typecheck error, then the environment's error.
+    An environment error may be shared by many checks, so each raise starts a
     fresh traceback."""
-    _require_valid(m)
     if type_error is not None:
         raise type_error
     if isinstance(env, UnknownEntity):

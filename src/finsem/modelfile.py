@@ -30,8 +30,9 @@ relations as lists of tuples (lists), finite functions as lists of
 The loader collects every schema problem, every model validation violation,
 every lexicon entry whose pred is not a constant of the type its category
 needs (rel(e) for N, rel(e,e) for V) and every named term that does not
-typecheck on the model (free variables typed e, as every assignment binds
-entities) before failing, so one pass reports all defects.
+typecheck on the signature of the decoded constants and frames, whether or
+not a Model is built (free variables typed e, as every assignment binds
+entities), before failing, so one pass reports all defects.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ from .semmodel import (
     IdxType,
     Index,
     IndexElem,
+    InvalidModel,
     Model,
     PairType,
     RelType,
     SemType,
     SetType,
     SetV,
+    Signature,
     Truth,
     TruthType,
     TupleV,
@@ -110,6 +113,7 @@ def model_file_from_doc(doc: Any) -> ModelFile:
     entities = _str_list(doc.get("entities"), "entities", errs)
     frames, designated = _load_frames(doc.get("frames", []), errs)
     constants = _load_constants(doc.get("constants", []), frames, errs)
+    sig = Signature({c.name: c.semtype for c in constants}, frozenset(f.label for f in frames))
 
     model: Optional[Model] = None
     if entities is not None:
@@ -122,13 +126,13 @@ def model_file_from_doc(doc: Any) -> ModelFile:
             )
         except ValueError as err:
             errs.append(f"model: {err}")
-    if model is not None:
-        for v in model.violations:
-            where = f"constant {v.constant!r}: " if v.constant else ""
-            errs.append(f"validation: {where}{v.kind} ({v.detail})")
+        except InvalidModel as err:
+            for v in err.violations:
+                where = f"constant {v.constant!r}: " if v.constant else ""
+                errs.append(f"validation: {where}{v.kind} ({v.detail})")
 
-    lexicon = _load_lexicon(doc.get("lexicon", {}), frames, constants, errs)
-    terms = _load_terms(doc.get("terms", {}), constants, model, errs)
+    lexicon = _load_lexicon(doc.get("lexicon", {}), sig, errs)
+    terms = _load_terms(doc.get("terms", {}), sig, errs)
 
     if errs:  # model is None only after a problem was recorded
         raise ModelFileError(errs)
@@ -252,11 +256,8 @@ def _load_constants(
     return out
 
 
-def _load_lexicon(
-    j: Any, frames: list[Frame], constants: list[Constant], errs: list[str]
-) -> dict[str, LexEntry]:
+def _load_lexicon(j: Any, sig: Signature, errs: list[str]) -> dict[str, LexEntry]:
     out: dict[str, LexEntry] = {}
-    types = {c.name: c.semtype for c in constants}
     for word, where, ej in _objects(j, "lexicon", dict, LEXICAL_KEYS, errs):
         cat = ej.get("cat")
         if cat not in LEXICAL_CATEGORIES:
@@ -268,18 +269,18 @@ def _load_lexicon(
                 errs.append(f"{where}: {cat} entries need a pred")
                 continue
             want = LEXICAL_PRED_TYPES[cat]
-            if pred not in types:
+            if pred not in sig.types:
                 errs.append(f"{where}: pred {pred!r} names no constant")
                 continue
-            if types[pred] != want:
+            if sig.types[pred] != want:
                 errs.append(
                     f"{where}: {cat} entries need a {render_type(want)} pred, "
-                    f"{pred!r} is {render_type(types[pred])}"
+                    f"{pred!r} is {render_type(sig.types[pred])}"
                 )
                 continue
         if cat == "Mod":
             frame = ej.get("frame")
-            if not isinstance(frame, str) or all(f.label != frame for f in frames):
+            if not isinstance(frame, str) or frame not in sig.labels:
                 errs.append(f"{where}: Mod entries need a frame the model declares")
                 continue
         if cat == "D" and ej.get("sem") != "iota":
@@ -289,22 +290,20 @@ def _load_lexicon(
     return out
 
 
-def _load_terms(
-    j: Any, constants: list[Constant], model: Optional[Model], errs: list[str]
-) -> dict[str, Term]:
+def _load_terms(j: Any, sig: Signature, errs: list[str]) -> dict[str, Term]:
     out: dict[str, Term] = {}
     if not isinstance(j, dict):
         errs.append("terms must be an object")
         return out
-    names = frozenset(c.name for c in constants)
+    names = frozenset(sig.types)
     for name, tj in j.items():
         if not isinstance(tj, str):
             errs.append(f"terms[{name!r}] must be a string")
             continue
         try:
             term = parse_term(tj, names)
-            if model is not None:  # free variables are typed e: assignments bind entities
-                typecheck(term, model, dict.fromkeys(free_vars(term), ENT_TYPE))
+            # free variables are typed e: assignments bind entities
+            typecheck(term, sig, dict.fromkeys(free_vars(term), ENT_TYPE))
             out[name] = term
         except (ValueError, FinsemError) as err:
             errs.append(f"terms[{name!r}]: {err}")
@@ -435,7 +434,7 @@ def encode_value(v: Value) -> Any:
 
 def dump_model_file(mf: ModelFile) -> str:
     """Canonical JSON text: fixed key order, canonical pair order, and tables
-    read off m.columns in position order, so an invalid model raises."""
+    read off m.columns in position order, one row per index of a valid Model."""
     m = mf.model
     designated = dict(m.designated)
     doc: dict[str, Any] = {"entities": list(m.entity_domain.elements)}

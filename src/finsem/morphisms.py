@@ -4,12 +4,12 @@ Applying TrivializeFrame keeps the designated slice of every interpretation
 table and replaces the chosen frame by the target of its collapse map,
 kripke.trivialize. Every collapse and extensionalize is one pullback of the
 source's columns along a list of its positions, onto index_space of the
-target's frames, and builds one Model, the result. It refuses a source that
-fails validation, as Model.columns does, and a constant whose type mentions
-s(L) for a frame L it replaces or drops. Two collapse paths commute when
-compose_path lands them on equal models, and a fully collapsed valid model
-evaluates exactly like its frame-free extensionalization; verify_equivalence
-checks the latter claim exhaustively, term by term.
+target's frames, and builds one Model, the result. It refuses a constant
+whose type mentions s(L) for a frame L it replaces or drops, so the pullback
+of a model, which is valid by construction, is valid too. Two collapse paths
+commute when compose_path lands them on equal models, and a fully collapsed
+model evaluates exactly like its frame-free extensionalization;
+verify_equivalence checks the latter claim exhaustively, term by term.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .semmodel import (
     RelType,
     UnknownFrame,
     Value,
-    _require_valid,
     fn_arity,
     frame_labels,
     index_space,
@@ -196,10 +195,10 @@ class EquivalenceReport:
 def categorize(term: Term, m: Model) -> str:
     match term:
         case Const(name):
-            c = m.constant(name)
-            if c is not None and isinstance(c.semtype, RelType):
+            t = m.signature.types.get(name)
+            if isinstance(t, RelType):
                 return "predicates"
-            if c is not None and isinstance(c.semtype, FnType):
+            if isinstance(t, FnType):
                 return "functions"
             return "constants"
         case Var(_):
@@ -213,7 +212,7 @@ def categorize(term: Term, m: Model) -> str:
 
 def _outcome(term: Term, m: Model, type_error, env) -> tuple[Optional[Value], Optional[str]]:
     try:
-        return _eval(term, m, _prepare(m, type_error, env), 0), None
+        return _eval(term, m, _prepare(type_error, env), 0), None
     except Exception as err:  # evaluation errors are data here
         return None, type(err).__name__
 
@@ -225,9 +224,9 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Evaluate every term twice, at the unique index and extensionally.
 
-    The model must be fully trivial (extensionalize refuses it otherwise) and
-    valid. Two outcomes agree when both produce the same value or both fail
-    with the same kind of error.
+    The model must be fully trivial (extensionalize refuses it otherwise).
+    Two outcomes agree when both produce the same value or both fail with the
+    same kind of error.
 
     A term that typechecks on the frame-free model has no Diamond and so
     typechecks alike on the collapsed one, which has the same constants with
@@ -236,14 +235,13 @@ def verify_equivalence(
     once per call.
     """
     ext = extensionalize(m)
-    _require_valid(m)
     gs = list(assignments) if assignments else [Assignment()]
     envs = [(g, _env_of(g, m)) for g in gs]
     records = []
     for term in terms:
         for g, env in envs:
-            type_error = _type_error(term, ext, g)
-            int_error = type_error and _type_error(term, m, g)
+            type_error = _type_error(term, ext.signature, g)
+            int_error = type_error and _type_error(term, m.signature, g)
             val_i, err_i = _outcome(term, m, int_error, env)
             val_e, err_e = _outcome(term, ext, type_error, env)
             left = f"error:{err_i}" if err_i else render_value(val_i, m)

@@ -3,9 +3,10 @@
 A model fixes one entity carrier, an ordered family of labelled frames, and
 an interpretation table per constant, kept as given. validate is the one rule
 that a table is a total map from the index space (the product of the frame
-domains) to values of the constant's type; Model.columns, the tables read by
-position, refuses an invalid model. Everything is finite and enumerable, so
-validation and evaluation are exhaustive rather than symbolic.
+domains) to values of the constant's type. A Model runs it as it is built and
+raises InvalidModel on a nonempty report, so every Model is valid, and typing
+reads only its Signature. Everything is finite and enumerable, so validation
+and evaluation are exhaustive rather than symbolic.
 
 Every type, value and Index is hash-consed (see Shared): one object per
 structure, which compares and hashes by identity, so each set value builds its
@@ -21,7 +22,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .kripke import Frame
 from .relalg import FinSet, FinsemError
@@ -432,11 +433,13 @@ class Assignment:
     bindings: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(tuple(b) for b in self.bindings))
-        names = [x for x, _ in ordered]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable in assignment")
-        object.__setattr__(self, "bindings", ordered)
+        bindings = tuple(map(tuple, self.bindings))
+        seen: set[str] = set()
+        for x, _ in bindings:
+            if x in seen:
+                raise FinsemError(f"variable {x!r} is assigned more than once")
+            seen.add(x)
+        object.__setattr__(self, "bindings", tuple(sorted(bindings)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +475,26 @@ class Violation:
     detail: str
 
 
+class InvalidModel(FinsemError):
+    """Tables that validate refuses, with its report as violations."""
+
+    def __init__(self, violations: Iterable[Violation]):
+        self.violations = tuple(violations)
+        first = self.violations[0]
+        super().__init__(
+            f"model fails validation ({len(self.violations)} violations; first: "
+            f"{first.kind} {first.constant} {first.detail})"
+        )
+
+
+@dataclass(frozen=True)
+class Signature:
+    """What typing reads of a model: each constant's type by name, and the frame labels."""
+
+    types: Mapping[str, SemType]
+    labels: frozenset[str]
+
+
 @dataclass(frozen=True)
 class Model:
     entity_domain: FinSet
@@ -499,6 +522,8 @@ class Model:
         object.__setattr__(
             self, "designated", tuple(sorted(tuple(d) for d in self.designated))
         )
+        if report := validate(self):
+            raise InvalidModel(report)
 
     @cached_property
     def positions(self) -> dict[Index, int]:
@@ -517,9 +542,7 @@ class Model:
 
     @cached_property
     def columns(self) -> dict[str, tuple[Value, ...]]:
-        """Each constant's values in canonical position order, read off its
-        table by index. Raises _require_valid's ValueError on an invalid model."""
-        _require_valid(self)
+        """Each constant's values in canonical position order, read off its table by index."""
         return {c.name: tuple(map(dict(c.table).__getitem__, self.positions)) for c in self.constants}
 
     @cached_property
@@ -541,23 +564,15 @@ class Model:
         return tables
 
     @cached_property
-    def violations(self) -> tuple[Violation, ...]:
-        """The validation report, computed once per model object."""
-        return tuple(validate(self))
+    def signature(self) -> Signature:
+        return Signature({c.name: c.semtype for c in self.constants}, frozenset(self._frames_by_label))
 
     @cached_property
     def _frames_by_label(self) -> dict[str, Frame]:
         return {f.label: f for f in self.frames}
 
-    @cached_property
-    def _constants_by_name(self) -> dict[str, Constant]:
-        return {c.name: c for c in self.constants}
-
     def frame(self, label: str) -> Optional[Frame]:
         return self._frames_by_label.get(label)
-
-    def constant(self, name: str) -> Optional[Constant]:
-        return self._constants_by_name.get(name)
 
     @property
     def is_extensional(self) -> bool:
@@ -720,7 +735,7 @@ def _checker(m: Model, t: SemType) -> Callable[[Value], bool]:
 
 
 def validate(m: Model) -> list[Violation]:
-    """Full well-formedness report. Empty means the model is evaluable."""
+    """Full well-formedness report; a Model is built only when it is empty."""
     out: list[Violation] = []
     if len(m.entity_domain) == 0:
         out.append(Violation("EmptyEntityDomain", "", "entity domain is empty"))
@@ -762,15 +777,6 @@ def validate(m: Model) -> list[Violation]:
                     Violation("MissingIndexEntry", c.name, f"index {idx.render()}")
                 )
     return out
-
-
-def _require_valid(m: Model) -> None:
-    if m.violations:
-        first = m.violations[0]
-        raise ValueError(
-            f"model fails validation ({len(m.violations)} violations; first: "
-            f"{first.kind} {first.constant} {first.detail})"
-        )
 
 
 # ---------------------------------------------------------------------------

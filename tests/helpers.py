@@ -81,3 +81,9 @@ LEXICON = {
 
 SENTENCE_1 = "the student read the book"
 SENTENCE_2 = "the student might read the book"
+
+
+def table_of(m: Model, name: str) -> tuple:
+    """The table of m's constant named name."""
+    (table,) = (c.table for c in m.constants if c.name == name)
+    return table

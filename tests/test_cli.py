@@ -509,7 +509,12 @@ def test_every_finsem_exception_is_a_finsem_error() -> None:
     ids=lambda c: c.__name__,
 )
 def test_a_finsem_error_from_a_command_exits_1(monkeypatch, capsys, cls) -> None:
-    err = cls("root", "t", "e") if cls is TermTypeError else cls(f"a {cls.__name__}")
+    if cls is TermTypeError:
+        err = cls("root", "t", "e")
+    elif cls is semmodel.InvalidModel:
+        err = cls([semmodel.Violation("EmptyEntityDomain", "", "entity domain is empty")])
+    else:
+        err = cls(f"a {cls.__name__}")
 
     def handler(mf, args):
         raise err

@@ -53,6 +53,7 @@ from finsem.semmodel import (
     FnType,
     FnV,
     Index,
+    InvalidModel,
     Model,
     RelType,
     SetType,
@@ -104,22 +105,22 @@ def ext_with_functions() -> Model:
 
 
 def test_typecheck_sentence_terms() -> None:
-    assert typecheck(READS, EXT) == TruthType()
-    assert typecheck(THE_STUDENT, EXT) == EntType()
-    assert typecheck(MIGHT_READ, MODAL) == TruthType()
+    assert typecheck(READS, EXT.signature) == TruthType()
+    assert typecheck(THE_STUDENT, EXT.signature) == EntType()
+    assert typecheck(MIGHT_READ, MODAL.signature) == TruthType()
     lam = Lam("x", EntType(), PredApp("student", (Var("x"),)))
-    assert typecheck(lam, EXT) == FnType(EntType(), TruthType())
+    assert typecheck(lam, EXT.signature) == FnType(EntType(), TruthType())
 
 
 def test_typecheck_uses_assignment_types() -> None:
-    assert typecheck(Var("x"), EXT, {"x": EntType()}) == EntType()
+    assert typecheck(Var("x"), EXT.signature, {"x": EntType()}) == EntType()
     with pytest.raises(UnboundVariable):
-        typecheck(Var("x"), EXT)
+        typecheck(Var("x"), EXT.signature)
 
 
 def test_typecheck_arity_mismatch() -> None:
     with pytest.raises(TermTypeError) as e:
-        typecheck(PredApp("read", (THE_STUDENT,)), EXT)
+        typecheck(PredApp("read", (THE_STUDENT,)), EXT.signature)
     assert e.value.path == "root"
     assert "2 arguments" in e.value.expected
 
@@ -127,65 +128,65 @@ def test_typecheck_arity_mismatch() -> None:
 def test_typecheck_argument_position_is_located() -> None:
     bad = PredApp("read", (THE_STUDENT, PredApp("book", (THE_BOOK,))))
     with pytest.raises(TermTypeError) as e:
-        typecheck(bad, EXT)
+        typecheck(bad, EXT.signature)
     assert e.value.path == "root.args[1]"
     assert (e.value.expected, e.value.found) == ("e", "t")
 
 
 def test_typecheck_unknown_names() -> None:
     with pytest.raises(UnboundVariable):
-        typecheck(Const("zz"), EXT)
+        typecheck(Const("zz"), EXT.signature)
     with pytest.raises(UnboundVariable):
-        typecheck(PredApp("zz", ()), EXT)
+        typecheck(PredApp("zz", ()), EXT.signature)
 
 
 def test_typecheck_pred_must_be_relation_typed() -> None:
     m = ext_with_functions()
     with pytest.raises(TermTypeError):
-        typecheck(PredApp("alice", ()), m)
+        typecheck(PredApp("alice", ()), m.signature)
     with pytest.raises(TermTypeError):
-        typecheck(FuncApp("student", (Const("alice"),)), m)
+        typecheck(FuncApp("student", (Const("alice"),)), m.signature)
 
 
 def test_typecheck_lambda_binds_entities_only() -> None:
     with pytest.raises(TermTypeError) as e:
-        typecheck(Lam("x", TruthType(), Var("x")), EXT)
+        typecheck(Lam("x", TruthType(), Var("x")), EXT.signature)
     assert "entity-typed" in e.value.expected
 
 
 def test_typecheck_app() -> None:
     lam = Lam("x", EntType(), PredApp("student", (Var("x"),)))
-    assert typecheck(App(lam, THE_STUDENT), EXT) == TruthType()
+    assert typecheck(App(lam, THE_STUDENT), EXT.signature) == TruthType()
     with pytest.raises(TermTypeError) as e:
-        typecheck(App(THE_STUDENT, THE_BOOK), EXT)
+        typecheck(App(THE_STUDENT, THE_BOOK), EXT.signature)
     assert e.value.path == "root.func"
     with pytest.raises(TermTypeError) as e:
-        typecheck(App(lam, READS), EXT)
+        typecheck(App(lam, READS), EXT.signature)
     assert e.value.path == "root.arg"
 
 
 def test_typecheck_iota_body_must_be_truth() -> None:
     with pytest.raises(TermTypeError) as e:
-        typecheck(Iota("x", Var("x")), EXT)
+        typecheck(Iota("x", Var("x")), EXT.signature)
     assert (e.value.path, e.value.expected, e.value.found) == ("root.body", "t", "e")
 
 
 def test_typecheck_connectives() -> None:
-    assert typecheck(And(READS, Not(READS)), EXT) == TruthType()
-    assert typecheck(Eq(THE_STUDENT, THE_BOOK), EXT) == TruthType()
+    assert typecheck(And(READS, Not(READS)), EXT.signature) == TruthType()
+    assert typecheck(Eq(THE_STUDENT, THE_BOOK), EXT.signature) == TruthType()
     with pytest.raises(TermTypeError) as e:
-        typecheck(Eq(THE_STUDENT, READS), EXT)
+        typecheck(Eq(THE_STUDENT, READS), EXT.signature)
     assert e.value.path == "root.right"
     with pytest.raises(TermTypeError) as e:
-        typecheck(And(THE_STUDENT, READS), EXT)
+        typecheck(And(THE_STUDENT, READS), EXT.signature)
     assert e.value.path == "root.left"
 
 
 def test_typecheck_modal_needs_a_frame() -> None:
     with pytest.raises(UngroundedType):
-        typecheck(MIGHT_READ, EXT)
+        typecheck(MIGHT_READ, EXT.signature)
     with pytest.raises(TermTypeError):
-        typecheck(Diamond("W", THE_STUDENT), MODAL)
+        typecheck(Diamond("W", THE_STUDENT), MODAL.signature)
 
 
 def _twice_not(term):
@@ -286,7 +287,7 @@ NESTED_TYPE_ERRORS = [
 @pytest.mark.parametrize("term, m, kind, message", NESTED_TYPE_ERRORS)
 def test_nested_typecheck_errors_are_located_exactly(term, m, kind, message) -> None:
     with pytest.raises(kind) as e:
-        typecheck(term, m)
+        typecheck(term, m.signature)
     assert str(e.value) == message
     if kind is TermTypeError:
         assert message.startswith(f"at {e.value.path}: expected {e.value.expected}, found ")
@@ -295,7 +296,7 @@ def test_nested_typecheck_errors_are_located_exactly(term, m, kind, message) -> 
 def _typing(term, m: Model, gtypes=None):
     """The type term gets on m, or the class and message of its error."""
     try:
-        return typecheck(term, m, gtypes)
+        return typecheck(term, m.signature, gtypes)
     except Exception as err:
         return type(err), str(err)
 
@@ -363,7 +364,7 @@ def test_an_unknown_term_class_is_refused_by_every_dispatch() -> None:
     stray = Stray()
     for term in (stray, Not(And(READS, stray))):
         with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
-            typecheck(term, EXT)
+            typecheck(term, EXT.signature)
         with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
             eval_int(term, EXT)
         with pytest.raises(ValueError, match=r"^unknown term .*Stray\(\)$"):
@@ -533,31 +534,31 @@ def test_eval_variables_come_from_assignment() -> None:
 
 
 def test_eval_rejects_invalid_models() -> None:
-    gappy = Model(
-        EXT.entity_domain,
-        (),
-        (Constant("p", RelType((EntType(),)), ()),),
-    )
-    with pytest.raises(ValueError, match="fails validation"):
-        eval_int(PredApp("p", (Var("x"),)), gappy, Assignment((("x", "s1"),)))
+    """A gappy table is refused where the Model is built, so no evaluator gets one."""
+    with pytest.raises(InvalidModel, match="^model fails validation") as e:
+        Model(EXT.entity_domain, (), (Constant("p", RelType((EntType(),)), ()),))
+    assert [(v.kind, v.constant) for v in e.value.violations] == [("MissingIndexEntry", "p")]
 
 
 def test_entry_errors_come_in_order_validity_typecheck_environment() -> None:
+    """Validity is checked first, as the Model is built; every evaluator then
+    raises the term's typecheck error before the environment's."""
     unknown = Assignment((("x", "zz"),))
     ill_typed = Not(Var("x"))
-    frame_free = Model(EXT.entity_domain, (), (Constant("p", RelType((EntType(),)), ()),))
     first, *rest = MODAL.constants
-    modal = Model(MODAL.entity_domain, MODAL.frames, (Constant(first.name, first.semtype, ()), *rest))
-    assert frame_free.violations and modal.violations
-    for route in (
-        lambda: eval_int(ill_typed, frame_free, unknown),
-        lambda: eval_int(ill_typed, modal, unknown, w_index("w0")),
-        lambda: eval_all_indices(ill_typed, modal, unknown),
+    for build in (
+        lambda: Model(EXT.entity_domain, (), (Constant("p", RelType((EntType(),)), ()),)),
+        lambda: Model(MODAL.entity_domain, MODAL.frames, (Constant(first.name, first.semtype, ()), *rest)),
     ):
-        with pytest.raises(ValueError, match="fails validation"):
+        with pytest.raises(InvalidModel, match="^model fails validation"):
+            build()
+    for route in (
+        lambda: eval_int(ill_typed, EXT, unknown),
+        lambda: eval_int(ill_typed, MODAL, unknown, w_index("w0")),
+        lambda: eval_all_indices(ill_typed, MODAL, unknown),
+    ):
+        with pytest.raises(TermTypeError):
             route()
-    with pytest.raises(TermTypeError):
-        eval_int(ill_typed, MODAL, unknown, w_index("w0"))
     with pytest.raises(UnknownEntity):
         eval_all_indices(Var("x"), MODAL, unknown)
 
@@ -693,7 +694,7 @@ def test_lam_type_with_parentheses_is_one_group() -> None:
     # a ground type is one name, even when the body opens a parenthesis
     assert parse_term("(lam x e (not x))") == Lam("x", EntType(), Not(Var("x")))
     with pytest.raises(TermTypeError) as e:
-        typecheck(parse_term("(lam x set(e) x)"), EXT)
+        typecheck(parse_term("(lam x set(e) x)"), EXT.signature)
     assert str(e.value) == "at root: expected e (bound variables are entity-typed), found set(e)"
 
 

@@ -21,6 +21,7 @@ from finsem.semmodel import (
     Constant,
     Entity,
     FnV,
+    InvalidModel,
     Model,
     SetV,
     Truth,
@@ -54,8 +55,9 @@ def test_bundled_modal_model_matches_handbuilt() -> None:
     assert mf.model.entity_domain == hand.entity_domain
     assert mf.model.frames == hand.frames
     assert mf.model.designated == hand.designated
+    loaded, built = ({c.name: c for c in m.constants} for m in (mf.model, hand))
     for name in ("student", "book", "read"):
-        assert mf.model.constant(name) == hand.constant(name)
+        assert loaded[name] == built[name]
     assert "might" in mf.lexicon
     assert mf.lexicon["might"].frame == "W"
 
@@ -226,6 +228,27 @@ def test_loader_reports_validation_violations() -> None:
     with pytest.raises(ModelFileError) as e:
         model_file_from_doc(doc)
     assert any("MissingIndexEntry" in p for p in e.value.problems)
+
+
+def test_named_terms_are_typechecked_without_an_entities_block() -> None:
+    # typing reads the signature the constants block declares, not a Model
+    doc = {
+        "constants": [{"name": "p", "type": "rel(e)", "table": []}],
+        "terms": {"t": "(pred q x)"},
+    }
+    assert problems_of(doc) == [
+        "missing required key 'entities'",
+        "terms['t']: at root: unknown predicate 'q'",
+    ]
+
+
+def test_named_terms_are_typechecked_when_no_model_can_be_built() -> None:
+    p = {"name": "p", "type": "rel(e)", "table": [{"index": [], "value": [["a"]]}]}
+    doc = {"entities": ["a"], "constants": [p, p], "terms": {"t": "(might W (pred p x))"}}
+    assert problems_of(doc) == [
+        "model: duplicate constant names",
+        "terms['t']: at root: no frame 'W' in this model",
+    ]
 
 
 def test_loader_rejects_non_object_documents() -> None:
@@ -485,13 +508,12 @@ def test_validation_reports_rows_in_document_order() -> None:
 
 
 def test_an_invalid_model_has_no_columns_and_no_dump() -> None:
-    # one row per index, but its value names an entity outside the domain
+    # one row per index, but its value names an entity outside the domain:
+    # no Model is built, so there are no columns to read and nothing to dump
     ill_typed = SetV({TupleV((Entity("zz"),))})
-    m = Model(FinSet("E", ("a",)), (), (Constant("p", parse_type("rel(e)"), ((EMPTY_INDEX, ill_typed),)),))
-    with pytest.raises(ValueError, match="^model fails validation"):
-        m.columns
-    with pytest.raises(ValueError, match="^model fails validation"):
-        dump_model_file(ModelFile(m, {}, {}))
+    with pytest.raises(InvalidModel, match="^model fails validation") as e:
+        Model(FinSet("E", ("a",)), (), (Constant("p", parse_type("rel(e)"), ((EMPTY_INDEX, ill_typed),)),))
+    assert [(v.kind, v.constant) for v in e.value.violations] == [("IllTypedValue", "p")]
 
 
 def test_a_shared_row_is_refused_in_every_value_that_holds_it() -> None:

@@ -51,6 +51,7 @@ from finsem.semmodel import (
     EntType,
     IdxType,
     Index,
+    InvalidModel,
     Model,
     PairType,
     RelType,
@@ -65,7 +66,7 @@ from finsem.semmodel import (
 
 import random
 
-from helpers import MODELS_DIR, build_extensional, build_modal, rel_value
+from helpers import MODELS_DIR, build_extensional, build_modal, rel_value, table_of
 
 MODAL = build_modal()
 EXT = build_extensional()
@@ -107,15 +108,15 @@ def test_trivialize_keeps_the_designated_slice() -> None:
     assert shaved.frame("W").trivial
     assert shaved.designated == ()
     k0 = Index((("W", "k0"),))
-    assert shaved.constant("read").table == ((k0, rel_value(("s1", "b1"))),)
-    assert shaved.constant("student").table == ((k0, rel_value(("s1",))),)
+    assert table_of(shaved, "read") == ((k0, rel_value(("s1", "b1"))),)
+    assert table_of(shaved, "student") == ((k0, rel_value(("s1",))),)
 
 
 def test_trivialize_defaults_to_model_designated() -> None:
     # the modal model designates w0, where nothing was read
     shaved = apply(MODAL, TrivializeFrame("W"))
     k0 = Index((("W", "k0"),))
-    assert shaved.constant("read").table == ((k0, rel_value()),)
+    assert table_of(shaved, "read") == ((k0, rel_value()),)
 
 
 def test_trivialize_errors() -> None:
@@ -135,7 +136,7 @@ def test_trivialize_all_collapses_every_frame() -> None:
     assert [f.label for f in flat.frames] == ["W", "T"]
     # designated slice was (w1, t0), where p holds of e0
     idx = Index((("W", "k0"), ("T", "k0")))
-    assert flat.constant("p").table == ((idx, rel_value(("e0",))),)
+    assert table_of(flat, "p") == ((idx, rel_value(("e0",))),)
     assert trivialize_all(flat) == flat
 
 
@@ -224,8 +225,6 @@ def _assert_collapses_like_the_rows(m: Model) -> int:
             got = _outcome_of(lambda: apply(m, TrivializeFrame(f.label, chosen)))
             want = _outcome_of(lambda: _collapsed_by_rows(m, f.label, chosen))
             assert got == want
-            if isinstance(got, Model):
-                assert got.violations == want.violations
             compared += 1
     return compared
 
@@ -267,7 +266,6 @@ def test_a_collapse_refuses_exactly_when_it_replaces_or_drops_a_frame_a_type_men
     outcomes = Counter()
     for _ in range(60):
         m, label = _with_frame_typed_constant(rng, random_model(rng, max_entities=3, max_frames=3))
-        assert m.violations == ()
         nontrivial = {f.label for f in m.frames if not f.trivial}
         steps = [(lambda l=l: apply(m, TrivializeFrame(l)), {l}) for l in sorted(nontrivial)]
         steps.append((lambda: trivialize_all(m), nontrivial))
@@ -281,7 +279,6 @@ def test_a_collapse_refuses_exactly_when_it_replaces_or_drops_a_frame_a_type_men
                 outcomes["refused"] += 1
                 continue
             assert label not in replaced
-            assert out.violations == ()
             outcomes["kept"] += 1
             if out.is_extensional:
                 steps.append((lambda out=out: extensionalize(out), {f.label for f in out.frames}))
@@ -309,42 +306,26 @@ def test_collapse_refuses_tables_that_are_not_one_row_per_index() -> None:
         "all three": rows[2:] + off_space + [rows[2]],
         "no T component": rows + no_t,
     }
-    refusal = FAILS_VALIDATION
-    kinds, refused = set(), 0
+    kinds = set()
     for name, table in tables.items():
-        bad = Model(m.entity_domain, m.frames, (Constant("p", p.semtype, tuple(table)),), m.designated)
-        assert bad.violations, name
-        kinds |= {v.kind for v in bad.violations}
-        for f in bad.frames:
-            for chosen in f.domain.elements:
-                with pytest.raises(ValueError, match=refusal):
-                    apply(bad, TrivializeFrame(f.label, chosen))
-                refused += 1
-        with pytest.raises(ValueError, match=refusal):
-            trivialize_all(bad)
-        # the morphism's own refusals come first
-        with pytest.raises(UnknownFrame):
-            apply(bad, TrivializeFrame("Q"))
-        with pytest.raises(UnknownElement):
-            apply(bad, TrivializeFrame("W", "w9"))
+        with pytest.raises(InvalidModel, match=FAILS_VALIDATION) as e:
+            Model(m.entity_domain, m.frames, (Constant("p", p.semtype, tuple(table)),), m.designated)
+        assert e.value.violations, name
+        kinds |= {v.kind for v in e.value.violations}
     assert kinds == {"DuplicateIndexEntry", "UnexpectedIndexEntry", "MissingIndexEntry"}
-    assert refused == 5 * 4
+    # a half-collapsed model missing a row
     half = apply(m, TrivializeFrame("W"))
-    bad = Model(half.entity_domain, half.frames, (Constant("p", p.semtype, half.constants[0].table[1:]),))
-    with pytest.raises(AlreadyTrivial):
-        apply(bad, TrivializeFrame("W"))
-    with pytest.raises(ValueError, match=refusal):
-        apply(bad, TrivializeFrame("T"))
+    with pytest.raises(InvalidModel, match=FAILS_VALIDATION):
+        Model(half.entity_domain, half.frames, (Constant("p", p.semtype, half.constants[0].table[1:]),))
     # a fully collapsed model whose rows repeat and leave the space
     flat = trivialize_all(m)
     (s0,) = index_space(flat.frames)
     odd = Index((("T", "k0"), ("W", "k0")))
     table = ((odd, rel_value()), (s0, rel_value()), (s0, rel_value(("e0",))), (odd, rel_value()))
-    bad = Model(flat.entity_domain, flat.frames, (Constant("p", p.semtype, table),))
+    with pytest.raises(InvalidModel, match=FAILS_VALIDATION) as e:
+        Model(flat.entity_domain, flat.frames, (Constant("p", p.semtype, table),))
     # reported in table row order
-    assert [v.kind for v in bad.violations] == ["UnexpectedIndexEntry", "DuplicateIndexEntry", "DuplicateIndexEntry"]
-    with pytest.raises(ValueError, match=refusal):
-        extensionalize(bad)
+    assert [v.kind for v in e.value.violations] == ["UnexpectedIndexEntry", "DuplicateIndexEntry", "DuplicateIndexEntry"]
 
 
 def test_a_missing_row_is_refused_not_laundered_by_the_collapse() -> None:
@@ -355,21 +336,14 @@ def test_a_missing_row_is_refused_not_laundered_by_the_collapse() -> None:
         Constant(c.name, c.semtype, tuple(r for r in c.table if r[0] is not w1)) if c.name == "book" else c
         for c in MODAL.constants
     )
-    missing = Model(MODAL.entity_domain, MODAL.frames, constants, MODAL.designated)
-    assert [(v.kind, v.constant) for v in missing.violations] == [("MissingIndexEntry", "book")]
-    refusal = FAILS_VALIDATION
-    for chosen in ("w0", "w1"):
-        with pytest.raises(ValueError, match=refusal):
-            apply(missing, TrivializeFrame("W", chosen))
-    with pytest.raises(ValueError, match=refusal):
-        trivialize_all(missing)
+    with pytest.raises(InvalidModel, match=FAILS_VALIDATION) as e:
+        Model(MODAL.entity_domain, MODAL.frames, constants, MODAL.designated)
+    assert [(v.kind, v.constant) for v in e.value.violations] == [("MissingIndexEntry", "book")]
     flat = trivialize_all(MODAL)
-    emptied = Model(flat.entity_domain, flat.frames, tuple(
-        Constant(c.name, c.semtype, ()) if c.name == "book" else c for c in flat.constants
-    ))
-    terms, gs = default_checks(flat)
-    with pytest.raises(ValueError, match=refusal):
-        verify_equivalence(emptied, terms, gs)
+    with pytest.raises(InvalidModel, match=FAILS_VALIDATION):
+        Model(flat.entity_domain, flat.frames, tuple(
+            Constant(c.name, c.semtype, ()) if c.name == "book" else c for c in flat.constants
+        ))
 
 
 def _collapsed_frame_by_frame(m: Model, chosen: dict[str, str]) -> Model:
@@ -392,7 +366,6 @@ def _assert_one_pullback_is_the_path(m: Model) -> int:
                 chosen = dict(zip((f.label for f in frames), elements))
                 got, want = morphisms._collapse(m, chosen), _collapsed_frame_by_frame(m, chosen)
                 assert got == want
-                assert got.violations == want.violations
                 compared += 1
     return compared
 
@@ -452,7 +425,7 @@ def test_each_collapse_and_extensionalize_builds_one_model(monkeypatch) -> None:
 def test_extensionalize() -> None:
     flat = extensionalize(trivialize_all(MODAL))
     assert flat.frames == ()
-    assert flat.constant("read").table == ((EMPTY_INDEX, rel_value()),)
+    assert table_of(flat, "read") == ((EMPTY_INDEX, rel_value()),)
     assert extensionalize(EXT) == EXT
     with pytest.raises(NotFullyTrivial):
         extensionalize(MODAL)
@@ -602,13 +575,11 @@ def _differential_corpus(seed: int):
             Assignment(tuple((v, rng.choice(ents)) for v in ("x", "y", "z"))),
             Assignment((("x", "zz"), ("y", ents[0]), ("z", ents[0]))),
         ]
-        if i == 0:  # drop a table row: the model fails validation and has no extensionalization
+        if i == 0:  # drop a table row: the tables fail validation and build no model to check
             first, *rest = m.constants
             emptied = Constant(first.name, first.semtype, ())
-            m = Model(m.entity_domain, m.frames, (emptied, *rest))
-            assert m.violations
-            with pytest.raises(ValueError, match=FAILS_VALIDATION):
-                verify_equivalence(m, terms, gs)
+            with pytest.raises(InvalidModel, match=FAILS_VALIDATION):
+                Model(m.entity_domain, m.frames, (emptied, *rest))
             continue
         corpus.append((m, terms, gs))
     return corpus
@@ -681,18 +652,15 @@ def test_each_assignment_environment_is_built_once_per_call(monkeypatch) -> None
 def test_a_check_records_the_first_entry_error_on_both_routes() -> None:
     flat = trivialize_all(MODAL)
     first, *rest = flat.constants
-    invalid = Model(flat.entity_domain, flat.frames, (Constant(first.name, first.semtype, ()), *rest))
     unknown = Assignment((("x", "zz"),))
-    with pytest.raises(ValueError, match=FAILS_VALIDATION):
-        verify_equivalence(invalid, [Not(Var("x"))], [unknown])
-    # frame-free, the invalid model is its own extensionalization
+    # invalid tables are refused where the model is built, before any check, not agreed on
+    with pytest.raises(InvalidModel, match=FAILS_VALIDATION):
+        Model(flat.entity_domain, flat.frames, (Constant(first.name, first.semtype, ()), *rest))
     ext = extensionalize(flat)
     first, *rest = ext.constants
-    frame_free = Model(ext.entity_domain, (), (Constant(first.name, first.semtype, ()), *rest))
-    assert extensionalize(frame_free) is frame_free
-    # an invalid model is refused before any check, not agreed on
-    with pytest.raises(ValueError, match="^model fails validation"):
-        verify_equivalence(frame_free, [Not(Var("x"))], [unknown])
+    with pytest.raises(InvalidModel, match=FAILS_VALIDATION):
+        Model(ext.entity_domain, (), (Constant(first.name, first.semtype, ()), *rest))
+    assert extensionalize(ext) is ext  # frame-free, a model is its own extensionalization
     # the typecheck error, then the unknown entity
     for m, term, kind in (
         (flat, Not(Var("x")), "TermTypeError"),
@@ -705,8 +673,7 @@ def test_a_check_records_the_first_entry_error_on_both_routes() -> None:
 def test_lam_does_not_enumerate_type_domains(monkeypatch) -> None:
     flat = trivialize_all(MODAL)
     ext = extensionalize(flat)
-    # validation enumerates function domains; it runs once per model, here
-    assert flat.violations == ext.violations == ()
+    # validation enumerates function domains; it ran as each model was built
     sized = []
     real = semmodel._card
     monkeypatch.setattr(semmodel, "_card", lambda *a: sized.append(a) or real(*a))

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from finsem import generators, semmodel
 from finsem.kripke import Frame
 from finsem.modelfile import load_model_file
-from finsem.relalg import FinSet, Relation
+from finsem.relalg import FinSet, FinsemError, Relation
 from finsem.semmodel import (
     EMPTY_INDEX,
     ENT_TYPE,
@@ -42,6 +42,7 @@ from finsem.semmodel import (
     IdxType,
     Index,
     IndexElem,
+    InvalidModel,
     Model,
     PairType,
     RelType,
@@ -245,7 +246,6 @@ def test_position_tables_match_the_index_route_on_random_models() -> None:
                 shuffled.append(Constant(c.name, c.semtype, tuple(rows)))
             rng.shuffle(shuffled)
             m = Model(drawn.entity_domain, drawn.frames, tuple(shuffled))
-            assert not m.violations
             for f in m.frames:
                 table = m.successor_positions[f.label]
                 for s, p in m.positions.items():
@@ -396,8 +396,11 @@ def test_enumeration_is_exhaustive_and_disjoint(text: str) -> None:
 def test_assignment_normalizes_and_rejects_duplicates() -> None:
     g = Assignment((("y", "b"), ("x", "a")))
     assert g.bindings == (("x", "a"), ("y", "b"))
-    with pytest.raises(ValueError):
+    with pytest.raises(FinsemError, match="^variable 'x' is assigned more than once$"):
         Assignment((("x", "a"), ("x", "b")))
+    # the first name seen again in the order given, as --assign pairs come
+    with pytest.raises(FinsemError, match="^variable 'y' is assigned more than once$"):
+        Assignment((("y", "b"), ("x", "a"), ("y", "c"), ("x", "b")))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +453,6 @@ def test_validate_clean_model() -> None:
     rows = tuple((s, SetV(frozenset({TupleV((A,))}))) for s in index_space(M.frames))
     m = Model(ENTS, (FRAME_W,), (unary("p", rows),))
     assert validate(m) == []
-    assert m.violations == ()
 
 
 def test_built_lookups_keep_equality_structural() -> None:
@@ -460,12 +462,12 @@ def test_built_lookups_keep_equality_structural() -> None:
         return Model(ENTS, (frame,), (unary("p", rows),))
 
     used = build()
-    assert used.constant("p").value_at(Index((("W", "w1"),))) == SetV(
+    assert used.constants[0].value_at(Index((("W", "w1"),))) == SetV(
         frozenset({TupleV((A,))})
     )
     assert used.frame("W").successors("w0") == ["w1"]
-    assert used.violations == ()
-    assert "violations" in vars(used)
+    assert used.signature.types == {"p": RelType((EntType(),))}
+    assert "signature" in vars(used)
     fresh = build()
     assert used == fresh
     assert hash(used) == hash(fresh)
@@ -474,23 +476,24 @@ def test_built_lookups_keep_equality_structural() -> None:
 def test_validate_reports_every_problem() -> None:
     w0 = Index((("W", "w0"),))
     t0 = Index((("T", "t0"),))
-    bad = Model(
-        ENTS,
-        (FRAME_W,),
-        (
-            unary("gap", ((w0, SetV(frozenset())),)),
-            unary("stray", (
-                (w0, SetV(frozenset())),
-                (Index((("W", "w1"),)), SetV(frozenset())),
-                (t0, SetV(frozenset())),
-            )),
-            unary("wrong", (
-                (w0, A),
-                (Index((("W", "w1"),)), SetV(frozenset())),
-            )),
-        ),
-    )
-    kinds = {(v.kind, v.constant) for v in validate(bad)}
+    with pytest.raises(InvalidModel, match="^model fails validation") as e:
+        Model(
+            ENTS,
+            (FRAME_W,),
+            (
+                unary("gap", ((w0, SetV(frozenset())),)),
+                unary("stray", (
+                    (w0, SetV(frozenset())),
+                    (Index((("W", "w1"),)), SetV(frozenset())),
+                    (t0, SetV(frozenset())),
+                )),
+                unary("wrong", (
+                    (w0, A),
+                    (Index((("W", "w1"),)), SetV(frozenset())),
+                )),
+            ),
+        )
+    kinds = {(v.kind, v.constant) for v in e.value.violations}
     assert kinds == {
         ("MissingIndexEntry", "gap"),
         ("UnexpectedIndexEntry", "stray"),
@@ -501,19 +504,19 @@ def test_validate_reports_every_problem() -> None:
 def test_validate_duplicate_index_entry() -> None:
     w0 = Index((("W", "w0"),))
     w1 = Index((("W", "w1"),))
-    dup = Model(
-        ENTS,
-        (FRAME_W,),
-        (unary("p", ((w0, SetV(frozenset())), (w0, SetV(frozenset({TupleV((A,))}))), (w1, SetV(frozenset())))),),
-    )
-    assert {v.kind for v in validate(dup)} == {"DuplicateIndexEntry"}
+    p = unary("p", ((w0, SetV(frozenset())), (w0, SetV(frozenset({TupleV((A,))}))), (w1, SetV(frozenset()))))
+    with pytest.raises(InvalidModel, match="^model fails validation") as e:
+        Model(ENTS, (FRAME_W,), (p,))
+    assert {v.kind for v in e.value.violations} == {"DuplicateIndexEntry"}
     # lookups read the first row for an index, as the report counts it
-    assert dup.constant("p").value_at(w0) == SetV(frozenset())
+    assert p.value_at(w0) == SetV(frozenset())
 
 
 def test_validate_empty_entity_domain() -> None:
-    empty = Model(FinSet("E", ()), (), ())
-    assert [v.kind for v in validate(empty)] == ["EmptyEntityDomain"]
+    with pytest.raises(InvalidModel) as e:
+        Model(FinSet("E", ()), (), ())
+    assert [v.kind for v in e.value.violations] == ["EmptyEntityDomain"]
+    assert str(e.value) == "model fails validation (1 violations; first: EmptyEntityDomain  entity domain is empty)"
 
 
 def test_violation_is_plain_data() -> None:
@@ -521,10 +524,11 @@ def test_violation_is_plain_data() -> None:
     assert (v.kind, v.constant, v.detail) == ("MissingIndexEntry", "p", "index w0")
 
 
-def _violations_by_rows(m: Model) -> list[tuple[str, str, str]]:
-    """validate's table tests one row at a time, on sets of Index rows."""
+def _violations_by_rows(m: Model, constants) -> list[tuple[str, str, str]]:
+    """validate's table tests one row at a time, on sets of Index rows, for
+    constants in place of m's, over m's entities and frames."""
     out, space = [], index_space(m.frames)
-    for c in m.constants:
+    for c in sorted(constants, key=lambda c: c.name):
         seen = set()
         for idx, v in c.table:
             if idx in seen or idx not in space or not _checker(m, c.semtype)(v):
@@ -536,10 +540,10 @@ def _violations_by_rows(m: Model) -> list[tuple[str, str, str]]:
     return out
 
 
-def _spoiled(rng: random.Random, m: Model) -> Model:
-    """m with rows repeated, dropped, moved off the index space and given
-    values that do not inhabit their type; a refused relation row is one
-    object shared by several values."""
+def _spoiled(rng: random.Random, m: Model) -> tuple[Constant, ...]:
+    """m's constants with rows repeated, dropped, moved off the index space
+    and given values that do not inhabit their type; a refused relation row is
+    one object shared by several values."""
     constants = []
     for c in m.constants:
         rows = list(c.table)
@@ -561,16 +565,21 @@ def _spoiled(rng: random.Random, m: Model) -> Model:
                 rows.insert(0, (Index(idx.components[:-1]), v))
         rng.shuffle(rows)
         constants.append(Constant(c.name, c.semtype, tuple(rows)))
-    return Model(m.entity_domain, m.frames, tuple(constants), m.designated)
+    return tuple(constants)
 
 
 def test_validate_matches_the_row_by_row_reference() -> None:
     rng = random.Random(23)
     kinds: set = set()
     for _ in range(60):
-        m = _spoiled(rng, generators.random_model(rng, max_entities=3, min_frames=0, max_frames=3))
-        got = [(v.kind, v.constant, v.detail) for v in validate(m)]
-        assert got == _violations_by_rows(m)
+        m = generators.random_model(rng, max_entities=3, min_frames=0, max_frames=3)
+        spoiled = _spoiled(rng, m)
+        try:
+            Model(m.entity_domain, m.frames, spoiled, m.designated)
+            got = []
+        except InvalidModel as err:
+            got = [(v.kind, v.constant, v.detail) for v in err.violations]
+        assert got == _violations_by_rows(m, spoiled)
         kinds |= {v[0] for v in got}
     assert kinds == {"DuplicateIndexEntry", "UnexpectedIndexEntry", "MissingIndexEntry", "IllTypedValue"}
 
@@ -686,7 +695,6 @@ def test_equal_structures_are_one_shared_instance(build, other) -> None:
     gc.collect()
     start = _live(cls)
     kept = [build(), other(), generators.random_model(random.Random(5), max_entities=4, max_frames=3)]
-    assert kept[2].violations == ()
     assert _live(cls) > start or cls is Truth  # Truth(0) and Truth(1) live as long as denote
     del kept
     gc.collect()
@@ -703,7 +711,6 @@ def test_columns_hold_one_object_per_distinct_value() -> None:
         unary("q", ((w0, fresh("a", "b")), (w1, fresh()))),
         unary("r", ((w0, fresh()), (w1, fresh("a")))),
     ))
-    assert m.violations == ()
     values = [v for column in m.columns.values() for v in column]
     assert len(values) == 6 and len({id(v) for v in values}) == len(set(values)) == 3
     for c in m.constants:
@@ -751,7 +758,6 @@ def test_item_tuples_decide_membership_like_the_members() -> None:
     models += [load_model_file(str(path)).model for path in sorted(MODELS_DIR.glob("*.json"))]
     outcomes = []
     for m in models:
-        assert m.violations == ()
         for c in m.constants:
             if not isinstance(c.semtype, RelType):
                 continue

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .relalg import FinsemError
 from .semmodel import (
@@ -196,11 +196,11 @@ def free_vars(term: Term) -> frozenset[str]:
 # typechecking
 
 
-def typecheck(
-    term: Term, sig: Signature, gtypes: Optional[Mapping[str, SemType]] = None
-) -> SemType:
-    """Type of a term under sig, or a located TermTypeError / UnboundVariable."""
-    return _type_of(term, sig, dict(gtypes or {}), "root")
+def typecheck(term: Term, sig: Signature, scope: Iterable[str] = ()) -> SemType:
+    """Type of a term under sig, or a located TermTypeError / UnboundVariable.
+    scope names the free variables in scope. Every variable is entity-typed (a
+    lam or iota binds e, an assignment binds entities), so none needs a type."""
+    return _type_of(term, sig, frozenset(scope), "root")
 
 
 _E, _T = ENT_TYPE, TRUTH_TYPE
@@ -216,14 +216,14 @@ def _at(path: object) -> str:
     return path + "".join(reversed(steps))
 
 
-def _type_of(term: Term, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_of(term: Term, sig: Signature, env: frozenset[str], path: object) -> SemType:
     rule = _TYPES.get(type(term))
     if rule is None:
         raise ValueError(f"unknown term {term!r}")
     return rule(term, sig, env, path)
 
 
-def _expect(term: Term, sig: Signature, env: dict[str, SemType], path: object, want: SemType) -> None:
+def _expect(term: Term, sig: Signature, env: frozenset[str], path: object, want: SemType) -> None:
     """Typecheck a subterm at path and refuse it unless its type is want."""
     got = _type_of(term, sig, env, path)
     if got is not want:
@@ -238,17 +238,17 @@ def _declared(sig: Signature, name: str, what: str, path: object) -> SemType:
     return t
 
 
-def _type_const(term: Const, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_const(term: Const, sig: Signature, env: frozenset[str], path: object) -> SemType:
     return _declared(sig, term.name, "constant", path)
 
 
-def _type_var(term: Var, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_var(term: Var, sig: Signature, env: frozenset[str], path: object) -> SemType:
     if term.name not in env:
         raise UnboundVariable(f"at {_at(path)}: variable {term.name!r} is not in scope")
-    return env[term.name]
+    return _E
 
 
-def _type_pred_app(term: PredApp, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_pred_app(term: PredApp, sig: Signature, env: frozenset[str], path: object) -> SemType:
     pred, args = term.pred, term.args
     t = _declared(sig, pred, "predicate", path)
     if not isinstance(t, RelType):
@@ -263,7 +263,7 @@ def _type_pred_app(term: PredApp, sig: Signature, env: dict[str, SemType], path:
     return _T
 
 
-def _type_func_app(term: FuncApp, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_func_app(term: FuncApp, sig: Signature, env: frozenset[str], path: object) -> SemType:
     args = term.args
     t = _declared(sig, term.fn, "function", path)
     if not isinstance(t, FnType):
@@ -279,23 +279,21 @@ def _type_func_app(term: FuncApp, sig: Signature, env: dict[str, SemType], path:
     return t.codomain
 
 
-def _type_body(term: Lam, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_body(term: Lam, sig: Signature, env: frozenset[str], path: object) -> SemType:
     """The type of a lam's body, once its bound variable is checked entity-typed."""
     var_type = term.var_type
     if var_type is not _E:
         raise TermTypeError(
             _at(path), "e (bound variables are entity-typed)", render_type(var_type)
         )
-    inner = dict(env)
-    inner[term.var] = var_type
-    return _type_of(term.body, sig, inner, (path, ".body"))
+    return _type_of(term.body, sig, env | {term.var}, (path, ".body"))
 
 
-def _type_lam(term: Lam, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_lam(term: Lam, sig: Signature, env: frozenset[str], path: object) -> SemType:
     return FnType(term.var_type, _type_body(term, sig, env, path))
 
 
-def _type_app(term: App, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_app(term: App, sig: Signature, env: frozenset[str], path: object) -> SemType:
     if type(term.func) is Lam:  # an applied lam needs no FnType: its domain is e
         codomain = _type_body(term.func, sig, env, (path, ".func"))
         _expect(term.arg, sig, env, (path, ".arg"), _E)
@@ -307,32 +305,30 @@ def _type_app(term: App, sig: Signature, env: dict[str, SemType], path: object) 
     return ft.codomain
 
 
-def _type_iota(term: Iota, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
-    inner = dict(env)
-    inner[term.var] = _E
-    _expect(term.body, sig, inner, (path, ".body"), _T)
+def _type_iota(term: Iota, sig: Signature, env: frozenset[str], path: object) -> SemType:
+    _expect(term.body, sig, env | {term.var}, (path, ".body"), _T)
     return _E
 
 
-def _type_diamond(term: Diamond, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_diamond(term: Diamond, sig: Signature, env: frozenset[str], path: object) -> SemType:
     if term.label not in sig.labels:
         raise UngroundedType(f"at {_at(path)}: no frame {term.label!r} in this model")
     _expect(term.body, sig, env, (path, ".body"), _T)
     return _T
 
 
-def _type_and(term: And, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_and(term: And, sig: Signature, env: frozenset[str], path: object) -> SemType:
     _expect(term.left, sig, env, (path, ".left"), _T)
     _expect(term.right, sig, env, (path, ".right"), _T)
     return _T
 
 
-def _type_not(term: Not, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_not(term: Not, sig: Signature, env: frozenset[str], path: object) -> SemType:
     _expect(term.body, sig, env, (path, ".body"), _T)
     return _T
 
 
-def _type_eq(term: Eq, sig: Signature, env: dict[str, SemType], path: object) -> SemType:
+def _type_eq(term: Eq, sig: Signature, env: frozenset[str], path: object) -> SemType:
     lt = _type_of(term.left, sig, env, (path, ".left"))
     _expect(term.right, sig, env, (path, ".right"), lt)
     return _T
@@ -391,10 +387,6 @@ def eval_all_indices(
     return dict(zip(m.positions, values))
 
 
-def assignment_types(g: Assignment) -> dict[str, SemType]:
-    return {x: _E for x, _ in g.bindings}
-
-
 def _env_of(g: Assignment, m: Model) -> dict[str, Value] | UnknownEntity:
     """The assignment as an environment over m's entity domain, or the error
     for an entity outside it, kept for _prepare to raise in its turn."""
@@ -410,7 +402,7 @@ def _type_error(term: Term, sig: Signature, g: Assignment) -> Optional[Exception
     """The error typechecking term under sig and g raises, or None. Any error
     is kept, for _prepare to raise unchanged."""
     try:
-        typecheck(term, sig, assignment_types(g))
+        typecheck(term, sig, (x for x, _ in g.bindings))
     except Exception as err:
         return err
     return None

@@ -46,7 +46,6 @@ from .fragment import LEXICAL_CATEGORIES, LEXICAL_PRED_TYPES, LexEntry
 from .kripke import Frame
 from .relalg import FinSet, FinsemError, Relation
 from .semmodel import (
-    ENT_TYPE,
     Constant,
     EntType,
     Entity,
@@ -302,8 +301,8 @@ def _load_terms(j: Any, sig: Signature, errs: list[str]) -> dict[str, Term]:
             continue
         try:
             term = parse_term(tj, names)
-            # free variables are typed e: assignments bind entities
-            typecheck(term, sig, dict.fromkeys(free_vars(term), ENT_TYPE))
+            # free variables are in scope: an assignment may bind them
+            typecheck(term, sig, free_vars(term))
             out[name] = term
         except (ValueError, FinsemError) as err:
             errs.append(f"terms[{name!r}]: {err}")

@@ -257,40 +257,29 @@ def default_checks(m: Model) -> tuple[list[Term], list[Assignment]]:
     """Deterministic term corpus and assignments drawn from a model's constants.
 
     Covers every constant at lemma level (bare Const), variables, applied
-    predicates and functions, and a few composite shapes.
+    predicates and functions, and a few composite shapes. The one assignment
+    sends x to the first entity, which a valid model always has.
     """
-    ents = m.entity_domain.elements
-    gs = [Assignment((("x", ents[0]),))] if ents else [Assignment()]
-    terms: list[Term] = [Const(c.name) for c in m.constants]
-    if ents:
-        terms.append(Var("x"))
-    pool: list[Term] = [
-        Const(c.name) for c in m.constants if c.semtype == ENT_TYPE
-    ] or ([Var("x")] if ents else [])
+    gs = [Assignment((("x", m.entity_domain.elements[0]),))]
+    terms: list[Term] = [Const(c.name) for c in m.constants] + [Var("x")]
+    pool: list[Term] = [Const(c.name) for c in m.constants if c.semtype == ENT_TYPE] or [Var("x")]
     unary_preds = [
         c.name
         for c in m.constants
         if isinstance(c.semtype, RelType) and len(c.semtype.components) == 1
     ]
-    if pool:
-        for c in m.constants:
-            if isinstance(c.semtype, RelType):
-                args = tuple(
-                    pool[i % len(pool)] for i in range(len(c.semtype.components))
-                )
-                terms.append(PredApp(c.name, args))
-            elif isinstance(c.semtype, FnType):
-                args = tuple(pool[i % len(pool)] for i in range(fn_arity(c.semtype)))
-                terms.append(FuncApp(c.name, args))
-        terms.append(Eq(pool[0], pool[0]))
+    for c in m.constants:
+        if isinstance(c.semtype, RelType):
+            args = tuple(pool[i % len(pool)] for i in range(len(c.semtype.components)))
+            terms.append(PredApp(c.name, args))
+        elif isinstance(c.semtype, FnType):
+            args = tuple(pool[i % len(pool)] for i in range(fn_arity(c.semtype)))
+            terms.append(FuncApp(c.name, args))
+    terms.append(Eq(pool[0], pool[0]))
     for p in unary_preds:
-        if pool:
-            atom = PredApp(p, (pool[0],))
-            terms.append(And(atom, Not(atom)))
-        terms.append(Lam("v", ENT_TYPE, PredApp(p, (Var("v"),))))
-        if pool:
-            terms.append(App(Lam("v", ENT_TYPE, PredApp(p, (Var("v"),))), pool[0]))
-        terms.append(Iota("v", PredApp(p, (Var("v"),))))
+        atom = PredApp(p, (pool[0],))
+        lam = Lam("v", ENT_TYPE, PredApp(p, (Var("v"),)))
+        terms += [And(atom, Not(atom)), lam, App(lam, pool[0]), Iota("v", lam.body)]
     return terms, gs
 
 

@@ -2,11 +2,15 @@
 
 Everything here is desk scale: carriers are tuples of element ids, relations
 are frozensets of pairs, and every law is decided by exhaustive enumeration.
+The endorelation properties are one ordered table, _PROPERTIES, from each name
+to its decision over the carrier's elements and the pairs; its keys are
+PROPERTY_NAMES, check-rel's report order. A composite conjoins entries by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 
 class FinsemError(Exception):
@@ -159,65 +163,45 @@ def pair_id(x: str, y: str) -> str:
     return f"({x},{y})"
 
 
-PROPERTY_NAMES = (
-    "serial",
-    "reflexive",
-    "symmetric",
-    "antisymmetric",
-    "transitive",
-    "total",
-    "equivalence",
-    "partial_order",
-    "total_order",
-    "strongly_connected",
-    "weakly_connected",
-)
+_Decision = Callable[[tuple[str, ...], frozenset[tuple[str, str]]], bool]
+
+
+def _all_of(*names: str) -> _Decision:
+    """The conjunction of the named entries of _PROPERTIES."""
+    return lambda dom, rp: all(_PROPERTIES[p](dom, rp) for p in names)
+
+
+_PROPERTIES: dict[str, _Decision] = {
+    "serial": lambda dom, rp: all(any((u, v) in rp for v in dom) for u in dom),
+    "reflexive": lambda dom, rp: all((u, u) in rp for u in dom),
+    "symmetric": lambda dom, rp: all((v, u) in rp for (u, v) in rp),
+    "antisymmetric": lambda dom, rp: all(u == v for (u, v) in rp if (v, u) in rp),
+    "transitive": lambda dom, rp: all((u, w) in rp for (u, v) in rp for (v2, w) in rp if v == v2),
+    # connexity: any two points are comparable (forces reflexivity)
+    "total": lambda dom, rp: all((u, v) in rp or (v, u) in rp for u in dom for v in dom),
+    "equivalence": _all_of("reflexive", "symmetric", "transitive"),
+    "partial_order": _all_of("reflexive", "antisymmetric", "transitive"),
+    "total_order": _all_of("partial_order", "total"),
+    "strongly_connected": _all_of("total"),
+    "weakly_connected": lambda dom, rp: all(
+        (v, w) in rp or (w, v) in rp
+        for u in dom
+        for v in dom
+        for w in dom
+        if ((u, v) in rp and (u, w) in rp) or ((v, u) in rp and (w, u) in rp)
+    ),
+}
+PROPERTY_NAMES = tuple(_PROPERTIES)
 
 
 def check_property(r: Relation, prop: str) -> bool:
     """Decide a named property of an endorelation by exhaustive check."""
     if not r.is_endo:
         raise NotEndorelation(f"{r.source.name} -> {r.target.name} is not an endorelation")
-    dom = r.source.elements
-    rp = r.pairs
-    match prop:
-        case "serial":
-            return all(any((u, v) in rp for v in dom) for u in dom)
-        case "reflexive":
-            return all((u, u) in rp for u in dom)
-        case "symmetric":
-            return all((v, u) in rp for (u, v) in rp)
-        case "antisymmetric":
-            return all(u == v for (u, v) in rp if (v, u) in rp)
-        case "transitive":
-            return all(
-                (u, w) in rp for (u, v) in rp for (v2, w) in rp if v == v2
-            )
-        case "total" | "strongly_connected":
-            # connexity: any two points are comparable (forces reflexivity)
-            return all((u, v) in rp or (v, u) in rp for u in dom for v in dom)
-        case "equivalence":
-            return all(
-                check_property(r, p) for p in ("reflexive", "symmetric", "transitive")
-            )
-        case "partial_order":
-            return all(
-                check_property(r, p)
-                for p in ("reflexive", "antisymmetric", "transitive")
-            )
-        case "total_order":
-            return check_property(r, "partial_order") and check_property(r, "total")
-        case "weakly_connected":
-            return all(
-                (v, w) in rp or (w, v) in rp
-                for u in dom
-                for v in dom
-                for w in dom
-                if ((u, v) in rp and (u, w) in rp)
-                or ((v, u) in rp and (w, u) in rp)
-            )
-        case _:
-            raise ValueError(f"unknown property {prop!r}")
+    decide = _PROPERTIES.get(prop)
+    if decide is None:
+        raise ValueError(f"unknown property {prop!r}")
+    return decide(r.source.elements, r.pairs)
 
 
 def reflexive_iff_id_leq(r: Relation) -> bool:

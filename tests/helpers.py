@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 from finsem.fragment import LexEntry
@@ -22,6 +23,14 @@ from finsem.semmodel import (
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO_ROOT / "models"
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """The environment, with overrides, for a child interpreter that imports
+    finsem from this checkout: REPO_ROOT/src leads its PYTHONPATH."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
+    return env
 
 ENTITIES = FinSet("E", ("s1", "b1"))
 

@@ -22,7 +22,7 @@ from finsem.denote import TermTypeError
 from finsem.modelfile import ModelFileError
 from finsem.relalg import FinsemError
 
-from helpers import MODELS_DIR, REPO_ROOT
+from helpers import MODELS_DIR, REPO_ROOT, child_env
 
 EXTENSIONAL = str(MODELS_DIR / "extensional.json")
 MODAL = str(MODELS_DIR / "modal.json")
@@ -33,12 +33,11 @@ READS = "(pred read (iota x (pred student x)) (iota y (pred book y)))"
 
 
 def run(*argv: str, hashseed: str = "0") -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONHASHSEED=hashseed)
     return subprocess.run(
         [sys.executable, "-m", "finsem", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(PYTHONHASHSEED=hashseed),
         cwd=str(REPO_ROOT),
     )
 
@@ -539,7 +538,7 @@ def _modules_after(statement: str) -> set[str]:
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
-        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        env=child_env(),
         check=True,
     ).stdout
     return {name for name in out.split() if name.startswith("finsem.")}

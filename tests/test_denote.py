@@ -113,7 +113,7 @@ def test_typecheck_sentence_terms() -> None:
 
 
 def test_typecheck_uses_assignment_types() -> None:
-    assert typecheck(Var("x"), EXT.signature, {"x": EntType()}) == EntType()
+    assert typecheck(Var("x"), EXT.signature, ["x"]) == EntType()
     with pytest.raises(UnboundVariable):
         typecheck(Var("x"), EXT.signature)
 
@@ -293,10 +293,10 @@ def test_nested_typecheck_errors_are_located_exactly(term, m, kind, message) -> 
         assert message.startswith(f"at {e.value.path}: expected {e.value.expected}, found ")
 
 
-def _typing(term, m: Model, gtypes=None):
+def _typing(term, m: Model, scope=()):
     """The type term gets on m, or the class and message of its error."""
     try:
-        return typecheck(term, m.signature, gtypes)
+        return typecheck(term, m.signature, scope)
     except Exception as err:
         return type(err), str(err)
 
@@ -339,9 +339,9 @@ def test_typing_does_not_depend_on_type_identity() -> None:
         assert len(_types(m)) == len(_types(built)) == len(_types(reloaded))
         assert all(a is b is c for a, b, c in zip(_types(m), _types(built), _types(reloaded)))
         terms, gs = default_checks(built)
-        gtypes = denote.assignment_types(gs[0])
+        scope = [x for x, _ in gs[0].bindings]
         for term in terms:
-            assert _typing(term, reloaded, gtypes) == _typing(term, built, gtypes)
+            assert _typing(term, reloaded, scope) == _typing(term, built, scope)
     for case in NESTED_TYPE_ERRORS:
         term, m, kind, message = case.values
         assert _typing(term, m) == _typing(term, _reloaded(m)) == (kind, message)

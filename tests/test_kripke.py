@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 
@@ -28,7 +27,7 @@ from finsem.kripke import (
 )
 from finsem.relalg import EndpointMismatch, FinSet, FnGraph, Relation
 
-from helpers import REPO_ROOT
+from helpers import child_env
 
 
 def frame(label: str, elements: tuple[str, ...], pairs: set[tuple[str, str]]) -> Frame:
@@ -116,9 +115,7 @@ def test_disagreeing_routes_raise_under_python_o() -> None:
         "    except AssertionError as err:\n"
         "        print(err)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(REPO_ROOT / "src"), env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=child_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout == "monotonicity routes disagree\nbounded-morphism routes disagree\n"
 

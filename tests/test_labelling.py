@@ -62,7 +62,7 @@ from helpers import BINARY, UNARY, build_modal, rel_value
 
 def oracle(term: Term, m: Model, g: Assignment) -> tuple:
     """The per-index route: one _eval call per index position, in canonical order."""
-    typecheck(term, m.signature, denote.assignment_types(g))
+    typecheck(term, m.signature, [x for x, _ in g.bindings])
     env = denote._env_of(g, m)
     try:
         return ("value", {s: denote._eval(term, m, env, p) for s, p in m.positions.items()})
@@ -86,7 +86,7 @@ def assert_routes_agree(term: Term, m: Model, g: Assignment = Assignment()) -> t
 def _truth_term(rng: random.Random, m: Model) -> Term:
     while True:
         term = generators.random_term(rng, m, max_depth=3)
-        if typecheck(term, m.signature, {x: EntType() for x in generators.ASSIGNMENT_VARS}) == TruthType():
+        if typecheck(term, m.signature, generators.ASSIGNMENT_VARS) == TruthType():
             return term
 
 

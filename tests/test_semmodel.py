@@ -12,7 +12,6 @@ import copy
 import dataclasses
 import gc
 import itertools
-import os
 import pickle
 import random
 import subprocess
@@ -66,7 +65,7 @@ from finsem.semmodel import (
     validate,
 )
 
-from helpers import MODELS_DIR, REPO_ROOT
+from helpers import MODELS_DIR, REPO_ROOT, child_env
 
 
 def small_frame(label: str, elements: tuple[str, ...], pairs: set) -> Frame:
@@ -741,12 +740,9 @@ def test_pinned_corpora_hold_across_hash_seeds_and_allocation_histories(hashseed
         "del junk[::2]\n"
         "sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *sys.argv[1:]]))\n"
     )
-    src = str(REPO_ROOT / "src")
-    env = dict(os.environ, PYTHONHASHSEED=hashseed)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-c", code, *PINNED_CORPORA],
-        capture_output=True, text=True, cwd=REPO_ROOT, env=env,
+        capture_output=True, text=True, cwd=REPO_ROOT, env=child_env(PYTHONHASHSEED=hashseed),
     )
     assert done.returncode == 0, done.stdout[-2000:]
     assert "2 passed" in done.stdout

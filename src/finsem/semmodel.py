@@ -3,17 +3,19 @@
 A model fixes one entity carrier, an ordered family of labelled frames, and
 an interpretation table per constant, kept as given. validate is the one rule
 that a table is a total map from the index space (the product of the frame
-domains) to values of the constant's type. A Model runs it as it is built and
-raises InvalidModel on a nonempty report, so every Model is valid, and typing
+domains) to values of the constant's type, and it returns each such map as a
+column. A Model runs it as it is built, which raises InvalidModel with the
+report of a table that breaks the rule, so every Model is valid, and typing
 reads only its Signature. Everything is finite and enumerable, so validation
 and evaluation are exhaustive rather than symbolic.
 
 Every type, value and Index is hash-consed (see Shared): one object per
 structure, which compares and hashes by identity, so each set value builds its
 item lookup once. The intern table is weak, so it holds no more than the
-values alive, however many models come and go. Models build their lookup
-tables once, on first use, outside their dataclass fields, so equality and
-hashing of a model stay structural.
+values alive, however many models come and go. A Model keeps the columns
+that validate returns, each constant's values in position order, and builds
+its other lookup tables once, on first use; all of them lie outside its
+dataclass fields, so equality and hashing of a model stay structural.
 """
 
 from __future__ import annotations
@@ -522,8 +524,9 @@ class Model:
         object.__setattr__(
             self, "designated", tuple(sorted(tuple(d) for d in self.designated))
         )
-        if report := validate(self):
-            raise InvalidModel(report)
+        # each constant's values in position order; outside the dataclass
+        # fields, so equality and hashing of a model stay structural
+        object.__setattr__(self, "columns", validate(self))
 
     @cached_property
     def positions(self) -> dict[Index, int]:
@@ -539,11 +542,6 @@ class Model:
     def entity_key_order(self) -> tuple[int, ...]:
         """Entity positions in value_key order, the row order of a function value."""
         return tuple(sorted(range(len(self.entities)), key=lambda i: value_key(self.entities[i])))
-
-    @cached_property
-    def columns(self) -> dict[str, tuple[Value, ...]]:
-        """Each constant's values in canonical position order, read off its table by index."""
-        return {c.name: tuple(map(dict(c.table).__getitem__, self.positions)) for c in self.constants}
 
     @cached_property
     def successor_positions(self) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -734,49 +732,48 @@ def _checker(m: Model, t: SemType) -> Callable[[Value], bool]:
     return lambda v: False
 
 
-def validate(m: Model) -> list[Violation]:
-    """Full well-formedness report; a Model is built only when it is empty."""
+def validate(m: Model) -> dict[str, tuple[Value, ...]]:
+    """Each constant's column, its values in position order, read in one walk
+    of its table. When a table is not a total map from the index space to
+    values of its type, raise InvalidModel with every violation: per constant,
+    its rows' in row order, then its missing indices in position order."""
     out: list[Violation] = []
     if len(m.entity_domain) == 0:
         out.append(Violation("EmptyEntityDomain", "", "entity domain is empty"))
+    columns = {}
     for c in m.constants:
-        check = _checker(m, c.semtype)
-        seen: set[Index] = set()
+        # one verdict per distinct value, replayed at every row that holds it:
+        # the check's result, or the UngroundedType or DomainTooLarge it raised
+        check, verdicts = _checker(m, c.semtype), {}
+        column, stray = [None] * len(m.positions), set()
         for idx, v in c.table:
-            if idx in seen:
-                out.append(
-                    Violation("DuplicateIndexEntry", c.name, f"index {idx.render()}")
-                )
+            p = m.positions.get(idx)
+            if p is None and idx not in stray:
+                stray.add(idx)
+                out.append(Violation("UnexpectedIndexEntry", c.name, f"index {idx.render()}"))
                 continue
-            seen.add(idx)
-            if idx not in m.positions:
-                out.append(
-                    Violation("UnexpectedIndexEntry", c.name, f"index {idx.render()}")
-                )
+            if p is None or column[p] is not None:
+                out.append(Violation("DuplicateIndexEntry", c.name, f"index {idx.render()}"))
                 continue
-            try:
-                ok = check(v)
-            except UngroundedType as err:
-                out.append(Violation("UngroundedType", c.name, str(err)))
-                continue
-            except DomainTooLarge as err:
-                out.append(Violation("DomainTooLarge", c.name, str(err)))
-                continue
-            if not ok:
-                out.append(
-                    Violation(
-                        "IllTypedValue",
-                        c.name,
-                        f"index {idx.render()}: value does not inhabit "
-                        f"{render_type(c.semtype)}",
-                    )
-                )
-        for idx in m.positions:
-            if idx not in seen:
-                out.append(
-                    Violation("MissingIndexEntry", c.name, f"index {idx.render()}")
-                )
-    return out
+            column[p] = v
+            if (verdict := verdicts.get(v)) is None:
+                try:
+                    verdict = check(v)
+                except (UngroundedType, DomainTooLarge) as err:
+                    verdict = err
+                verdicts[v] = verdict
+            if isinstance(verdict, FinsemError):
+                out.append(Violation(type(verdict).__name__, c.name, str(verdict)))
+            elif not verdict:
+                detail = f"index {idx.render()}: value does not inhabit {render_type(c.semtype)}"
+                out.append(Violation("IllTypedValue", c.name, detail))
+        for idx, v in zip(m.positions, column):
+            if v is None:
+                out.append(Violation("MissingIndexEntry", c.name, f"index {idx.render()}"))
+        columns[c.name] = tuple(column)
+    if out:
+        raise InvalidModel(out)
+    return columns
 
 
 # ---------------------------------------------------------------------------

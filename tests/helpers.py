@@ -1,15 +1,20 @@
-"""Shared builders for the test suite: the two worked models and the lexicon."""
+"""Shared builders for the test suite: the two worked models, the lexicon and
+random truth terms with a full assignment."""
 
 from __future__ import annotations
 
 import os
 import pathlib
+import random
 
+from finsem import generators
+from finsem.denote import And, Diamond, Not, Term, typecheck
 from finsem.fragment import LexEntry
 from finsem.kripke import Frame
 from finsem.relalg import FinSet, Relation
 from finsem.semmodel import (
     EMPTY_INDEX,
+    Assignment,
     Constant,
     EntType,
     Entity,
@@ -17,6 +22,7 @@ from finsem.semmodel import (
     Model,
     RelType,
     SetV,
+    TruthType,
     TupleV,
 )
 
@@ -96,3 +102,31 @@ def table_of(m: Model, name: str) -> tuple:
     """The table of m's constant named name."""
     (table,) = (c.table for c in m.constants if c.name == name)
     return table
+
+
+def _truth_term(rng: random.Random, m: Model) -> Term:
+    while True:
+        term = generators.random_term(rng, m, max_depth=3)
+        if typecheck(term, m.signature, generators.ASSIGNMENT_VARS) == TruthType():
+            return term
+
+
+def _wrapped_term(rng: random.Random, m: Model) -> Term:
+    """A random truth term wrapped one to four times in might, not or and."""
+    term = _truth_term(rng, m)
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.5:
+            term = Diamond(rng.choice([f.label for f in m.frames]), term)
+        elif roll < 0.7:
+            term = Not(term)
+        else:
+            other = _truth_term(rng, m)
+            term = And(term, other) if rng.random() < 0.5 else And(other, term)
+    return term
+
+
+def _full_assignment(rng: random.Random, m: Model) -> Assignment:
+    return Assignment(
+        tuple((x, rng.choice(m.entity_domain.elements)) for x in generators.ASSIGNMENT_VARS)
+    )

@@ -49,7 +49,6 @@ from finsem.semmodel import (
     Model,
     SemType,
     Truth,
-    TruthType,
     SetV,
     TupleV,
     fn_type,
@@ -57,7 +56,7 @@ from finsem.semmodel import (
     render_value,
 )
 
-from helpers import BINARY, UNARY, build_modal, rel_value
+from helpers import BINARY, UNARY, _full_assignment, _wrapped_term, build_modal, rel_value
 
 
 def oracle(term: Term, m: Model, g: Assignment) -> tuple:
@@ -81,34 +80,6 @@ def assert_routes_agree(term: Term, m: Model, g: Assignment = Assignment()) -> t
     got = labelled(term, m, g)
     assert got == oracle(term, m, g), denote.render_term(term)
     return got
-
-
-def _truth_term(rng: random.Random, m: Model) -> Term:
-    while True:
-        term = generators.random_term(rng, m, max_depth=3)
-        if typecheck(term, m.signature, generators.ASSIGNMENT_VARS) == TruthType():
-            return term
-
-
-def _wrapped_term(rng: random.Random, m: Model) -> Term:
-    """A random truth term wrapped one to four times in might, not or and."""
-    term = _truth_term(rng, m)
-    for _ in range(rng.randint(1, 4)):
-        roll = rng.random()
-        if roll < 0.5:
-            term = Diamond(rng.choice([f.label for f in m.frames]), term)
-        elif roll < 0.7:
-            term = Not(term)
-        else:
-            other = _truth_term(rng, m)
-            term = And(term, other) if rng.random() < 0.5 else And(other, term)
-    return term
-
-
-def _full_assignment(rng: random.Random, m: Model) -> Assignment:
-    return Assignment(
-        tuple((x, rng.choice(m.entity_domain.elements)) for x in generators.ASSIGNMENT_VARS)
-    )
 
 
 def test_seeded_agreement_with_the_per_index_oracle() -> None:

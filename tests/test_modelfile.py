@@ -43,7 +43,7 @@ BUNDLED = [
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_models_load_clean(name: str) -> None:
     mf = load_model_file(str(MODELS_DIR / name))
-    assert validate(mf.model) == []
+    assert validate(mf.model) == mf.model.columns
     assert {"the", "student", "book", "read"} <= set(mf.lexicon)
     assert "reads" in mf.terms
 
@@ -475,17 +475,23 @@ def test_loader_locates_decode_problems_at_depth(doc: dict, problems: list[str])
 
 
 def test_validation_raises_per_row_not_per_type() -> None:
-    # s(X) names no frame: each row's value is refused on its own
-    assert problems_of(one_constant_doc("s(X)", "x0", "x1")) == [
-        "validation: constant 'p': UngroundedType (no frame 'X' in this model)",
-        "validation: constant 'p': UngroundedType (no frame 'X' in this model)",
-    ]
+    # s(X) names no frame: each row's value is refused on its own, a repeated one too
+    for values in (("x0", "x1"), ("x0", "x0")):
+        assert problems_of(one_constant_doc("s(X)", *values)) == [
+            "validation: constant 'p': UngroundedType (no frame 'X' in this model)",
+            "validation: constant 'p': UngroundedType (no frame 'X' in this model)",
+        ]
     # a function domain too large to enumerate is refused per function value
     many = tuple(f"e{i:02}" for i in range(21))
-    doc = one_constant_doc("fn(set(e),t)", [[[], 1]], [[["e00"], 0]], entities=many)
-    assert problems_of(doc) == [
-        "validation: constant 'p': DomainTooLarge (set(e) exceeds 1000000 values)",
-        "validation: constant 'p': DomainTooLarge (set(e) exceeds 1000000 values)",
+    for values in (([[[], 1]], [[["e00"], 0]]), ([[[], 1]], [[[], 1]])):
+        assert problems_of(one_constant_doc("fn(set(e),t)", *values, entities=many)) == [
+            "validation: constant 'p': DomainTooLarge (set(e) exceeds 1000000 values)",
+            "validation: constant 'p': DomainTooLarge (set(e) exceeds 1000000 values)",
+        ]
+    # and a value that does not inhabit the type is refused at each of its rows
+    assert problems_of(one_constant_doc("rel(e)", [["zz"]], [["zz"]])) == [
+        "validation: constant 'p': IllTypedValue (index w0: value does not inhabit rel(e))",
+        "validation: constant 'p': IllTypedValue (index w1: value does not inhabit rel(e))",
     ]
     # with no value to check, neither type raises
     for ty, entities in (("s(X)", ("a",)), ("fn(set(e),t)", many), ("set(fn(set(e),t))", many)):

@@ -451,7 +451,7 @@ def test_designated_for_defaults_to_first_element() -> None:
 def test_validate_clean_model() -> None:
     rows = tuple((s, SetV(frozenset({TupleV((A,))}))) for s in index_space(M.frames))
     m = Model(ENTS, (FRAME_W,), (unary("p", rows),))
-    assert validate(m) == []
+    assert validate(m) == m.columns
 
 
 def test_built_lookups_keep_equality_structural() -> None:
@@ -516,6 +516,15 @@ def test_validate_empty_entity_domain() -> None:
         Model(FinSet("E", ()), (), ())
     assert [v.kind for v in e.value.violations] == ["EmptyEntityDomain"]
     assert str(e.value) == "model fails validation (1 violations; first: EmptyEntityDomain  entity domain is empty)"
+
+
+def test_validate_checks_each_value_against_its_own_constants_type() -> None:
+    # a is a value of x: e and not of y: t; x's verdict on a must not answer for y
+    x = Constant("x", ENT_TYPE, ((EMPTY_INDEX, A),))
+    y = Constant("y", TRUTH_TYPE, ((EMPTY_INDEX, A),))
+    with pytest.raises(InvalidModel) as e:
+        Model(ENTS, (), (x, y))
+    assert e.value.violations == (Violation("IllTypedValue", "y", "index (): value does not inhabit t"),)
 
 
 def test_violation_is_plain_data() -> None:

@@ -2,7 +2,8 @@
 
 Monotone and bounded maps each get two independent implementations, one by
 quantifier chasing and one by relation algebra; the checkers insist the two
-agree so either route can be trusted.
+agree so either route can be trusted. trivialize maps a frame onto its
+one-point frame, and section maps that point to one element of the frame.
 """
 
 from __future__ import annotations
@@ -158,6 +159,14 @@ def compose_maps(m1: FrameMap, m2: FrameMap) -> FrameMap:
     )
 
 
+def _point(f: Frame, element: str) -> Frame:
+    """f's label and carrier name over the one point k0, related to itself."""
+    if element not in f.domain:
+        raise UnknownElement(f"{element!r} is not in frame {f.label!r}")
+    point = FinSet(f.domain.name, (TRIVIAL_ELEMENT,))
+    return Frame(f.label, point, Relation(point, point, frozenset({(TRIVIAL_ELEMENT, TRIVIAL_ELEMENT)})))
+
+
 def trivialize(f: Frame, designated: str) -> FrameMap:
     """The map collapsing a frame onto its one-point frame, the single point k0.
 
@@ -166,9 +175,12 @@ def trivialize(f: Frame, designated: str) -> FrameMap:
     associated interpretation the collapse should keep; the map itself does
     not depend on it, but the choice must exist in the domain.
     """
-    if designated not in f.domain:
-        raise UnknownElement(f"{designated!r} is not in frame {f.label!r}")
-    point = FinSet(f.domain.name, (TRIVIAL_ELEMENT,))
-    loop = Relation(point, point, frozenset({(TRIVIAL_ELEMENT, TRIVIAL_ELEMENT)}))
-    to_point = Relation(f.domain, point, frozenset((u, TRIVIAL_ELEMENT) for u in f.domain.elements))
-    return FrameMap(f, Frame(f.label, point, loop), FnGraph(to_point))
+    point = _point(f, designated)
+    to_point = Relation(f.domain, point.domain, frozenset((u, TRIVIAL_ELEMENT) for u in f.domain.elements))
+    return FrameMap(f, point, FnGraph(to_point))
+
+
+def section(f: Frame, w: str) -> FrameMap:
+    """The map k0 -> w into f from its one-point frame, which trivialize(f, w) retracts."""
+    point = _point(f, w)
+    return FrameMap(point, f, FnGraph(Relation(point.domain, f.domain, frozenset({(TRIVIAL_ELEMENT, w)}))))

@@ -1,21 +1,21 @@
-"""Morphisms between models: identity and single-frame collapse.
+"""Morphisms between models: pullback along frame maps, and the collapses.
 
-Applying TrivializeFrame keeps the designated slice of every interpretation
-table and replaces the chosen frame by the target of its collapse map,
-kripke.trivialize. Every collapse and extensionalize is one pullback of the
-source's columns along a list of its positions, onto index_space of the
-target's frames, and builds one Model, the result. It refuses a constant
-whose type mentions s(L) for a frame L it replaces or drops, so the pullback
-of a model, which is valid by construction, is valid too. Two collapse paths
-commute when compose_path lands them on equal models, and a fully collapsed
-model evaluates exactly like its frame-free extensionalization;
-verify_equivalence checks the latter claim exhaustively, term by term.
+pullback takes one kripke.FrameMap per label, into the model's frame of that
+label, and builds the model over their sources whose columns hold, at each u,
+the model's values at the image of u. A collapse at w is the pullback along
+kripke.section, k0 -> w; trivialize_all takes every nontrivial frame's
+section at once. Each pullback and extensionalize builds one Model. It
+refuses a constant whose type mentions s(L) for a frame L it replaces or
+drops, so the pullback of a model, valid by construction, is valid too. Two
+collapse paths commute when compose_path lands them on equal models, and a
+fully collapsed model evaluates exactly like its frame-free
+extensionalization, which verify_equivalence checks term by term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .denote import (
     And,
@@ -35,9 +35,8 @@ from .denote import (
     _type_error,
     render_term,
 )
-from .kripke import Frame
-from .kripke import trivialize as trivialize_frame
-from .relalg import FinsemError
+from .kripke import Frame, FrameMap, section
+from .relalg import EndpointMismatch, FinsemError
 from .semmodel import (
     ENT_TYPE,
     Assignment,
@@ -68,44 +67,40 @@ class FrameTypedConstant(FinsemError):
 
 
 @dataclass(frozen=True)
-class Identity:
-    pass
-
-
-@dataclass(frozen=True)
 class TrivializeFrame:
     label: str
     designated: Optional[str] = None
 
 
-Morphism = Union[Identity, TrivializeFrame]
+def apply(m: Model, morphism: TrivializeFrame) -> Model:
+    """Collapse one frame at its chosen element, the model's designated one by default."""
+    frame = m.frame(morphism.label)
+    if frame is None:
+        raise UnknownFrame(f"model has no frame {morphism.label!r}")
+    if frame.trivial:
+        raise AlreadyTrivial(f"frame {frame.label!r} is already trivial")
+    chosen = morphism.designated if morphism.designated is not None else m.designated_for(frame.label)
+    return pullback(m, {frame.label: section(frame, chosen)})
 
 
-def apply(m: Model, morphism: Morphism) -> Model:
-    """Apply one morphism to a model."""
-    match morphism:
-        case Identity():
-            return m
-        case TrivializeFrame(label, designated):
-            frame = m.frame(label)
-            if frame is None:
-                raise UnknownFrame(f"model has no frame {label!r}")
-            if frame.trivial:
-                raise AlreadyTrivial(f"frame {label!r} is already trivial")
-            chosen = designated if designated is not None else m.designated_for(label)
-            return _collapse(m, {label: chosen})
-    raise ValueError(f"unknown morphism {morphism!r}")
-
-
-def _collapse(m: Model, chosen: dict[str, str]) -> Model:
-    """m with each frame labelled in chosen collapsed at its chosen element."""
-    frames = tuple(trivialize_frame(f, chosen[f.label]).target if f.label in chosen else f for f in m.frames)
-    # mixed-radix positions, the last frame fastest: the kept ones ascend, as the target's do
+def pullback(m: Model, maps: Mapping[str, FrameMap]) -> Model:
+    """m pulled back along each map in maps, into m's frame of its label: that
+    frame becomes the map's source and loses its designated element, and every
+    column holds, at each index, m's value at the index's image."""
+    for label, fm in maps.items():
+        frame = m.frame(label)
+        if frame is None:
+            raise UnknownFrame(f"model has no frame {label!r}")
+        if fm.target != frame:
+            raise EndpointMismatch(f"map into {fm.target.label!r} does not end at the model's frame {label!r}")
+    # mixed-radix positions, the last frame fastest, as in index_space
     at = [0]
     for f in m.frames:
-        digits = [f.domain.position(chosen[f.label])] if f.label in chosen else range(len(f.domain))
+        fm = maps.get(f.label)
+        digits = range(len(f.domain)) if fm is None else [f.domain.position(fm(u)) for u in fm.source.domain.elements]
         at = [p * len(f.domain) + d for p in at for d in digits]
-    designated = tuple(d for d in m.designated if d[0] not in chosen)
+    frames = tuple(maps[f.label].source if f.label in maps else f for f in m.frames)
+    designated = tuple(d for d in m.designated if d[0] not in maps)
     return _pullback(m, frames, designated, at)
 
 
@@ -128,7 +123,7 @@ def _pullback(m: Model, frames: tuple[Frame, ...], designated: tuple, at: Sequen
     return Model(m.entity_domain, frames, constants, designated)
 
 
-def compose_path(m: Model, path: Sequence[Morphism]) -> Model:
+def compose_path(m: Model, path: Sequence[TrivializeFrame]) -> Model:
     """Apply a path of morphisms left to right."""
     out = m
     for morphism in path:
@@ -138,8 +133,8 @@ def compose_path(m: Model, path: Sequence[Morphism]) -> Model:
 
 def trivialize_all(m: Model) -> Model:
     """Collapse every nontrivial frame at its designated element, in one pullback."""
-    chosen = {f.label: m.designated_for(f.label) for f in m.frames if not f.trivial}
-    return _collapse(m, chosen) if chosen else m
+    maps = {f.label: section(f, m.designated_for(f.label)) for f in m.frames if not f.trivial}
+    return pullback(m, maps) if maps else m
 
 
 def extensionalize(m: Model) -> Model:

@@ -46,6 +46,7 @@ def _tally() -> dict[str, Counter]:
         f = FrameMap(F, G, random_fn_graph(rng, F.domain, G.domain))
         at = [n.positions[Index(((G.label, f(u)),))] for u in F.domain.elements]
         m = morphisms._pullback(n, (F,), (), at)
+        assert morphisms.pullback(n, {G.label: f}) == m
         g = _full_assignment(rng, m)
         # drawn for every map, kept or not, so each draw takes the same random numbers
         terms = [_wrapped_term(rng, m) for _ in range(TERMS)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import subprocess
 import sys
 
@@ -23,6 +24,7 @@ from finsem.kripke import (
     is_monotone,
     is_surjective,
     monotone_inclusions,
+    section,
     trivialize,
 )
 from finsem.relalg import EndpointMismatch, FinSet, FnGraph, Relation
@@ -181,6 +183,30 @@ def test_trivialize_non_serial_counterexample() -> None:
     assert not back_holds(m)
     assert not is_bounded(m)
     assert is_monotone(m)
+
+
+def test_sections_of_every_frame_on_one_to_three_points() -> None:
+    """section(f, w) is bounded exactly when w's only successor is w, monotone
+    exactly when w sees itself, and trivialize(f, w) retracts it."""
+    frames_seen = sections = bounded = monotone = 0
+    for n in (1, 2, 3):
+        elements = tuple(f"w{i}" for i in range(n))
+        universe = [(u, v) for u in elements for v in elements]
+        for bits in itertools.product((False, True), repeat=len(universe)):
+            f = frame("W", elements, {pair for pair, kept in zip(universe, bits) if kept})
+            frames_seen += 1
+            for w in elements:
+                s = section(f, w)
+                assert s.source == trivialize(f, w).target and s.target == f
+                assert is_bounded(s) == (f.successors(w) == [w])
+                assert is_monotone(s) == ((w, w) in f.rel.pairs)
+                assert compose_maps(s, trivialize(f, w)) == identity_map(s.source)
+                sections += 1
+                bounded += is_bounded(s)
+                monotone += is_monotone(s)
+    assert (frames_seen, sections, bounded, monotone) == (530, 1570, 201, 785)
+    with pytest.raises(UnknownElement, match="'w9' is not in frame 'W'"):
+        section(f, "w9")
 
 
 # ---------------------------------------------------------------------------

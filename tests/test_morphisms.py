@@ -23,15 +23,23 @@ from finsem.denote import (
     eval_int,
     render_term,
 )
-from finsem.generators import random_model, random_term
+from finsem.generators import random_fn_graph, random_frame, random_model, random_term
 from finsem.modelfile import load_model_file
-from finsem.kripke import TRIVIAL_ELEMENT, Frame, UnknownElement, trivialize
+from finsem.kripke import (
+    TRIVIAL_ELEMENT,
+    Frame,
+    FrameMap,
+    UnknownElement,
+    compose_maps,
+    identity_map,
+    section,
+    trivialize,
+)
 from finsem.morphisms import (
     AlreadyTrivial,
     CheckRecord,
     EquivalenceReport,
     FrameTypedConstant,
-    Identity,
     NotFullyTrivial,
     TrivializeFrame,
     apply,
@@ -40,10 +48,11 @@ from finsem.morphisms import (
     default_checks,
     diagram_export,
     extensionalize,
+    pullback,
     trivialize_all,
     verify_equivalence,
 )
-from finsem.relalg import FinSet, Relation
+from finsem.relalg import EndpointMismatch, FinSet, Relation
 from finsem.semmodel import (
     EMPTY_INDEX,
     Assignment,
@@ -98,8 +107,38 @@ def two_frame_model() -> Model:
 
 
 def test_identity_morphism() -> None:
-    assert apply(MODAL, Identity()) == MODAL
+    assert pullback(MODAL, {}) == MODAL
     assert compose_path(MODAL, ()) == MODAL
+    for m in (MODAL, two_frame_model()):
+        for f in m.frames:
+            along = pullback(m, {f.label: identity_map(f)})
+            assert along.frames == m.frames and along.columns == m.columns
+            assert along.designated == tuple(d for d in m.designated if d[0] != f.label)
+
+
+def test_pullback_along_a_composite_is_the_pullback_along_each() -> None:
+    """pullback(pullback(n, f), e) == pullback(n, e;f), label by label."""
+    rng = random.Random(4242)
+    equal = 0
+    for _ in range(200):
+        n = random_model(rng, max_entities=3, min_frames=1, max_frames=2)
+        f, e = {}, {}
+        for G in n.frames:
+            F1, F2 = random_frame(rng, G.label, max_size=3), random_frame(rng, G.label, max_size=3)
+            f[G.label] = FrameMap(F1, G, random_fn_graph(rng, F1.domain, G.domain))
+            e[G.label] = FrameMap(F2, F1, random_fn_graph(rng, F2.domain, F1.domain))
+        composite = {label: compose_maps(e[label], f[label]) for label in f}
+        equal += pullback(pullback(n, f), e) == pullback(n, composite)
+    assert equal == 200
+
+
+def test_pullback_refuses_an_unknown_label_and_a_map_into_another_frame() -> None:
+    (W,) = MODAL.frames
+    with pytest.raises(UnknownFrame, match="model has no frame 'Q'"):
+        pullback(MODAL, {"Q": identity_map(W)})
+    point = trivialize(W, "w0").target
+    with pytest.raises(EndpointMismatch):
+        pullback(MODAL, {"W": identity_map(point)})
 
 
 def test_trivialize_keeps_the_designated_slice() -> None:
@@ -162,12 +201,6 @@ def test_square_detects_designated_disagreement() -> None:
     # w0 and w1 slices of read differ, so the two collapses disagree
     assert compose_path(MODAL, (TrivializeFrame("W", "w0"),)) != compose_path(
         MODAL, (TrivializeFrame("W", "w1"),)
-    )
-
-
-def test_square_with_identity_edges() -> None:
-    assert compose_path(MODAL, (Identity(), TrivializeFrame("W"))) == compose_path(
-        MODAL, (TrivializeFrame("W"), Identity())
     )
 
 
@@ -364,7 +397,8 @@ def _assert_one_pullback_is_the_path(m: Model) -> int:
         for frames in itertools.combinations(nontrivial, size):
             for elements in itertools.product(*(f.domain.elements for f in frames)):
                 chosen = dict(zip((f.label for f in frames), elements))
-                got, want = morphisms._collapse(m, chosen), _collapsed_frame_by_frame(m, chosen)
+                sections = {label: section(m.frame(label), w) for label, w in chosen.items()}
+                got, want = pullback(m, sections), _collapsed_frame_by_frame(m, chosen)
                 assert got == want
                 compared += 1
     return compared

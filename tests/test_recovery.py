@@ -85,16 +85,13 @@ def test_the_designated_extension_is_recovered_from_the_uncollapsed_model(capsys
 def test_a_collapse_keeping_the_wrong_slice_is_caught(capsys, monkeypatch) -> None:
     # each frame collapses at the element after the chosen one, cyclically in
     # domain order; criterion 5's routes both read the wrong slice and agree
-    collapse = morphisms._collapse
+    real = morphisms.section
 
-    def next_slice(m, chosen):
-        def after(label, element):
-            elements = m.frame(label).domain.elements
-            return elements[(elements.index(element) + 1) % len(elements)]
+    def next_slice(f, w):
+        elements = f.domain.elements
+        return real(f, elements[(elements.index(w) + 1) % len(elements)])
 
-        return collapse(m, {label: after(label, e) for label, e in chosen.items()})
-
-    monkeypatch.setattr(morphisms, "_collapse", next_slice)
+    monkeypatch.setattr(morphisms, "section", next_slice)
     start = time.perf_counter()
     checks, disagreements, _, sweep = _recovery(sweep_mismatches=True)
     elapsed = time.perf_counter() - start

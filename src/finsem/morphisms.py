@@ -4,17 +4,21 @@ pullback takes one kripke.FrameMap per label, into the model's frame of that
 label, and builds the model over their sources whose columns hold, at each u,
 the model's values at the image of u. A collapse at w is the pullback along
 kripke.section, k0 -> w; trivialize_all takes every nontrivial frame's
-section at once. Each pullback and extensionalize builds one Model. It
-refuses a constant whose type mentions s(L) for a frame L it replaces or
-drops, so the pullback of a model, valid by construction, is valid too. Two
-collapse paths commute when compose_path lands them on equal models, and a
-fully collapsed model evaluates exactly like its frame-free
-extensionalization, which verify_equivalence checks term by term.
+section at once. Each pullback and extensionalize builds one Model. A
+pullback refuses a constant whose type mentions s(L) for a label L whose map
+is not the identity, and extensionalize one that mentions any frame, since
+neither transports such values; so the pullback of a model, valid by
+construction, is valid too. Two collapse paths commute when compose_path
+lands them on equal models, and a fully collapsed model evaluates exactly
+like its frame-free extensionalization, which verify_equivalence checks term
+by term. Its records keep each check's term and outcomes and render their
+texts only when read, since the verdict reads none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .denote import (
@@ -95,26 +99,37 @@ def pullback(m: Model, maps: Mapping[str, FrameMap]) -> Model:
             raise EndpointMismatch(f"map into {fm.target.label!r} does not end at the model's frame {label!r}")
     # mixed-radix positions, the last frame fastest, as in index_space
     at = [0]
+    moved = set()
     for f in m.frames:
         fm = maps.get(f.label)
-        digits = range(len(f.domain)) if fm is None else [f.domain.position(fm(u)) for u in fm.source.domain.elements]
+        digits = range(len(f.domain))
+        if fm is not None:
+            images = [f.domain.position(fm(u)) for u in fm.source.domain.elements]
+            if fm.source != f or images != list(digits):
+                moved.add(f.label)
+            digits = images
         at = [p * len(f.domain) + d for p in at for d in digits]
+    _refuse_frame_typed(m, moved)
     frames = tuple(maps[f.label].source if f.label in maps else f for f in m.frames)
     designated = tuple(d for d in m.designated if d[0] not in maps)
     return _pullback(m, frames, designated, at)
 
 
-def _pullback(m: Model, frames: tuple[Frame, ...], designated: tuple, at: Sequence[int]) -> Model:
-    """The model over frames whose constant c holds, at each target position q,
-    m's value of c at position at[q]: m's columns pulled back along at."""
-    gone = {f.label for f in m.frames if f not in frames}
+def _refuse_frame_typed(m: Model, moved: set[str]) -> None:
+    """Refuse a constant whose type mentions s(L) for a label L in moved: its
+    values are elements of L's old frame, which a pullback does not transport."""
     for c in m.constants:
         for label in frame_labels(c.semtype):
-            if label in gone:
+            if label in moved:
                 raise FrameTypedConstant(
                     f"constant {c.name!r} of type {render_type(c.semtype)} mentions "
                     f"frame {label!r}, which this collapse replaces or drops"
                 )
+
+
+def _pullback(m: Model, frames: tuple[Frame, ...], designated: tuple, at: Sequence[int]) -> Model:
+    """The model over frames whose constant c holds, at each target position q,
+    m's value of c at position at[q]: m's columns pulled back along at."""
     indices = index_space(frames)
     constants = tuple(
         Constant(c.name, c.semtype, tuple(zip(indices, map(m.columns[c.name].__getitem__, at))))
@@ -141,21 +156,65 @@ def extensionalize(m: Model) -> Model:
     """Strip the trivial frames, keeping the single-index slice of every table."""
     if not m.is_extensional:
         raise NotFullyTrivial("model still has a nontrivial frame")
-    return _pullback(m, (), (), [0]) if m.frames else m
+    if not m.frames:
+        return m
+    _refuse_frame_typed(m, {f.label for f in m.frames})
+    return _pullback(m, (), (), [0])
 
 
 # ---------------------------------------------------------------------------
 # equivalence checking
 
 
-@dataclass(frozen=True)
+# a route's outcome: its value or its error's class name, and the model it renders against
+Outcome = tuple[Optional[Value], Optional[str], Model]
+
+
+def _render_outcome(outcome: Outcome) -> str:
+    value, error, home = outcome
+    return f"error:{error}" if error else render_value(value, home)
+
+
 class CheckRecord:
-    category: str
-    term: str
-    assignment: tuple[tuple[str, str], ...]
-    intensional: str
-    extensional: str
-    agree: bool
+    """One check: its verdict, and the term and the two outcomes it was made on.
+
+    The verdict (category, agree) reads no text, so the texts term,
+    intensional and extensional are rendered when first read, and once.
+    """
+
+    def __init__(
+        self,
+        category: str,
+        term: Term,
+        assignment: tuple[tuple[str, str], ...],
+        intensional: Outcome,
+        extensional: Outcome,
+        agree: bool,
+    ) -> None:
+        self.category = category
+        self.assignment = assignment
+        self.agree = agree
+        self._term = term
+        self._intensional = intensional
+        self._extensional = extensional
+
+    @cached_property
+    def term(self) -> str:
+        return render_term(self._term)
+
+    @cached_property
+    def intensional(self) -> str:
+        return _render_outcome(self._intensional)
+
+    @cached_property
+    def extensional(self) -> str:
+        return _render_outcome(self._extensional)
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckRecord({self.category!r}, {self.term!r}, {self.assignment!r}, "
+            f"{self.intensional!r}, {self.extensional!r}, {self.agree!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -227,7 +286,8 @@ def verify_equivalence(
     typechecks alike on the collapsed one, which has the same constants with
     the same types: only a term that fails there is typechecked again. Both
     models share the entity domain, so each assignment's environment is built
-    once per call.
+    once per call. No text is rendered here: each record renders its own when
+    first read.
     """
     ext = extensionalize(m)
     gs = list(assignments) if assignments else [Assignment()]
@@ -239,11 +299,15 @@ def verify_equivalence(
             int_error = type_error and _type_error(term, m.signature, g)
             val_i, err_i = _outcome(term, m, int_error, env)
             val_e, err_e = _outcome(term, ext, type_error, env)
-            left = f"error:{err_i}" if err_i else render_value(val_i, m)
-            right = f"error:{err_e}" if err_e else render_value(val_e, ext)
-            agree = (err_i, val_i) == (err_e, val_e)
             records.append(
-                CheckRecord(categorize(term, m), render_term(term), g.bindings, left, right, agree)
+                CheckRecord(
+                    categorize(term, m),
+                    term,
+                    g.bindings,
+                    (val_i, err_i, m),
+                    (val_e, err_e, ext),
+                    (err_i, val_i) == (err_e, val_e),
+                )
             )
     return EquivalenceReport(tuple(records))
 

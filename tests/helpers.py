@@ -104,6 +104,11 @@ def table_of(m: Model, name: str) -> tuple:
     return table
 
 
+def record_fields(r) -> tuple:
+    """A check record's six named attributes, its three texts among them."""
+    return (r.category, r.term, r.assignment, r.intensional, r.extensional, r.agree)
+
+
 def _truth_term(rng: random.Random, m: Model) -> Term:
     while True:
         term = generators.random_term(rng, m, max_depth=3)

@@ -16,7 +16,6 @@ import random
 import re
 import sys
 from collections import Counter
-from dataclasses import astuple
 
 from finsem import denote
 from finsem.denote import Eq
@@ -24,7 +23,7 @@ from finsem.generators import ASSIGNMENT_VARS, random_model, random_term
 from finsem.morphisms import trivialize_all, verify_equivalence
 from finsem.semmodel import Assignment
 
-from helpers import REPO_ROOT
+from helpers import REPO_ROOT, record_fields
 
 _spec = importlib.util.spec_from_file_location(
     "run_equivalence_sweep", REPO_ROOT / "scripts" / "run_equivalence_sweep.py"
@@ -66,7 +65,7 @@ def test_seeded_corpus_has_only_finsem_errors_and_a_pinned_digest() -> None:
     assert sweep.internal_errors(records, allowed) == []
     assert outcomes["value"] >= 0.25 * sum(outcomes.values()), outcomes
     assert all(r.agree for r in records)
-    text = json.dumps([astuple(r) for r in records])
+    text = json.dumps([record_fields(r) for r in records])
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
 
 

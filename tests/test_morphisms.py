@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finsem import denote, morphisms, semmodel
+from finsem import cli, denote, morphisms, semmodel
 from finsem.denote import (
     App,
     Const,
@@ -52,7 +52,7 @@ from finsem.morphisms import (
     trivialize_all,
     verify_equivalence,
 )
-from finsem.relalg import EndpointMismatch, FinSet, Relation
+from finsem.relalg import EndpointMismatch, FinSet, FnGraph, Relation
 from finsem.semmodel import (
     EMPTY_INDEX,
     Assignment,
@@ -60,6 +60,7 @@ from finsem.semmodel import (
     EntType,
     IdxType,
     Index,
+    IndexElem,
     InvalidModel,
     Model,
     PairType,
@@ -75,7 +76,7 @@ from finsem.semmodel import (
 
 import random
 
-from helpers import MODELS_DIR, build_extensional, build_modal, rel_value, table_of
+from helpers import MODELS_DIR, build_extensional, build_modal, record_fields, rel_value, table_of
 
 MODAL = build_modal()
 EXT = build_extensional()
@@ -139,6 +140,19 @@ def test_pullback_refuses_an_unknown_label_and_a_map_into_another_frame() -> Non
     point = trivialize(W, "w0").target
     with pytest.raises(EndpointMismatch):
         pullback(MODAL, {"W": identity_map(point)})
+
+
+def test_a_pullback_refuses_an_s_typed_constant_along_every_map_but_the_identity() -> None:
+    """here: s(W) names each index's own element; a swap of w0 and w1 would
+    carry it over untransported, so it is refused like a collapse of W."""
+    (W,) = MODAL.frames
+    here = Constant("here", IdxType("W"), tuple((s, IndexElem("W", s.component("W"))) for s in MODAL.positions))
+    m = Model(MODAL.entity_domain, MODAL.frames, (*MODAL.constants, here), MODAL.designated)
+    swap = FrameMap(W, W, FnGraph(Relation(W.domain, W.domain, frozenset({("w0", "w1"), ("w1", "w0")}))))
+    with pytest.raises(FrameTypedConstant, match="constant 'here' of type s\\(W\\) mentions frame 'W'"):
+        pullback(m, {"W": swap})
+    along = pullback(m, {"W": identity_map(W)})
+    assert along.frames == m.frames and along.columns == m.columns
 
 
 def test_trivialize_keeps_the_designated_slice() -> None:
@@ -500,8 +514,11 @@ def test_categorize() -> None:
 
 
 def test_report_totals_and_summary() -> None:
-    ok = CheckRecord("predicates", "(pred p x)", (), "1", "1", True)
-    bad = CheckRecord("variables", "x", (("x", "e0"),), "0", "1", False)
+    ext = extensionalize(trivialize_all(MODAL))
+    ok = CheckRecord("predicates", PredApp("p", (Var("x"),)), (), (Truth(1), None, ext), (Truth(1), None, ext), True)
+    bad = CheckRecord("variables", Var("x"), (("x", "e0"),), (Truth(0), None, ext), (None, "UnknownEntity", ext), False)
+    assert record_fields(ok) == ("predicates", "(pred p x)", (), "1", "1", True)
+    assert record_fields(bad) == ("variables", "x", (("x", "e0"),), "0", "error:UnknownEntity", False)
     report = EquivalenceReport((ok, bad, ok))
     assert report.total == 3
     assert report.mismatches == (bad,)
@@ -523,6 +540,34 @@ def test_equivalence_on_random_models_and_terms(seed: int) -> None:
     report = verify_equivalence(m, terms, gs)
     assert report.mismatches == ()
     assert report.total == len(terms)
+
+
+def _count_renders(monkeypatch) -> Counter:
+    """Count render_term and render_value calls where morphisms and cli look them up."""
+    calls: Counter = Counter()
+    for module in (morphisms, cli):
+        for name in ("render_term", "render_value"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    return calls
+
+
+def test_a_check_renders_its_texts_on_first_read_and_once(monkeypatch) -> None:
+    calls = _count_renders(monkeypatch)
+    records = [r for m, terms, gs in _differential_corpus(5) for r in verify_equivalence(m, terms, gs).checks]
+    assert len(records) > 500 and calls == Counter()
+    first = [record_fields(r) for r in records]
+    assert [record_fields(r) for r in records] == first
+    values = sum(not side.startswith("error:") for *_, left, right, _ in first for side in (left, right))
+    assert calls == Counter({"render_term": len(records), "render_value": values})
+
+
+@pytest.mark.parametrize("name", ["extensional", "modal", "modal_tense", "modal_tense_location"])
+def test_verify_theorem_renders_no_text(name: str, monkeypatch, capsys) -> None:
+    calls = _count_renders(monkeypatch)
+    assert cli.main(["verify-theorem", str(MODELS_DIR / f"{name}.json")]) == 0
+    assert capsys.readouterr().out.endswith(" checks\n")
+    assert calls == Counter()
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +610,9 @@ def test_diagram_three_frames_counts() -> None:
 # the shared typecheck
 
 
-def _reference_check(m: Model, term, g: Assignment) -> CheckRecord:
-    """One check as the two public evaluators give it, each typechecking."""
+def _reference_check(m: Model, term, g: Assignment) -> tuple:
+    """One check's record_fields as the two public evaluators give them, each
+    typechecking, with every text rendered here."""
     ext, (s0,) = extensionalize(m), index_space(m.frames)
     routes = ((lambda: eval_int(term, m, g, s0), m), (lambda: eval_int(term, ext, g), ext))
     outcomes = []
@@ -580,7 +626,7 @@ def _reference_check(m: Model, term, g: Assignment) -> CheckRecord:
         f"error:{err}" if err else render_value(val, home) for val, err, home in outcomes
     )
     agree = val_i == val_e if err_i is None and err_e is None else err_i == err_e
-    return CheckRecord(categorize(term, m), render_term(term), g.bindings, left, right, agree)
+    return categorize(term, m), render_term(term), g.bindings, left, right, agree
 
 
 def _differential_corpus(seed: int):
@@ -624,9 +670,10 @@ def test_shared_typecheck_matches_the_public_evaluators() -> None:
     for m, terms, gs in _differential_corpus(5):
         report = verify_equivalence(m, terms, gs)
         expected = tuple(_reference_check(m, t, g) for t in terms for g in gs)
-        assert report.checks == expected
-        kinds.update(r.extensional.removeprefix("error:") for r in expected if "error:" in r.extensional)
-        kinds["value"] += sum("error:" not in r.extensional for r in expected)
+        assert tuple(map(record_fields, report.checks)) == expected
+        right = [extensional for *_, extensional, _ in expected]
+        kinds.update(side.removeprefix("error:") for side in right if "error:" in side)
+        kinds["value"] += sum("error:" not in side for side in right)
     for kind in ("value", "UngroundedType", "UnboundVariable", "TermTypeError",
                  "UnknownEntity", "PresuppositionFailure"):
         assert kinds[kind] >= 5, kinds
